@@ -10,15 +10,21 @@ m lies in the RSL intent of X iff the minterm set of m is inside the
 disjunctive bound of X, and in the FCL intent iff the conjunctive bound
 of X is inside the minterm set of m.  recover_classical exploits exactly
 that, making it an independent route to the same lattices.
+
+Extents come from one worklist closure over the columns, and both routes
+take their covers from the upper-neighbour construction of Lindig, "Fast
+Concept Analysis" (2000); the oracle keeps the brute-force cover search
+as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 
 from .bitset import BitSet
 from .context import FormalContext, box_of, intent_of
-from .errors import CapExceeded
+from .errors import InvariantError
 from .exprs import Var, to_canonical
 from .irreducibles import DEFAULT_IRREDUCIBLES_CAP, LiteralSet, is_member
 from .lattice import GclLattice
@@ -60,40 +66,6 @@ class ClassicalLattice:
         return self.concepts[0]
 
 
-_SWEEP_LIMIT = 20
-
-
-def _fcl_extents(ctx: FormalContext) -> list[int]:
-    full = (1 << ctx.n_objects) - 1
-    if ctx.n_attributes <= _SWEEP_LIMIT:
-        found = set()
-        for ys in range(1 << ctx.n_attributes):
-            bits = full
-            rest = ys
-            while rest:
-                low = rest & -rest
-                bits &= ctx.cols[low.bit_length() - 1]
-                rest ^= low
-            found.add(bits)
-        return sorted(found, key=lambda b: (b.bit_count(), b))
-    return _closure(ctx, full, lambda a, b: a & b)
-
-
-def _rsl_extents(ctx: FormalContext) -> list[int]:
-    if ctx.n_attributes <= _SWEEP_LIMIT:
-        found = set()
-        for ys in range(1 << ctx.n_attributes):
-            bits = 0
-            rest = ys
-            while rest:
-                low = rest & -rest
-                bits |= ctx.cols[low.bit_length() - 1]
-                rest ^= low
-            found.add(bits)
-        return sorted(found, key=lambda b: (b.bit_count(), b))
-    return _closure(ctx, 0, lambda a, b: a | b)
-
-
 def _closure(ctx: FormalContext, seed: int, op) -> list[int]:
     # worklist closure of {seed} under combining with single columns
     found = {seed}
@@ -108,42 +80,64 @@ def _closure(ctx: FormalContext, seed: int, op) -> list[int]:
     return sorted(found, key=lambda b: (b.bit_count(), b))
 
 
-def _hasse(extent_bits: list[int]) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (lower, upper) of the inclusion order, ascending."""
-    n = len(extent_bits)
+def _covers(
+    kind: str, ext_bits: list[int], cols, full: int
+) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (lower, upper) of a classical extent family, ascending.
+
+    For each FCL extent x, each object g outside it closes x + g to the
+    least extent y above both; y covers x exactly when every one of the
+    |y - x| objects it adds closes x to y (Lindig's counting test).  RSL
+    extents are the complements of the intersections of complemented
+    columns, so their covers are that dual family's covers reversed.
+    Closures missing from ext_bits give no edge.
+    """
+    if kind == "rsl":
+        dual = [full ^ b for b in ext_bits]
+        edges = _covers("fcl", dual, [full ^ c for c in cols], full)
+        return tuple(sorted((hi, lo) for lo, hi in edges))
+    index = {bits: i for i, bits in enumerate(ext_bits)}
     edges = []
-    for i in range(n):
-        a = extent_bits[i]
-        for j in range(n):
-            b = extent_bits[j]
-            if a == b or a & ~b:
-                continue
-            if not any(
-                c != a and c != b and a & ~c == 0 and c & ~b == 0
-                for c in extent_bits
-            ):
+    for i, x in enumerate(ext_bits):
+        above = [c for c in cols if x & ~c == 0]
+        hits: dict[int, int] = {}
+        rest = full & ~x
+        while rest:
+            g = rest & -rest
+            rest ^= g
+            y = full
+            for c in above:
+                if c & g:
+                    y &= c
+            hits[y] = hits.get(y, 0) + 1
+        for y, count in hits.items():
+            j = index.get(y)
+            if j is not None and count == (y ^ x).bit_count():
                 edges.append((i, j))
     return tuple(sorted(edges))
 
 
 def build_fcl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X^I) over all intersections of columns, G included."""
-    ext_bits = _fcl_extents(ctx)
+    full = (1 << ctx.n_objects) - 1
+    ext_bits = _closure(ctx, full, and_)
     concepts = tuple(
         FclConcept(ext := BitSet(bits, ctx.n_objects), intent_of(ctx, ext))
         for bits in ext_bits
     )
-    return ClassicalLattice("fcl", ctx, concepts, _hasse(ext_bits))
+    edges = _covers("fcl", ext_bits, ctx.cols, full)
+    return ClassicalLattice("fcl", ctx, concepts, edges)
 
 
 def build_rsl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X-box) over all unions of columns, the empty set included."""
-    ext_bits = _rsl_extents(ctx)
+    ext_bits = _closure(ctx, 0, or_)
     concepts = tuple(
         RslConcept(ext := BitSet(bits, ctx.n_objects), box_of(ctx, ext))
         for bits in ext_bits
     )
-    return ClassicalLattice("rsl", ctx, concepts, _hasse(ext_bits))
+    edges = _covers("rsl", ext_bits, ctx.cols, (1 << ctx.n_objects) - 1)
+    return ClassicalLattice("rsl", ctx, concepts, edges)
 
 
 def recover_classical(
@@ -191,7 +185,7 @@ def recover_classical(
             for j in ys:
                 single = LiteralSet(BitSet(1 << j, m), BitSet(0, m))
                 if not is_member(ctx, single, BitSet(col_bits[j], ctx.n_objects), mode):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"attribute {ctx.attributes[j]} missing from its own "
                         f"irreducible {mode} class"
                     )
@@ -202,4 +196,5 @@ def recover_classical(
 
     keep.sort(key=lambda c: (len(c.extent), c.extent.bits))
     ext_bits = [c.extent.bits for c in keep]
-    return ClassicalLattice(kind, ctx, tuple(keep), _hasse(ext_bits))
+    edges = _covers(kind, ext_bits, col_bits, (1 << ctx.n_objects) - 1)
+    return ClassicalLattice(kind, ctx, tuple(keep), edges)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
 from .context import FormalContext, context_to_cxt, parse_context
-from .errors import CapExceeded, NotAGeneralExtent, ParseError
+from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
 from .exprs import (
     BOTTOM,
     DEFAULT_CANONICAL_CAP,
@@ -101,7 +101,8 @@ def _bound_pretty(
         simp = _prune_for_display(
             simplified_intent(ctx, extent, simp_mode), ctx.n_attributes
         )
-        assert to_canonical(simp, ctx.n_attributes).table == cf.table
+        if to_canonical(simp, ctx.n_attributes).table != cf.table:
+            raise InvariantError(f"reduced {which} does not match its canonical bound")
         text = expr_to_str(simp, ctx.attributes)
         if len(text) < len(base):
             return text
@@ -353,7 +354,11 @@ def _cmd_inspect(args) -> int:
         lines.append(f"query: {expr_to_str(expr, ctx.attributes)}")
     else:
         names = [t.strip() for t in args.objects.split(",") if t.strip()]
-        xs = ctx.object_set(names)
+        try:
+            xs = ctx.object_set(names)
+        except KeyError as exc:
+            print(f"gcl: unknown name {exc.args[0]!r}", file=sys.stderr)
+            return EXIT_INPUT
     node = lat.node_of(xs)
 
     lines.append(f"extent: {_braced(ctx.object_names(node.extent))}")
@@ -489,21 +494,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"gcl: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotAGeneralExtent as exc:
-        print(f"gcl: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except KeyError as exc:
-        print(f"gcl: unknown name {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, NotAGeneralExtent, OSError) as exc:
         print(f"gcl: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:
         print(f"gcl: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InvariantError as exc:
+        print(f"gcl: {exc}", file=sys.stderr)
+        return EXIT_LAW
 
 
 if __name__ == "__main__":

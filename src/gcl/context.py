@@ -238,7 +238,12 @@ def blocks(ctx: FormalContext) -> BlockPartition:
 # parsing and serialization
 
 def parse_context(text: str, format: str) -> FormalContext:
-    """Parse a context from ``cxt`` or ``csv`` text."""
+    """Parse a context from ``cxt`` or ``csv`` text.
+
+    A leading UTF-8 byte order mark is dropped and CRLF line ends are
+    accepted, as spreadsheet and Windows tools write them.
+    """
+    text = text.removeprefix("\ufeff")
     if format == "cxt":
         return _parse_cxt(text)
     if format == "csv":
@@ -247,7 +252,7 @@ def parse_context(text: str, format: str) -> FormalContext:
 
 
 def _parse_cxt(text: str) -> FormalContext:
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     # a single trailing newline is part of the format, not an extra line
     if lines and lines[-1] == "":
         lines.pop()

@@ -28,3 +28,11 @@ class CapExceeded(GclError):
 
 class NotAGeneralExtent(GclError):
     """An object set is not a union of blocks of the context."""
+
+
+class InvariantError(GclError):
+    """A result contradicts a property the construction guarantees.
+
+    Raised instead of ``assert`` so the check survives ``python -O`` and
+    reaches the CLI as a failed law (exit 4) rather than a traceback.
+    """

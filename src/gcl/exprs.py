@@ -396,6 +396,7 @@ def parse_expr(text: str, attributes) -> AttrExpr:
             return inner
         if tok in _OPS:
             raise ParseError(f"unexpected {tok!r} at column {where()}")
+        col = where()
         pos += 1
         if tok in index:
             return Var(index[tok])
@@ -403,7 +404,7 @@ def parse_expr(text: str, attributes) -> AttrExpr:
             return TOP
         if tok == "0":
             return BOTTOM
-        raise ParseError(f"unknown attribute {tok!r} at column {where() - len(tok)}")
+        raise ParseError(f"unknown attribute {tok!r} at column {col}")
 
     expr = parse_or()
     if pos < len(tokens):

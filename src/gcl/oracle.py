@@ -7,7 +7,8 @@ classes by extent, and compares the class extremes against the builder's
 canonical bounds.  ``verify_laws`` runs a registry of named laws: the
 operator identities, the constructive decompositions of the bounds, the
 order agreements, and the equality of the two routes to the classical
-lattices.  Neither route reuses the builder's internals; extents are
+lattices, whose covers are also checked against a brute-force search
+(``_hasse``).  Neither route reuses the builder's internals; extents are
 recomputed from the incidence rows.
 
 ``random_context`` generates reproducible test contexts from a 64-bit
@@ -523,9 +524,29 @@ def _law_order_agreement(env: _Env):
     return None
 
 
+def _hasse(extent_bits: list[int]) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (lower, upper) of the inclusion order, ascending."""
+    n = len(extent_bits)
+    edges = []
+    for i in range(n):
+        a = extent_bits[i]
+        for j in range(n):
+            b = extent_bits[j]
+            if a == b or a & ~b:
+                continue
+            if not any(
+                c != a and c != b and a & ~c == 0 and c & ~b == 0
+                for c in extent_bits
+            ):
+                edges.append((i, j))
+    return tuple(sorted(edges))
+
+
 def _law_route_equality(env: _Env):
     for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
         direct = builder(env.ctx)
+        if direct.hasse_edges != _hasse([c.extent.bits for c in direct.concepts]):
+            return f"{kind}: direct cover relation differs from the brute-force covers"
         recovered = recover_classical(env.lat, kind)
         if direct.concepts != recovered.concepts:
             return f"{kind}: recovered concepts differ from the direct build"

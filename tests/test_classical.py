@@ -1,7 +1,7 @@
 """Formal-concept and rough-set lattices, built directly and recovered."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import contexts
 from gcl import (
@@ -18,6 +18,7 @@ from gcl import (
     intent_of,
     recover_classical,
 )
+from gcl.oracle import _hasse
 
 
 def pairs(lat):
@@ -133,3 +134,28 @@ def test_recover_agrees_everywhere(ctx):
     lat = build_gcl(ctx)
     assert recover_classical(lat, "fcl").concepts == build_fcl(ctx).concepts
     assert recover_classical(lat, "rsl").concepts == build_rsl(ctx).concepts
+
+
+def swept_extents(ctx, kind):
+    """Every intersection (fcl) or union (rsl) of columns, by 2^m subsets."""
+    found = set()
+    for ys in range(1 << ctx.n_attributes):
+        bits = (1 << ctx.n_objects) - 1 if kind == "fcl" else 0
+        for j, col in enumerate(ctx.cols):
+            if ys >> j & 1:
+                bits = bits & col if kind == "fcl" else bits | col
+        found.add(bits)
+    return sorted(found, key=lambda b: (b.bit_count(), b))
+
+
+@given(contexts(max_objects=8, max_attributes=6))
+@example(FormalContext(("g1", "g2", "g3"), (), (0, 0, 0)))
+@example(FormalContext((), ("a", "b", "c"), ()))
+@example(FormalContext((), (), ()))
+@settings(max_examples=80, deadline=None)
+def test_closure_and_covers_match_brute_force(ctx):
+    for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
+        lat = builder(ctx)
+        ext = [c.extent.bits for c in lat.concepts]
+        assert ext == swept_extents(ctx, kind)
+        assert lat.hasse_edges == _hasse(ext)

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from gcl import LawResult, OracleReport
+from gcl import TOP, LawResult, OracleReport
 from gcl.cli import main
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
@@ -117,6 +117,16 @@ def test_build_from_csv(capsys, t1_path, t1_csv_path):
     assert from_cxt == from_csv
 
 
+def test_build_from_bom_prefixed_files(capsys, tmp_path, t1_path):
+    _, want, _ = run(capsys, "build", t1_path)
+    for name, text in (("bom.cxt", T1_CXT), ("bom.csv", T1_CSV)):
+        p = tmp_path / name
+        p.write_text("\ufeff" + text, encoding="utf-8")
+        code, out, _ = run(capsys, "build", str(p))
+        assert code == 0
+        assert out == want
+
+
 def test_input_format_override(capsys, tmp_path):
     p = tmp_path / "table.data"
     p.write_text(T1_CSV)
@@ -203,6 +213,20 @@ def test_compare_agrees(capsys, t1_path):
     ]
 
 
+def test_compare_broken_invariant_exits_4(capsys, t1_path, monkeypatch):
+    monkeypatch.setattr("gcl.classical.is_member", lambda *args: False)
+    code, _, err = run(capsys, "compare", t1_path)
+    assert code == 4
+    assert "missing from its own irreducible" in err
+
+
+def test_build_broken_reduced_bound_exits_4(capsys, t1_path, monkeypatch):
+    monkeypatch.setattr("gcl.cli.simplified_intent", lambda *args: TOP)
+    code, _, err = run(capsys, "build", t1_path)
+    assert code == 4
+    assert "does not match its canonical bound" in err
+
+
 # --- random ---
 
 
@@ -280,9 +304,19 @@ def test_inspect_empty_class_is_marked(capsys, t1_path):
 
 
 def test_inspect_unknown_name(capsys, t1_path):
-    code, _, err = run(capsys, "inspect", t1_path, "--objects", "g9")
-    assert code == 2
-    assert "unknown name 'g9'" in err
+    for names in ("g9", "g1, g9"):
+        code, _, err = run(capsys, "inspect", t1_path, "--objects", names)
+        assert code == 2
+        assert "unknown name 'g9'" in err
+
+
+def test_internal_key_error_is_not_an_unknown_name(capsys, t1_path, monkeypatch):
+    def broken(ctx):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("gcl.cli.build_fcl", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["build", t1_path, "--lattice", "fcl"])
 
 
 def test_inspect_non_block_union(capsys, tmp_path):

@@ -82,6 +82,16 @@ def test_parse_csv_x_dot_cells(t1):
     assert parse_context(text, "csv") == t1
 
 
+@pytest.mark.parametrize("fmt,text", [("cxt", T1_CXT), ("csv", T1_CSV)])
+def test_parse_strips_byte_order_mark(t1, fmt, text):
+    assert parse_context("\ufeff" + text, fmt) == t1
+
+
+@pytest.mark.parametrize("fmt,text", [("cxt", T1_CXT), ("csv", T1_CSV)])
+def test_parse_accepts_crlf_line_ends(t1, fmt, text):
+    assert parse_context(text.replace("\n", "\r\n"), fmt) == t1
+
+
 def test_unknown_format():
     with pytest.raises(ValueError, match="unknown context format"):
         parse_context("", "xml")
