@@ -16,7 +16,7 @@ class BitSet:
     def __post_init__(self):
         if self.width < 0:
             raise ValueError(f"negative width {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
+        if self.bits < 0 or self.bits.bit_length() > self.width:
             raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
 
     @classmethod

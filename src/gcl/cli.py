@@ -26,7 +26,7 @@ from .exprs import (
     CanonicalForm,
     Or,
     Var,
-    canonical_to_expr,
+    canonical_to_str,
     conj,
     disj,
     eval_contextual,
@@ -53,6 +53,14 @@ EXIT_LAW = 4
 # large ones: past these sizes the plain canonical rendering is used
 _PRETTY_BLOCK_LIMIT = 8
 _INSPECT_BLOCK_LIMIT = 12
+
+# a gcl export prints 2^n_F nodes with bounds over 2^m minterms each, so
+# it is refused up front when n_F + m exceeds this (2^20 is about 100 MB
+# of text)
+_EXPORT_LOG2_LIMIT = 20
+
+# `gcl random` refuses contexts with more cells than this
+_RANDOM_CELL_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +103,7 @@ def _bound_pretty(
     instead if it comes out shorter; both describe the same attribute.
     """
     mode = "dnf" if which == "grsp" else "cnf"
-    base = expr_to_str(canonical_to_expr(cf, mode), ctx.attributes)
+    base = canonical_to_str(cf, mode, ctx.attributes)
     if fancy:
         simp_mode = "grsp_dnf" if which == "grsp" else "gfcp_cnf"
         simp = _prune_for_display(
@@ -111,10 +119,13 @@ def _bound_pretty(
 
 def _gcl_data(lat: GclLattice) -> dict:
     ctx = lat.context
-    fancy = (
-        ctx.n_attributes <= DEFAULT_IRREDUCIBLES_CAP
-        and lat.partition.n_f <= _PRETTY_BLOCK_LIMIT
-    )
+    n_f, m = lat.partition.n_f, ctx.n_attributes
+    if n_f + m > _EXPORT_LOG2_LIMIT:
+        raise CapExceeded(
+            f"export of {n_f} blocks and {m} attributes refused: 2^{n_f} nodes "
+            f"over 2^{m} minterms exceed the export limit of 2^{_EXPORT_LOG2_LIMIT}"
+        )
+    fancy = m <= DEFAULT_IRREDUCIBLES_CAP and n_f <= _PRETTY_BLOCK_LIMIT
     nodes = [
         {
             "block_set": node.block_set,
@@ -339,6 +350,12 @@ def _cmd_random(args) -> int:
     if args.objects < 0 or args.attributes < 0:
         print("gcl: negative dimensions", file=sys.stderr)
         return EXIT_USAGE
+    cells = args.objects * args.attributes
+    if cells > _RANDOM_CELL_CAP:
+        raise CapExceeded(
+            f"{args.objects} objects x {args.attributes} attributes = {cells} cells "
+            f"exceed the cap of {_RANDOM_CELL_CAP}"
+        )
     ctx = random_context(args.seed, args.objects, args.attributes, args.density)
     _emit(context_to_cxt(ctx), args.out)
     return EXIT_OK

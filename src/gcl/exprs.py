@@ -153,7 +153,7 @@ class CanonicalForm:
     def __post_init__(self):
         if self.m_count < 0:
             raise ValueError("negative attribute count")
-        if not 0 <= self.table < (1 << (1 << self.m_count)):
+        if self.table < 0 or self.table.bit_length() > 1 << self.m_count:
             raise ValueError(f"table does not fit {self.m_count} attributes")
 
     @classmethod
@@ -171,7 +171,7 @@ class CanonicalForm:
         return frozenset(self.ids())
 
     def ids(self) -> list[int]:
-        return [t for t in range(1 << self.m_count) if (self.table >> t) & 1]
+        return [t for t, bit in enumerate(reversed(f"{self.table:b}")) if bit == "1"]
 
     def _check(self, other: "CanonicalForm") -> None:
         if self.m_count != other.m_count:
@@ -286,6 +286,51 @@ def canonical_to_expr(cf: CanonicalForm, mode: str) -> AttrExpr:
 
 def _maxterm(m_count: int, id: int) -> AttrExpr:
     return disj(literal(j, (id >> j) & 1 == 0) for j in range(m_count))
+
+
+def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
+    """expr_to_str(canonical_to_expr(cf, mode), attributes), read off the bits.
+
+    Terms are joined from per-attribute literal strings, so no expression
+    tree is built: the literal strings of the low and the high half of
+    the attributes are combined once, and each term is two lookups.
+    """
+    m = cf.m_count
+    names = [attributes[j] for j in range(m)]
+    if mode == "dnf":
+        # a minterm's literal j is positive where bit j of its id is set
+        ids, none, unit, inner, outer = cf.ids(), "0", "1", " & ", " | "
+        pairs = [("!" + a, a) for a in names]
+    elif mode == "cnf":
+        # a maxterm's literal j is negated where bit j of its id is set
+        ids, none, unit, inner, outer = (~cf).ids(), "1", "0", " | ", " & "
+        pairs = [(a, "!" + a) for a in names]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not ids:
+        return none
+    if m == 0:
+        return unit
+    half = m // 2
+    low = _term_strings(pairs[:half], inner)
+    high = _term_strings(pairs[half:], inner)
+    if half:
+        mask = (1 << half) - 1
+        terms = [f"{low[t & mask]}{inner}{high[t >> half]}" for t in ids]
+    else:
+        terms = [high[t] for t in ids]
+    if mode == "cnf" and len(terms) > 1 and m > 1:
+        terms = [f"({t})" for t in terms]
+    return outer.join(terms)
+
+
+def _term_strings(pairs, sep: str) -> list[str]:
+    """Every term over the given (bit 0, bit 1) literal pairs, by its bits."""
+    out = [""]
+    for k, (off, on) in enumerate(pairs):
+        glue = sep if k else ""
+        out = [s + glue + off for s in out] + [s + glue + on for s in out]
+    return out
 
 
 def atoms_coatoms(m_count: int, cap: int = DEFAULT_CANONICAL_CAP):

@@ -13,13 +13,17 @@ block of row-identical objects.  Consequences used throughout:
   relation is "differs in exactly one block".
 
 Each node therefore stores its block subset as an int id; node ids
-double as indices into the lattice's node tuple.
+double as indices into the lattice's node sequence.  Nodes are built on
+demand: ``build_gcl`` only partitions the context and computes the two
+minterm tables, and a node or cover pair costs O(n_F) int operations
+when it is first read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bitset import BitSet
 from .context import BlockPartition, FormalContext, blocks
@@ -49,12 +53,108 @@ class GeneralConcept:
     gfcp: CanonicalForm
 
 
+class _View(Sequence):
+    """A read-only sequence computed on demand; equal by content to a tuple.
+
+    Subclasses give ``__len__`` and ``_at(i)`` for 0 <= i < len.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(map(self._at, range(n)[i]))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for {n} items")
+        return self._at(i)
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _View)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+class _Nodes(_View):
+    """The 2^n_F nodes by block-set id, each built once on first access.
+
+    Keeping built nodes makes meet, join and dagger return the very node
+    objects the sequence hands out.
+    """
+
+    __slots__ = ("_ctx", "_part", "_empty", "_built")
+
+    def __init__(self, ctx: FormalContext, part: BlockPartition, empty_table: int):
+        self._ctx = ctx
+        self._part = part
+        self._empty = empty_table
+        self._built: dict[int, GeneralConcept] = {}
+
+    def __len__(self) -> int:
+        return 1 << self._part.n_f
+
+    def _at(self, block_set: int) -> GeneralConcept:
+        node = self._built.get(block_set)
+        if node is None:
+            node = _concept(self._ctx, self._part, block_set, self._empty)
+            self._built[block_set] = node
+        return node
+
+
+class _Edges(_View):
+    """Cover pairs (ks, ks | 1 << k): ks ascending, then k ascending."""
+
+    __slots__ = ("_nf",)
+
+    def __init__(self, n_f: int):
+        self._nf = n_f
+
+    def __len__(self) -> int:
+        return (self._nf << self._nf) >> 1
+
+    def __iter__(self):
+        nf = self._nf
+        for ks in range(1 << nf):
+            for k in range(nf):
+                if not ks >> k & 1:
+                    yield ks, ks | 1 << k
+
+    def _below(self, ks: int) -> int:
+        """How many pairs have a lower end under ks: n_F free blocks per
+        block set, less the set bits of 0 .. ks-1 counted per bit."""
+        taken = 0
+        for b in range(self._nf):
+            taken += (ks >> (b + 1) << b) + max(0, ks % (2 << b) - (1 << b))
+        return self._nf * ks - taken
+
+    def _at(self, i: int) -> tuple[int, int]:
+        lo, hi = 0, (1 << self._nf) - 1
+        while lo < hi:  # the largest ks with _below(ks) <= i
+            mid = (lo + hi + 1) // 2
+            if self._below(mid) <= i:
+                lo = mid
+            else:
+                hi = mid - 1
+        skip = i - self._below(lo)
+        free = [k for k in range(self._nf) if not lo >> k & 1]
+        return lo, lo | 1 << free[skip]
+
+
 @dataclass(frozen=True)
 class GclLattice:
     context: FormalContext
     partition: BlockPartition
-    nodes: tuple[GeneralConcept, ...]
-    hasse_edges: tuple[tuple[int, int], ...]
+    nodes: Sequence[GeneralConcept]
+    hasse_edges: Sequence[tuple[int, int]]
     zero_rho: CanonicalForm
     one_eta: CanonicalForm
 
@@ -66,22 +166,23 @@ class GclLattice:
     def inf(self) -> GeneralConcept:
         return self.nodes[0]
 
-    @cached_property
-    def _node_by_extent(self) -> dict:
-        return {node.extent.bits: node for node in self.nodes}
-
     def node_of(self, xs: BitSet) -> GeneralConcept:
         """The node with extent xs; raises NotAGeneralExtent otherwise."""
         if xs.width != self.context.n_objects:
             raise ValueError(
                 f"object set width {xs.width}, context has {self.context.n_objects} objects"
             )
-        node = self._node_by_extent.get(xs.bits)
-        if node is None:
+        block_set = 0
+        covered = 0
+        for k, b in enumerate(self.partition.blocks):
+            if b.extent.bits & ~xs.bits == 0:
+                block_set |= 1 << k
+                covered |= b.extent.bits
+        if covered != xs.bits:
             raise NotAGeneralExtent(
                 f"{{{', '.join(self.context.object_names(xs))}}} is not a union of blocks"
             )
-        return node
+        return self.nodes[block_set]
 
 
 def _guard_caps(ctx: FormalContext, part: BlockPartition, node_cap: int, canonical_cap: int):
@@ -113,11 +214,9 @@ def contextual_constants(
     zero_rho collects every minterm with empty extent; one_eta is its
     complement, the minterms that occur as block rows.
     """
-    part = blocks(ctx)
-    _guard_caps(ctx, part, part.n_f, canonical_cap)
-    realized, empty = _tables(ctx, part)
-    m = ctx.n_attributes
-    return CanonicalForm(m, empty), CanonicalForm(m, realized)
+    # n_F never exceeds the object count, so only the canonical cap applies
+    lat = build_gcl(ctx, ctx.n_objects, canonical_cap)
+    return lat.zero_rho, lat.one_eta
 
 
 def extent_family(ctx: FormalContext, node_cap: int = DEFAULT_NODE_CAP) -> list[BitSet]:
@@ -169,24 +268,7 @@ def general_concept(
     canonical_cap: int = DEFAULT_CANONICAL_CAP,
 ) -> GeneralConcept:
     """The concept at extent xs; xs must be a union of blocks."""
-    if xs.width != ctx.n_objects:
-        raise ValueError(
-            f"object set width {xs.width}, context has {ctx.n_objects} objects"
-        )
-    part = blocks(ctx)
-    _guard_caps(ctx, part, node_cap, canonical_cap)
-    block_set = 0
-    covered = 0
-    for k, b in enumerate(part.blocks):
-        if b.extent.bits & ~xs.bits == 0:
-            block_set |= 1 << k
-            covered |= b.extent.bits
-    if covered != xs.bits:
-        raise NotAGeneralExtent(
-            f"{{{', '.join(ctx.object_names(xs))}}} is not a union of blocks"
-        )
-    _, empty = _tables(ctx, part)
-    return _concept(ctx, part, block_set, empty)
+    return build_gcl(ctx, node_cap, canonical_cap).node_of(xs)
 
 
 def build_gcl(
@@ -194,7 +276,7 @@ def build_gcl(
     node_cap: int = DEFAULT_NODE_CAP,
     canonical_cap: int = DEFAULT_CANONICAL_CAP,
 ) -> GclLattice:
-    """Build the full lattice: one node per union of blocks.
+    """The lattice: one node per union of blocks, built when first read.
 
     Node ids are block-set ints, so node i & node j indexes the meet and
     node i | node j the join.  Hasse edges connect nodes differing in
@@ -203,17 +285,14 @@ def build_gcl(
     part = blocks(ctx)
     _guard_caps(ctx, part, node_cap, canonical_cap)
     realized, empty = _tables(ctx, part)
-    nf = part.n_f
-    nodes = tuple(_concept(ctx, part, ks, empty) for ks in range(1 << nf))
-    edges = tuple(
-        (ks, ks | (1 << k))
-        for ks in range(1 << nf)
-        for k in range(nf)
-        if not ks & (1 << k)
-    )
     m = ctx.n_attributes
     return GclLattice(
-        ctx, part, nodes, edges, CanonicalForm(m, empty), CanonicalForm(m, realized)
+        ctx,
+        part,
+        _Nodes(ctx, part, empty),
+        _Edges(part.n_f),
+        CanonicalForm(m, empty),
+        CanonicalForm(m, realized),
     )
 
 

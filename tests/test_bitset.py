@@ -17,6 +17,12 @@ def test_bits_must_fit_width():
         BitSet(-1, 2)
     with pytest.raises(ValueError):
         BitSet.of([3], 3)
+    for width in (0, 1, 5, 64):
+        assert BitSet((1 << width) - 1, width).is_full()
+        with pytest.raises(ValueError):
+            BitSet(1 << width, width)
+        with pytest.raises(ValueError):
+            BitSet(-1, width)
 
 
 def test_set_operations():

@@ -256,6 +256,16 @@ def test_random_rejects_negative_dimensions(capsys):
     assert "negative dimensions" in err
 
 
+def test_random_refuses_oversized_context(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("random_context ran")
+
+    monkeypatch.setattr("gcl.cli.random_context", never)
+    code, out, err = run(capsys, "random", "1", "100000000", "1000", "0.5")
+    assert code == 3 and out == ""
+    assert "100000000000 cells exceed the cap of 10000000" in err
+
+
 # --- inspect ---
 
 
@@ -354,6 +364,27 @@ def test_block_cap(capsys, t1_path):
     code, _, err = run(capsys, "build", t1_path, "--max-nf", "1")
     assert code == 3
     assert "3 blocks exceed the node cap of 1" in err
+
+
+def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypatch):
+    # 16 blocks x 16 attributes: within the node and canonical caps, but
+    # the export would print 2^16 nodes with 2^16-minterm bounds
+    names = [f"g{i}" for i in range(16)]
+    attrs = [f"m{j}" for j in range(16)]
+    rows = ["".join("X" if (i + 1) >> j & 1 else "." for j in range(16)) for i in range(16)]
+    p = tmp_path / "wide.cxt"
+    p.write_text("B\n\n16\n16\n\n" + "\n".join(names + attrs + rows) + "\n")
+
+    def never(*args):
+        raise AssertionError("a node was built or rendered")
+
+    monkeypatch.setattr("gcl.lattice._concept", never)
+    monkeypatch.setattr("gcl.cli._bound_pretty", never)
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(capsys, "build", str(p), "--format", fmt)
+        assert code == 3 and out == ""
+        assert "export of 16 blocks and 16 attributes refused" in err
+        assert "export limit of 2^20" in err
 
 
 def test_block_cap_from_env(capsys, t1_path, monkeypatch):

@@ -15,6 +15,7 @@ from gcl import (
     Var,
     atoms_coatoms,
     canonical_to_expr,
+    canonical_to_str,
     conj,
     disj,
     eval_contextual,
@@ -98,6 +99,12 @@ def test_canonical_form_basics():
         CanonicalForm.of(2, [4])
     with pytest.raises(ValueError):
         CanonicalForm.of(1, [0]) & CanonicalForm.of(2, [0])
+    for m in (0, 1, 2, 5):
+        assert CanonicalForm(m, (1 << (1 << m)) - 1).is_one()
+        with pytest.raises(ValueError):
+            CanonicalForm(m, 1 << (1 << m))
+        with pytest.raises(ValueError):
+            CanonicalForm(m, -1)
 
 
 def test_census_of_forms_is_double_exponential():
@@ -211,6 +218,7 @@ def test_print_parse_round_trip(m, table):
     for mode in ("dnf", "cnf"):
         e = canonical_to_expr(cf, mode)
         text = expr_to_str(e, attrs)
+        assert canonical_to_str(cf, mode, attrs) == text
         assert to_canonical(parse_expr(text, attrs), m) == cf
 
 

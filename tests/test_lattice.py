@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +20,7 @@ from gcl import (
     meet,
     parse_expr,
 )
+from gcl.oracle import _hasse
 
 
 def node(lat, *names):
@@ -217,3 +220,40 @@ def test_extents_are_block_unions(ctx):
             if n.block_set >> k & 1:
                 bits |= lat.partition.blocks[k].extent.bits
         assert n.extent.bits == bits
+
+
+@given(contexts())
+def test_lazy_views_match_brute_force(ctx):
+    lat = build_gcl(ctx)
+    exts = [b.extent.bits for b in lat.partition.blocks]
+    for ks in range(1 << lat.partition.n_f):
+        xs = BitSet(sum(e for k, e in enumerate(exts) if ks >> k & 1), ctx.n_objects)
+        n = lat.node_of(xs)
+        assert n is lat.nodes[ks]
+        assert n.block_set == ks
+        assert n == general_concept(ctx, xs)
+    edges = lat.hasse_edges
+    assert edges == _hasse([n.extent.bits for n in lat.nodes])
+    assert [edges[i] for i in range(len(edges))] == list(edges)
+    assert [edges[i] for i in range(-len(edges), 0)] == list(edges)
+    assert edges[1:-1:2] == tuple(edges)[1:-1:2]
+    with pytest.raises(IndexError):
+        edges[len(edges)]
+
+
+def test_one_node_of_a_large_lattice_stays_small():
+    # 20 objects with distinct rows: 20 blocks, 2^20 nodes, 2^20-bit tables
+    ctx = FormalContext(
+        tuple(f"g{i}" for i in range(20)),
+        tuple(f"m{j}" for j in range(20)),
+        tuple(range(1, 21)),
+    )
+    tracemalloc.start()
+    try:
+        lat = build_gcl(ctx)
+        n = lat.node_of(ctx.object_set(["g0", "g7", "g19"]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n.gfcp.ids() == [1, 8, 20]
+    assert peak < 100 * 2**20
