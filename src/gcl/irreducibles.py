@@ -10,6 +10,15 @@ an irreducible disjunction.  Removing the only literal, or a literal
 from the empty set, is not a removal, so sets of size at most one are
 irreducible for whatever extent they evaluate to.
 
+Irreducible sets are down-closed: every subset of an irreducible set is
+irreducible.  Proof, for conjunctions (disjunctions dually): if dropping
+l from T keeps its extent, dropping l from any S containing T keeps
+ext(S), because ext(S - l) = ext(T - l) & ext(S - T).  So the classes
+are grown level by level from irreducible sets only, the key pruning of
+TITANIC (Stumme et al., DKE 2002).  Each literal of an irreducible set
+of size two or more has its own witness object, so members have at most
+max(1, |G|) literals.
+
 The quotient of one class by another removes the members that factor
 through the divisor: a member is dropped iff some nonempty member of the
 divisor class is a proper subset of it.  A class quotiented by itself is
@@ -18,7 +27,13 @@ unchanged, and single literals survive every quotient.
 These classes assemble display forms of the two canonical bounds: the
 disjunctive bound of X is the sum of the quotiented conjunction classes
 of the sub-extents of X, the conjunctive bound dually the product of the
-quotiented disjunction classes of its super-extents.
+quotiented disjunction classes of its super-extents.  There a member mu
+of size two or more is dropped iff ext(mu - l) lies inside X (for
+disjunctions: contains X) for some literal l of mu; smaller members are
+always kept.  Proof: the possible divisors are the nonempty proper
+subsets of mu, which are irreducible by down-closure and have
+block-union extents; each lies in some mu - l, so ext(mu - l) is the
+smallest (for disjunctions the largest) of their extents.
 """
 
 from __future__ import annotations
@@ -103,82 +118,112 @@ def _guard_cap(ctx: FormalContext, cap: int) -> None:
         )
 
 
-def _literal_bits(ctx: FormalContext, j: int, sign: bool) -> int:
-    full = (1 << ctx.n_objects) - 1
-    return ctx.cols[j] if sign else full ^ ctx.cols[j]
-
-
-def _set_extent_bits(ctx: FormalContext, lits: LiteralSet, mode: str) -> int:
-    full = (1 << ctx.n_objects) - 1
+def _fold(ctx: FormalContext, exts, mode: str) -> int:
+    """The extent of a conjunction (meet) or disjunction (join) of extents."""
     if mode == "conjunction":
-        bits = full
-        for j, sign in lits.literals():
-            bits &= _literal_bits(ctx, j, sign)
+        bits = (1 << ctx.n_objects) - 1
+        for e in exts:
+            bits &= e
     else:
         bits = 0
-        for j, sign in lits.literals():
-            bits |= _literal_bits(ctx, j, sign)
+        for e in exts:
+            bits |= e
     return bits
+
+
+def _literal_exts(ctx: FormalContext, lits: LiteralSet) -> list[int]:
+    full = (1 << ctx.n_objects) - 1
+    cols = ctx.cols
+    return [cols[j] for j in lits.pos] + [full ^ cols[j] for j in lits.neg]
+
+
+def _leave_one_out(ctx: FormalContext, lits: LiteralSet, mode: str) -> list[int]:
+    """Extent bits of lits minus each one of its literals; none if |lits| <= 1."""
+    exts = _literal_exts(ctx, lits)
+    if len(exts) <= 1:
+        return []
+    return [_fold(ctx, exts[:i] + exts[i + 1 :], mode) for i in range(len(exts))]
 
 
 def is_member(ctx: FormalContext, lits: LiteralSet, target: BitSet, mode: str) -> bool:
     """Is lits an irreducible set of the given mode for extent target?"""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if _set_extent_bits(ctx, lits, mode) != target.bits:
+    if _fold(ctx, _literal_exts(ctx, lits), mode) != target.bits:
         return False
-    pairs = lits.literals()
-    if len(pairs) <= 1:
-        return True
-    for j, sign in pairs:
-        rest = LiteralSet(
-            BitSet(lits.pos.bits & ~(1 << j) if sign else lits.pos.bits, lits.pos.width),
-            BitSet(lits.neg.bits if sign else lits.neg.bits & ~(1 << j), lits.neg.width),
-        )
-        if _set_extent_bits(ctx, rest, mode) == target.bits:
-            return False
-    return True
+    return target.bits not in _leave_one_out(ctx, lits, mode)
 
 
 @lru_cache(maxsize=32)
 def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ...]]:
-    """Extent bits -> irreducible members, over every signed subset of M."""
+    """Extent bits -> irreducible members, grown level by level.
+
+    Literal i < m is attribute i, literal m + i its negation; a set is a
+    mask over these 2m literals.  Level k + 1 extends each irreducible
+    k-set by one literal of higher index and keeps the candidate iff
+    every leave-one-out subset is an irreducible k-set of a different
+    extent (down-closure makes this test exact).  The test starts at
+    level 2: the empty set and all 2m singletons are members whatever
+    their extent.
+    """
     m = ctx.n_attributes
     full = (1 << ctx.n_objects) - 1
-    unit = full if mode == "conjunction" else 0
-    pick = (lambda a, b: a & b) if mode == "conjunction" else (lambda a, b: a | b)
+    conjunction = mode == "conjunction"
+    lit_ext = list(ctx.cols) + [full ^ col for col in ctx.cols]
 
-    lit_bits = [
-        [_literal_bits(ctx, j, False), _literal_bits(ctx, j, True)] for j in range(m)
-    ]
-    found: dict[int, list[LiteralSet]] = {}
-    for pos in range(1 << m):
-        for neg in range(1 << m):
-            chosen = [(j, 1) for j in range(m) if (pos >> j) & 1] + [
-                (j, 0) for j in range(m) if (neg >> j) & 1
-            ]
-            exts = [lit_bits[j][s] for j, s in chosen]
-            whole = unit
-            for e in exts:
-                whole = pick(whole, e)
-            if len(exts) > 1:
-                # prefix/suffix folds give every leave-one-out extent in O(n)
-                n = len(exts)
-                prefix = [unit] * (n + 1)
-                for i in range(n):
-                    prefix[i + 1] = pick(prefix[i], exts[i])
-                suffix = [unit] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    suffix[i] = pick(suffix[i + 1], exts[i])
-                if any(pick(prefix[i], suffix[i + 1]) == whole for i in range(n)):
-                    continue
-            found.setdefault(whole, []).append(
-                LiteralSet(BitSet(pos, m), BitSet(neg, m))
-            )
+    level = {1 << i: e for i, e in enumerate(lit_ext)}
+    found = [(0, full if conjunction else 0), *level.items()]
+    while level:
+        grown = {}
+        for key, ext in level.items():
+            for i in range(key.bit_length(), 2 * m):
+                whole = ext & lit_ext[i] if conjunction else ext | lit_ext[i]
+                if whole == ext:
+                    continue  # leaving literal i out keeps the extent
+                cand = key | (1 << i)
+                rest = key
+                while rest:
+                    low = rest & -rest
+                    if level.get(cand ^ low, whole) == whole:
+                        break  # a leave-one-out subset is reducible or as wide
+                    rest ^= low
+                else:
+                    grown[cand] = whole
+        found.extend(grown.items())
+        level = grown
+
+    mask = (1 << m) - 1
+    classes: dict[int, list[LiteralSet]] = {}
+    for key, ext in found:
+        lits = LiteralSet(BitSet(key & mask, m), BitSet(key >> m, m))
+        classes.setdefault(ext, []).append(lits)
     return {
         ext: tuple(sorted(members, key=lambda s: (s.size, s.pos.bits, s.neg.bits)))
-        for ext, members in found.items()
+        for ext, members in classes.items()
     }
+
+
+@lru_cache(maxsize=32)
+def _quotient_terms(
+    ctx: FormalContext, mode: str
+) -> dict[int, tuple[tuple[AttrExpr, tuple[int, ...]], ...]]:
+    """Extent bits -> (expression, leave-one-out extents) of each member."""
+    return {
+        ext: tuple(
+            (
+                mu.conjunction() if mode == "conjunction" else mu.disjunction(),
+                tuple(_leave_one_out(ctx, mu, mode)),
+            )
+            for mu in members
+        )
+        for ext, members in _all_classes(ctx, mode).items()
+    }
+
+
+@lru_cache(maxsize=32)
+def _block_bits(ctx: FormalContext) -> tuple[int, ...]:
+    """Extent bits of each block; the partition is computed once per context."""
+    return tuple(b.extent.bits for b in blocks(ctx).blocks)
 
 
 def irreducible_conjunctions(
@@ -222,21 +267,6 @@ def quotient_class(c0: IrredClass, ci: IrredClass) -> IrredClass:
     return IrredClass(c0.target, c0.mode, kept)
 
 
-def _survivors(
-    ctx: FormalContext, mode: str, own_bits: int, divisor_bits: list[int]
-) -> list[LiteralSet]:
-    classes = _all_classes(ctx, mode)
-    own = classes.get(own_bits, ())
-    divisors = [
-        nu for bits in divisor_bits for nu in classes.get(bits, ()) if nu.size > 0
-    ]
-    return [
-        mu
-        for mu in own
-        if not any(nu.size < mu.size and nu.issubset(mu) for nu in divisors)
-    ]
-
-
 def simplified_intent(
     ctx: FormalContext, xs: BitSet, mode: str, cap: int = DEFAULT_IRREDUCIBLES_CAP
 ) -> AttrExpr:
@@ -246,8 +276,9 @@ def simplified_intent(
     conjunction class of X0 quotiented by the classes of every block-union
     strictly between X0 and xs.  mode "gfcp_cnf" is the mirror image:
     product over the block-unions X0 containing xs of the quotiented
-    disjunction classes.  The result always evaluates to xs and its
-    canonical form equals the corresponding bound.
+    disjunction classes.  Each quotient is the leave-one-out test of the
+    module docstring.  The result always evaluates to xs and its canonical
+    form equals the corresponding bound.
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -256,19 +287,18 @@ def simplified_intent(
             f"object set width {xs.width}, context has {ctx.n_objects} objects"
         )
     _guard_cap(ctx, cap)
-    part = blocks(ctx)
+    block_bits = _block_bits(ctx)
+    x = xs.bits
     ks = 0
     covered = 0
-    for k, b in enumerate(part.blocks):
-        if b.extent.bits & ~xs.bits == 0:
+    for k, bits in enumerate(block_bits):
+        if bits & ~x == 0:
             ks |= 1 << k
-            covered |= b.extent.bits
-    if covered != xs.bits:
+            covered |= bits
+    if covered != x:
         raise NotAGeneralExtent(
             f"{{{', '.join(ctx.object_names(xs))}}} is not a union of blocks"
         )
-
-    block_bits = [b.extent.bits for b in part.blocks]
 
     def union_of(sub: int) -> int:
         bits = 0
@@ -278,24 +308,23 @@ def simplified_intent(
             sub ^= low
         return bits
 
-    nf = part.n_f
     if mode == "grsp_dnf":
-        terms = []
-        for k0 in _submasks(ks):
-            room = ks & ~k0
-            between = [union_of(k0 | s) for s in _submasks(room) if s]
-            for mu in _survivors(ctx, "conjunction", union_of(k0), between):
-                terms.append(mu.conjunction())
-        return disj(terms)
+        terms = _quotient_terms(ctx, "conjunction")
+        return disj(
+            term
+            for k0 in _submasks(ks)
+            for term, loo in terms.get(union_of(k0), ())
+            if not any(e & ~x == 0 for e in loo)
+        )
 
-    terms = []
-    outside = ((1 << nf) - 1) & ~ks
-    for extra in _submasks(outside):
-        k0 = ks | extra
-        between = [union_of(ks | s) for s in _submasks(extra) if s != extra]
-        for mu in _survivors(ctx, "disjunction", union_of(k0), between):
-            terms.append(mu.disjunction())
-    return conj(terms)
+    terms = _quotient_terms(ctx, "disjunction")
+    outside = ((1 << len(block_bits)) - 1) & ~ks
+    return conj(
+        term
+        for extra in _submasks(outside)
+        for term, loo in terms.get(union_of(ks | extra), ())
+        if not any(x & ~e == 0 for e in loo)
+    )
 
 
 def _submasks(mask: int):

@@ -8,8 +8,11 @@ canonical bounds.  ``verify_laws`` runs a registry of named laws: the
 operator identities, the constructive decompositions of the bounds, the
 order agreements, and the equality of the two routes to the classical
 lattices, whose covers are also checked against a brute-force search
-(``_hasse``).  Neither route reuses the builder's internals; extents are
-recomputed from the incidence rows.
+(``_hasse``) and whose irreducible classes are also checked against a
+scan of all 4^|M| signed literal sets (``_class_scan``).  Neither route
+reuses the builder's internals; extents are recomputed from the incidence
+rows.  ``_reference_intent`` is the matching brute-force walk for the
+reduced bounds of ``simplified_intent``.
 
 ``random_context`` generates reproducible test contexts from a 64-bit
 linear congruential generator so that law sweeps can be pinned to seeds.
@@ -17,9 +20,8 @@ linear congruential generator so that law sweeps can be pinned to seeds.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .bitset import BitSet
 from .classical import build_fcl, build_rsl, recover_classical
@@ -27,6 +29,7 @@ from .context import (
     FormalContext,
     approx_box,
     approx_diamond,
+    blocks,
     box_of,
     context_to_cxt,
     diamond_of,
@@ -34,7 +37,15 @@ from .context import (
     intent_of,
 )
 from .errors import CapExceeded
-from .exprs import CanonicalForm, Var, conj, disj, eval_contextual, to_canonical
+from .exprs import (
+    AttrExpr,
+    CanonicalForm,
+    Var,
+    conj,
+    disj,
+    eval_contextual,
+    to_canonical,
+)
 from .irreducibles import (
     LiteralSet,
     irreducible_conjunctions,
@@ -109,6 +120,8 @@ class OracleReport:
 
 
 def context_digest(ctx: FormalContext) -> str:
+    import hashlib  # imported here: its C module costs every command's start-up
+
     return hashlib.sha256(context_to_cxt(ctx).encode()).hexdigest()
 
 
@@ -573,12 +586,105 @@ def _law_literal_own_class(env: _Env):
     return None
 
 
+@lru_cache(maxsize=32)
+def _class_scan(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ...]]:
+    """Extent bits -> irreducible members, over every signed subset of M."""
+    m = ctx.n_attributes
+    full = (1 << ctx.n_objects) - 1
+    unit = full if mode == "conjunction" else 0
+    pick = (lambda a, b: a & b) if mode == "conjunction" else (lambda a, b: a | b)
+
+    lit_bits = [[full ^ ctx.cols[j], ctx.cols[j]] for j in range(m)]
+    found: dict[int, list[LiteralSet]] = {}
+    for pos in range(1 << m):
+        for neg in range(1 << m):
+            chosen = [(j, 1) for j in range(m) if (pos >> j) & 1] + [
+                (j, 0) for j in range(m) if (neg >> j) & 1
+            ]
+            exts = [lit_bits[j][s] for j, s in chosen]
+            whole = unit
+            for e in exts:
+                whole = pick(whole, e)
+            if len(exts) > 1:
+                # prefix/suffix folds give every leave-one-out extent in O(n)
+                n = len(exts)
+                prefix = [unit] * (n + 1)
+                for i in range(n):
+                    prefix[i + 1] = pick(prefix[i], exts[i])
+                suffix = [unit] * (n + 1)
+                for i in range(n - 1, -1, -1):
+                    suffix[i] = pick(suffix[i + 1], exts[i])
+                if any(pick(prefix[i], suffix[i + 1]) == whole for i in range(n)):
+                    continue
+            found.setdefault(whole, []).append(
+                LiteralSet(BitSet(pos, m), BitSet(neg, m))
+            )
+    return {
+        ext: tuple(sorted(members, key=lambda s: (s.size, s.pos.bits, s.neg.bits)))
+        for ext, members in found.items()
+    }
+
+
+def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
+    """``simplified_intent`` by brute force, from the scanned classes.
+
+    Every pair of block-unions X0 and X1, with X0 strictly inside X1 and
+    X1 inside xs ("grsp_dnf"), or xs inside X1 and X1 strictly inside X0
+    ("gfcp_cnf"), is visited: a member of the class of X0 is dropped iff
+    some nonempty smaller member of the class of X1 is a subset of it.
+    """
+    block_bits = [b.extent.bits for b in blocks(ctx).blocks]
+    ks = sum(1 << k for k, bits in enumerate(block_bits) if bits & ~xs.bits == 0)
+
+    def union_of(sub: int) -> int:
+        bits = 0
+        for k, b in enumerate(block_bits):
+            if sub >> k & 1:
+                bits |= b
+        return bits
+
+    def survivors(cls_mode: str, own: int, between: list[int]):
+        classes = _class_scan(ctx, cls_mode)
+        divisors = [nu for bits in between for nu in classes.get(bits, ()) if nu.size > 0]
+        return [
+            mu
+            for mu in classes.get(own, ())
+            if not any(nu.size < mu.size and nu.issubset(mu) for nu in divisors)
+        ]
+
+    if mode == "grsp_dnf":
+        terms = []
+        for k0 in _submasks(ks):
+            room = ks & ~k0
+            between = [union_of(k0 | s) for s in _submasks(room) if s]
+            for mu in survivors("conjunction", union_of(k0), between):
+                terms.append(mu.conjunction())
+        return disj(terms)
+
+    terms = []
+    outside = ((1 << len(block_bits)) - 1) & ~ks
+    for extra in _submasks(outside):
+        between = [union_of(ks | s) for s in _submasks(extra) if s != extra]
+        for mu in survivors("disjunction", union_of(ks | extra), between):
+            terms.append(mu.disjunction())
+    return conj(terms)
+
+
 def _law_negation_swap(env: _Env):
     from .irreducibles import _all_classes
 
     ctx = env.ctx
     conj_classes = _all_classes(ctx, "conjunction")
     disj_classes = _all_classes(ctx, "disjunction")
+    for mode, classes in (("conjunction", conj_classes), ("disjunction", disj_classes)):
+        scanned = _class_scan(ctx, mode)
+        if classes != scanned:
+            for ext in set(classes) | set(scanned):
+                if classes.get(ext) != scanned.get(ext):
+                    return (
+                        f"X={env.names(ext)}: {mode} class differs from the "
+                        "scan of all signed literal sets"
+                    )
     flipped = {
         env.full_g ^ ext: sorted(
             (s.flipped() for s in members), key=lambda s: (s.size, s.pos.bits, s.neg.bits)

@@ -1,5 +1,9 @@
+import csv
+import io
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import contexts, contexts_with_subset
 from gcl import (
@@ -139,6 +143,52 @@ def test_cxt_round_trip_bytes(t1):
 @given(contexts())
 def test_cxt_round_trip_identity(ctx):
     assert parse_context(context_to_cxt(ctx), "cxt") == ctx
+
+
+# names a spreadsheet or another tool may well produce: separators, quotes,
+# blanks at either end, non-ASCII letters and a stray byte order mark; only
+# line breaks are left out, since cxt keeps one name per line
+HOSTILE_NAMES = st.one_of(
+    st.sampled_from(
+        ["a,b", '"q"', "'", " lead", "trail ", " ", ";", "\t", "é", "漢字", "🙂", "\ufeffx", "X", "."]
+    ),
+    st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), min_size=1),
+)
+
+
+@st.composite
+def hostile_contexts(draw):
+    names = draw(st.lists(HOSTILE_NAMES, unique=True, max_size=9))
+    m = draw(st.integers(0, min(4, len(names))))
+    attributes, objects = names[:m], names[m:]
+    rows = draw(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=len(objects), max_size=len(objects))
+    )
+    return FormalContext(tuple(objects), tuple(attributes), tuple(rows))
+
+
+def _csv_text(ctx, cells):
+    out = io.StringIO()
+    writer = csv.writer(out)  # quotes where needed, ends lines with CRLF
+    writer.writerow(["", *ctx.attributes])
+    for name, row in zip(ctx.objects, ctx.rows):
+        writer.writerow([name, *(cells[(row >> j) & 1] for j in range(ctx.n_attributes))])
+    return out.getvalue()
+
+
+@given(hostile_contexts(), st.booleans(), st.booleans(), st.sampled_from([".X", "01"]))
+@example(FormalContext(("g,1", '"g2"'), (" a ", "b\u00e9"), (1, 2)), True, True, "01")
+@example(FormalContext((), (), ()), False, False, ".X")
+def test_parse_round_trip_hostile_names(ctx, bom, crlf, cells):
+    lead = "\ufeff" if bom else ""
+    cxt = context_to_cxt(ctx)
+    if crlf:
+        cxt = cxt.replace("\n", "\r\n")
+    assert parse_context(lead + cxt, "cxt") == ctx
+    text = _csv_text(ctx, cells)
+    if not crlf:
+        text = text.replace("\r\n", "\n")
+    assert parse_context(lead + text, "csv") == ctx
 
 
 def test_name_lookups(t1):

@@ -1,7 +1,7 @@
 """Irreducible literal-set classes, quotients, and reduced intents."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import contexts
 from gcl import (
@@ -20,7 +20,9 @@ from gcl import (
     simplified_intent,
     to_canonical,
 )
+from gcl.irreducibles import _all_classes
 from gcl.lattice import build_gcl
+from gcl.oracle import _class_scan, _reference_intent
 
 
 def lits(pos, neg, width=2):
@@ -288,3 +290,39 @@ def test_flip_duality(ctx):
         xs = BitSet(bits, ctx.n_objects)
         flipped = {m.flipped() for m in irreducible_conjunctions(ctx, xs).members}
         assert flipped == set(irreducible_disjunctions(ctx, ~xs).members)
+
+
+def table(objects, attributes, rows):
+    return FormalContext.from_table(
+        tuple(f"g{i + 1}" for i in range(objects)),
+        tuple(f"m{j + 1}" for j in range(attributes)),
+        rows,
+    )
+
+
+@given(contexts(max_objects=8, max_attributes=5))
+@settings(max_examples=60, deadline=None)
+@example(table(3, 3, ("XX.", "X.X", "X..")))  # m1 is constant true
+@example(table(3, 3, (".X.", "..X", ".XX")))  # m1 is constant false
+@example(table(4, 3, ("XX.", "..X", "XXX", "...")))  # m1 and m2 are equal
+@example(table(0, 3, ()))
+@example(table(4, 0, ("", "", "", "")))
+@example(table(0, 0, ()))
+def test_level_wise_classes_match_the_scan(ctx):
+    # the empty set and every single literal are members whatever their
+    # extent, even when a literal's extent is that of the empty set
+    for mode in ("conjunction", "disjunction"):
+        assert _all_classes(ctx, mode) == _class_scan(ctx, mode)
+
+
+@given(contexts(max_objects=6, max_attributes=4))  # so n_F <= 6
+@settings(max_examples=40, deadline=None)
+@example(table(3, 2, ("XX", "X.", "X.")))
+@example(table(0, 2, ()))
+@example(table(2, 0, ("", "")))
+def test_simplified_intent_matches_the_reference_walk(ctx):
+    for node in build_gcl(ctx).nodes:
+        for mode in ("grsp_dnf", "gfcp_cnf"):
+            fast = simplified_intent(ctx, node.extent, mode)
+            slow = _reference_intent(ctx, node.extent, mode)
+            assert expr_to_str(fast, ctx.attributes) == expr_to_str(slow, ctx.attributes)
