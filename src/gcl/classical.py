@@ -157,11 +157,8 @@ def recover_classical(
     ctx = lat.context
     m = ctx.n_attributes
 
-    col_bits = [0] * m
-    for b in lat.partition.blocks:
-        for j in b.intent:
-            col_bits[j] |= b.extent.bits
-
+    # the blocks whose row has attribute j cover exactly column j
+    col_bits = ctx.cols
     var_tables = [to_canonical(Var(j), m).table for j in range(m)]
     check_pool = m <= irreducibles_cap
 

@@ -66,31 +66,35 @@ _RANDOM_CELL_CAP = 10**7
 # ---------------------------------------------------------------------------
 # rendering
 
-def _prune_for_display(expr, m_count: int):
+def _prune_for_display(expr, m_count: int) -> tuple:
     """Drop zero terms from a sum and unit factors from a product.
 
     A unit term swallows the whole sum and a zero factor the whole
-    product, so the rendered expression stays canonically equal.
+    product, so the rendered expression stays canonically equal.  Its
+    truth table is returned with it, combined from each term's table.
     """
+    full = (1 << (1 << m_count)) - 1
     if isinstance(expr, Or):
-        kept = []
+        kept, table = [], 0
         for c in expr.children:
-            t = to_canonical(c, m_count)
-            if t.is_one():
-                return TOP
-            if not t.is_zero():
+            t = to_canonical(c, m_count).table
+            if t == full:
+                return TOP, full
+            if t:
                 kept.append(c)
-        return disj(kept)
+                table |= t
+        return disj(kept), table
     if isinstance(expr, And):
-        kept = []
+        kept, table = [], full
         for c in expr.children:
-            t = to_canonical(c, m_count)
-            if t.is_zero():
-                return BOTTOM
-            if not t.is_one():
+            t = to_canonical(c, m_count).table
+            if not t:
+                return BOTTOM, 0
+            if t != full:
                 kept.append(c)
-        return conj(kept)
-    return expr
+                table &= t
+        return conj(kept), table
+    return expr, to_canonical(expr, m_count).table
 
 
 def _bound_pretty(
@@ -106,10 +110,10 @@ def _bound_pretty(
     base = canonical_to_str(cf, mode, ctx.attributes)
     if fancy:
         simp_mode = "grsp_dnf" if which == "grsp" else "gfcp_cnf"
-        simp = _prune_for_display(
+        simp, table = _prune_for_display(
             simplified_intent(ctx, extent, simp_mode), ctx.n_attributes
         )
-        if to_canonical(simp, ctx.n_attributes).table != cf.table:
+        if table != cf.table:
             raise InvariantError(f"reduced {which} does not match its canonical bound")
         text = expr_to_str(simp, ctx.attributes)
         if len(text) < len(base):
@@ -275,6 +279,10 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _law_line(r) -> str:
+    return f"law {r.law}: ok" if r.passed else f"law {r.law}: FAIL ({r.witness})"
+
+
 def _cmd_verify(args) -> int:
     ctx = _load(args)
     lat = build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
@@ -294,10 +302,7 @@ def _cmd_verify(args) -> int:
         f"{ctx.n_objects} objects, {ctx.n_attributes} attributes, "
         f"{lat.partition.n_f} blocks",
     ]
-    for r in report.laws:
-        lines.append(
-            f"law {r.law}: ok" if r.passed else f"law {r.law}: FAIL ({r.witness})"
-        )
+    lines.extend(map(_law_line, report.laws))
     for note in report.notes:
         lines.append(f"note: {note}")
     if sweep is not None:
@@ -305,10 +310,7 @@ def _cmd_verify(args) -> int:
             f"sweep: {len(sweep.classes)} attribute classes over "
             f"{1 << (1 << ctx.n_attributes)} composite attributes"
         )
-        for r in sweep.laws:
-            lines.append(
-                f"law {r.law}: ok" if r.passed else f"law {r.law}: FAIL ({r.witness})"
-            )
+        lines.extend(map(_law_line, sweep.laws))
         for c in sweep.classes:
             lines.append(
                 f"class {_braced(ctx.object_names(c.extent))}: size {c.size}, "

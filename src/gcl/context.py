@@ -11,6 +11,12 @@ of it this module provides
 * the partition of G into blocks of row-identical objects, which underlies
   every lattice built elsewhere in the package.
 
+The two maps between block sets (int masks over the blocks) and the
+extents they cover live here and nowhere else in the builder:
+``BlockPartition.union`` takes a block set to its extent, and
+``block_set_of`` takes an extent back to its block set, refusing one that
+is not a union of blocks.
+
 Two file formats are understood: the ``cxt`` format (header line ``B``,
 dimensions, names, then an X/. matrix) and a csv layout with attribute
 names in the header row and object names in the first column.
@@ -21,10 +27,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .bitset import BitSet
-from .errors import ParseError
+from .errors import NotAGeneralExtent, ParseError
 
 
 @dataclass(frozen=True)
@@ -215,9 +221,27 @@ class BlockPartition:
         """The common row of each block, as an int attribute mask."""
         return [b.intent.bits for b in self.blocks]
 
+    @cached_property
+    def _extents(self) -> tuple[int, ...]:
+        return tuple(b.extent.bits for b in self.blocks)
 
+    def union(self, block_set: int) -> int:
+        """The extent bits of the union of the blocks in block_set."""
+        exts = self._extents
+        bits = 0
+        while block_set:
+            low = block_set & -block_set
+            bits |= exts[low.bit_length() - 1]
+            block_set ^= low
+        return bits
+
+
+@lru_cache(maxsize=32)
 def blocks(ctx: FormalContext) -> BlockPartition:
-    """Partition the objects of ctx into blocks of identical rows."""
+    """Partition the objects of ctx into blocks of identical rows.
+
+    The partition is computed once per context and then shared.
+    """
     order: dict[int, int] = {}
     extents: list[int] = []
     for i, row in enumerate(ctx.rows):
@@ -232,6 +256,22 @@ def blocks(ctx: FormalContext) -> BlockPartition:
         for row, ext in zip(order, extents)
     )
     return BlockPartition(made)
+
+
+def block_set_of(ctx: FormalContext, xs: BitSet) -> int:
+    """The block set whose union is xs; raises NotAGeneralExtent if none is."""
+    _want_objects(ctx, xs)
+    block_set = 0
+    covered = 0
+    for k, bits in enumerate(blocks(ctx)._extents):
+        if bits & ~xs.bits == 0:
+            block_set |= 1 << k
+            covered |= bits
+    if covered != xs.bits:
+        raise NotAGeneralExtent(
+            f"{{{', '.join(ctx.object_names(xs))}}} is not a union of blocks"
+        )
+    return block_set
 
 
 # ---------------------------------------------------------------------------

@@ -107,28 +107,30 @@ def literal(index: int, positive: bool) -> AttrExpr:
 
 def eval_contextual(ctx: FormalContext, expr: AttrExpr) -> BitSet:
     """The extent of expr in ctx."""
-    return BitSet(_eval_bits(ctx, expr), ctx.n_objects)
+    bits = _fold(expr, ctx.n_attributes, ctx.cols.__getitem__, (1 << ctx.n_objects) - 1)
+    return BitSet(bits, ctx.n_objects)
 
 
-def _eval_bits(ctx: FormalContext, expr: AttrExpr) -> int:
-    full = (1 << ctx.n_objects) - 1
+def _fold(expr: AttrExpr, m_count: int, leaf, full: int) -> int:
+    """expr as an int over a universe of bits: Var j is leaf(j), negation
+    complements within full, conjunction and disjunction are & and |."""
     if isinstance(expr, Var):
-        if expr.index >= ctx.n_attributes:
+        if expr.index >= m_count:
             raise ValueError(
-                f"attribute index {expr.index} out of range for {ctx.n_attributes} attributes"
+                f"attribute index {expr.index} out of range for {m_count} attributes"
             )
-        return ctx.cols[expr.index]
+        return leaf(expr.index)
     if isinstance(expr, Not):
-        return full ^ _eval_bits(ctx, expr.child)
+        return full ^ _fold(expr.child, m_count, leaf, full)
     if isinstance(expr, And):
         bits = full
         for c in expr.children:
-            bits &= _eval_bits(ctx, c)
+            bits &= _fold(c, m_count, leaf, full)
         return bits
     if isinstance(expr, Or):
         bits = 0
         for c in expr.children:
-            bits |= _eval_bits(ctx, c)
+            bits |= _fold(c, m_count, leaf, full)
         return bits
     if isinstance(expr, _Const):
         return full if expr.value else 0
@@ -245,28 +247,10 @@ def to_canonical(expr: AttrExpr, m_count: int, cap: int = DEFAULT_CANONICAL_CAP)
 
 
 def _table_of(expr: AttrExpr, m_count: int) -> int:
-    full = (1 << (1 << m_count)) - 1
-    if isinstance(expr, Var):
-        if expr.index >= m_count:
-            raise ValueError(
-                f"attribute index {expr.index} out of range for {m_count} attributes"
-            )
-        return _var_table(expr.index, m_count)
-    if isinstance(expr, Not):
-        return full ^ _table_of(expr.child, m_count)
-    if isinstance(expr, And):
-        table = full
-        for c in expr.children:
-            table &= _table_of(c, m_count)
-        return table
-    if isinstance(expr, Or):
-        table = 0
-        for c in expr.children:
-            table |= _table_of(c, m_count)
-        return table
-    if isinstance(expr, _Const):
-        return full if expr.value else 0
-    raise TypeError(f"not an attribute expression: {expr!r}")
+    """The truth table of expr over all 2^m_count minterm ids."""
+    return _fold(
+        expr, m_count, lambda j: _var_table(j, m_count), (1 << (1 << m_count)) - 1
+    )
 
 
 def canonical_to_expr(cf: CanonicalForm, mode: str) -> AttrExpr:

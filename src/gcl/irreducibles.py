@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitset import BitSet
-from .context import FormalContext, blocks
-from .errors import CapExceeded, NotAGeneralExtent
+from .context import FormalContext, _want_objects, block_set_of, blocks
+from .errors import CapExceeded
 from .exprs import AttrExpr, conj, disj, literal
 
 DEFAULT_IRREDUCIBLES_CAP = 10
@@ -220,12 +220,6 @@ def _quotient_terms(
     }
 
 
-@lru_cache(maxsize=32)
-def _block_bits(ctx: FormalContext) -> tuple[int, ...]:
-    """Extent bits of each block; the partition is computed once per context."""
-    return tuple(b.extent.bits for b in blocks(ctx).blocks)
-
-
 def irreducible_conjunctions(
     ctx: FormalContext, xs: BitSet, cap: int = DEFAULT_IRREDUCIBLES_CAP
 ) -> IrredClass:
@@ -241,10 +235,7 @@ def irreducible_disjunctions(
 
 
 def _class_of(ctx: FormalContext, xs: BitSet, mode: str, cap: int) -> IrredClass:
-    if xs.width != ctx.n_objects:
-        raise ValueError(
-            f"object set width {xs.width}, context has {ctx.n_objects} objects"
-        )
+    _want_objects(ctx, xs)
     _guard_cap(ctx, cap)
     members = _all_classes(ctx, mode).get(xs.bits, ())
     return IrredClass(xs, mode, members)
@@ -282,47 +273,27 @@ def simplified_intent(
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
-    if xs.width != ctx.n_objects:
-        raise ValueError(
-            f"object set width {xs.width}, context has {ctx.n_objects} objects"
-        )
+    _want_objects(ctx, xs)  # a wrong width is reported before the cap
     _guard_cap(ctx, cap)
-    block_bits = _block_bits(ctx)
+    ks = block_set_of(ctx, xs)
+    part = blocks(ctx)
     x = xs.bits
-    ks = 0
-    covered = 0
-    for k, bits in enumerate(block_bits):
-        if bits & ~x == 0:
-            ks |= 1 << k
-            covered |= bits
-    if covered != x:
-        raise NotAGeneralExtent(
-            f"{{{', '.join(ctx.object_names(xs))}}} is not a union of blocks"
-        )
-
-    def union_of(sub: int) -> int:
-        bits = 0
-        while sub:
-            low = sub & -sub
-            bits |= block_bits[low.bit_length() - 1]
-            sub ^= low
-        return bits
 
     if mode == "grsp_dnf":
         terms = _quotient_terms(ctx, "conjunction")
         return disj(
             term
             for k0 in _submasks(ks)
-            for term, loo in terms.get(union_of(k0), ())
+            for term, loo in terms.get(part.union(k0), ())
             if not any(e & ~x == 0 for e in loo)
         )
 
     terms = _quotient_terms(ctx, "disjunction")
-    outside = ((1 << len(block_bits)) - 1) & ~ks
+    outside = ((1 << part.n_f) - 1) & ~ks
     return conj(
         term
         for extra in _submasks(outside)
-        for term, loo in terms.get(union_of(ks | extra), ())
+        for term, loo in terms.get(part.union(ks | extra), ())
         if not any(x & ~e == 0 for e in loo)
     )
 

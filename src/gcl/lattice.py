@@ -16,7 +16,8 @@ Each node therefore stores its block subset as an int id; node ids
 double as indices into the lattice's node sequence.  Nodes are built on
 demand: ``build_gcl`` only partitions the context and computes the two
 minterm tables, and a node or cover pair costs O(n_F) int operations
-when it is first read.
+when it is first read.  Block sets are mapped to extents and back only
+through ``BlockPartition.union`` and ``block_set_of`` in ``context``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bitset import BitSet
-from .context import BlockPartition, FormalContext, blocks
-from .errors import CapExceeded, NotAGeneralExtent
+from .context import BlockPartition, FormalContext, block_set_of, blocks
+from .errors import CapExceeded
 from .exprs import (
     DEFAULT_CANONICAL_CAP,
     AttrExpr,
@@ -168,21 +169,7 @@ class GclLattice:
 
     def node_of(self, xs: BitSet) -> GeneralConcept:
         """The node with extent xs; raises NotAGeneralExtent otherwise."""
-        if xs.width != self.context.n_objects:
-            raise ValueError(
-                f"object set width {xs.width}, context has {self.context.n_objects} objects"
-            )
-        block_set = 0
-        covered = 0
-        for k, b in enumerate(self.partition.blocks):
-            if b.extent.bits & ~xs.bits == 0:
-                block_set |= 1 << k
-                covered |= b.extent.bits
-        if covered != xs.bits:
-            raise NotAGeneralExtent(
-                f"{{{', '.join(self.context.object_names(xs))}}} is not a union of blocks"
-            )
-        return self.nodes[block_set]
+        return self.nodes[block_set_of(self.context, xs)]
 
 
 def _guard_caps(ctx: FormalContext, part: BlockPartition, node_cap: int, canonical_cap: int):
@@ -227,35 +214,20 @@ def extent_family(ctx: FormalContext, node_cap: int = DEFAULT_NODE_CAP) -> list[
             f"{part.n_f} blocks exceed the node cap of {node_cap} "
             f"(the family would have 2^{part.n_f} members)"
         )
-    exts = [b.extent.bits for b in part.blocks]
-    out = []
-    for ks in range(1 << part.n_f):
-        bits = 0
-        rest = ks
-        while rest:
-            low = rest & -rest
-            bits |= exts[low.bit_length() - 1]
-            rest ^= low
-        out.append(BitSet(bits, ctx.n_objects))
-    return out
+    return [BitSet(part.union(ks), ctx.n_objects) for ks in range(1 << part.n_f)]
 
 
 def _concept(
     ctx: FormalContext, part: BlockPartition, block_set: int, empty_table: int
 ) -> GeneralConcept:
-    ext = 0
     gfcp = 0
-    rest = block_set
-    while rest:
-        low = rest & -rest
-        k = low.bit_length() - 1
-        ext |= part.blocks[k].extent.bits
-        gfcp |= 1 << part.blocks[k].intent.bits
-        rest ^= low
+    for k, b in enumerate(part.blocks):
+        if block_set >> k & 1:
+            gfcp |= 1 << b.intent.bits
     m = ctx.n_attributes
     return GeneralConcept(
         block_set,
-        BitSet(ext, ctx.n_objects),
+        BitSet(part.union(block_set), ctx.n_objects),
         CanonicalForm(m, gfcp | empty_table),
         CanonicalForm(m, gfcp),
     )

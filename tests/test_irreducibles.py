@@ -20,6 +20,7 @@ from gcl import (
     simplified_intent,
     to_canonical,
 )
+from gcl.cli import _prune_for_display
 from gcl.irreducibles import _all_classes
 from gcl.lattice import build_gcl
 from gcl.oracle import _class_scan, _reference_intent
@@ -240,8 +241,12 @@ def test_simplified_intent_rejects_non_block_union():
     ctx = FormalContext.from_table(
         ("g1", "g2", "g3"), ("a", "b"), ("X.", "X.", ".X")
     )
-    with pytest.raises(NotAGeneralExtent, match="not a union of blocks"):
-        simplified_intent(ctx, BitSet(0b001, 3), "grsp_dnf")
+    xs = BitSet(0b001, 3)
+    with pytest.raises(NotAGeneralExtent, match="not a union of blocks") as raised:
+        simplified_intent(ctx, xs, "grsp_dnf")
+    with pytest.raises(NotAGeneralExtent) as by_node:
+        build_gcl(ctx).node_of(xs)
+    assert str(raised.value) == str(by_node.value) == "{g1} is not a union of blocks"
 
 
 def test_simplified_intent_mode_validation(t1):
@@ -321,8 +326,12 @@ def test_level_wise_classes_match_the_scan(ctx):
 @example(table(0, 2, ()))
 @example(table(2, 0, ("", "")))
 def test_simplified_intent_matches_the_reference_walk(ctx):
+    m = ctx.n_attributes
     for node in build_gcl(ctx).nodes:
-        for mode in ("grsp_dnf", "gfcp_cnf"):
+        for mode, bound in (("grsp_dnf", node.grsp), ("gfcp_cnf", node.gfcp)):
             fast = simplified_intent(ctx, node.extent, mode)
             slow = _reference_intent(ctx, node.extent, mode)
             assert expr_to_str(fast, ctx.attributes) == expr_to_str(slow, ctx.attributes)
+            # the display prune reads the table off its terms in one pass
+            pruned, table = _prune_for_display(fast, m)
+            assert table == to_canonical(pruned, m).table == bound.table

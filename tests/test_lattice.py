@@ -20,6 +20,7 @@ from gcl import (
     meet,
     parse_expr,
 )
+from gcl.context import block_set_of, blocks
 from gcl.oracle import _hasse
 
 
@@ -225,9 +226,12 @@ def test_extents_are_block_unions(ctx):
 @given(contexts())
 def test_lazy_views_match_brute_force(ctx):
     lat = build_gcl(ctx)
+    part = blocks(ctx)
     exts = [b.extent.bits for b in lat.partition.blocks]
     for ks in range(1 << lat.partition.n_f):
         xs = BitSet(sum(e for k, e in enumerate(exts) if ks >> k & 1), ctx.n_objects)
+        assert part.union(ks) == xs.bits
+        assert block_set_of(ctx, xs) == ks
         n = lat.node_of(xs)
         assert n is lat.nodes[ks]
         assert n.block_set == ks
