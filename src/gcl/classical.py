@@ -24,9 +24,7 @@ from operator import and_, or_
 
 from .bitset import BitSet
 from .context import FormalContext, box_of, intent_of
-from .errors import InvariantError
-from .exprs import Var, to_canonical
-from .irreducibles import DEFAULT_IRREDUCIBLES_CAP, LiteralSet, is_member
+from .exprs import _var_table
 from .lattice import GclLattice
 
 
@@ -140,17 +138,13 @@ def build_rsl(ctx: FormalContext) -> ClassicalLattice:
     return ClassicalLattice("rsl", ctx, concepts, edges)
 
 
-def recover_classical(
-    lat: GclLattice, kind: str, irreducibles_cap: int = DEFAULT_IRREDUCIBLES_CAP
-) -> ClassicalLattice:
+def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
     """Rebuild a classical lattice from general nodes alone.
 
     Intents come from canonical-bound membership tests, extents are kept
-    when they reproduce themselves from their own intent's columns.  When
-    the attribute count is within the irreducibles cap, every selected
-    attribute is additionally checked to be an irreducible one-literal
-    description of its column, i.e. to appear in the quotient pools the
-    bound decompositions draw from.
+    when they reproduce themselves from their own intent's columns.  The
+    attribute tables are as wide as the node bounds, so any lattice that
+    build_gcl admitted is read without a further width check.
     """
     if kind not in ("fcl", "rsl"):
         raise ValueError(f"unknown lattice kind {kind!r}")
@@ -159,8 +153,7 @@ def recover_classical(
 
     # the blocks whose row has attribute j cover exactly column j
     col_bits = ctx.cols
-    var_tables = [to_canonical(Var(j), m).table for j in range(m)]
-    check_pool = m <= irreducibles_cap
+    var_tables = [_var_table(j, m) for j in range(m)]
 
     keep = []
     for node in lat.nodes:
@@ -177,15 +170,6 @@ def recover_classical(
         if rebuilt != node.extent.bits:
             continue
         intent = BitSet.of(ys, m)
-        if check_pool:
-            mode = "conjunction" if kind == "rsl" else "disjunction"
-            for j in ys:
-                single = LiteralSet(BitSet(1 << j, m), BitSet(0, m))
-                if not is_member(ctx, single, BitSet(col_bits[j], ctx.n_objects), mode):
-                    raise InvariantError(
-                        f"attribute {ctx.attributes[j]} missing from its own "
-                        f"irreducible {mode} class"
-                    )
         if kind == "rsl":
             keep.append(RslConcept(node.extent, intent))
         else:

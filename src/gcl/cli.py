@@ -257,24 +257,34 @@ def _load(args) -> FormalContext:
     fmt = args.input_format
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "cxt"
-    return parse_context(path.read_text(), fmt)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not UTF-8", line
+        ) from None
+    return parse_context(text, fmt)
+
+
+def _load_gcl(args) -> tuple[FormalContext, GclLattice]:
+    """The context and its general lattice, within the --max-nf/--max-m caps."""
+    ctx = _load(args)
+    return ctx, build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _cmd_build(args) -> int:
-    ctx = _load(args)
     if args.lattice == "gcl":
-        lat = build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
-    elif args.lattice == "fcl":
-        lat = build_fcl(ctx)
+        lat = _load_gcl(args)[1]
     else:
-        lat = build_rsl(ctx)
+        lat = (build_fcl if args.lattice == "fcl" else build_rsl)(_load(args))
     _emit(export_lattice(lat, args.format), args.out)
     return EXIT_OK
 
@@ -284,8 +294,7 @@ def _law_line(r) -> str:
 
 
 def _cmd_verify(args) -> int:
-    ctx = _load(args)
-    lat = build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
+    ctx, lat = _load_gcl(args)
     report = verify_laws(ctx, lat)
     sweep = enumerate_mstar(ctx) if args.sweep else None
     failed = not report.all_passed or (sweep is not None and not sweep.all_passed)
@@ -323,8 +332,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    ctx = _load(args)
-    lat = build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
+    ctx, lat = _load_gcl(args)
     code = EXIT_OK
     lines = []
     for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
@@ -364,8 +372,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    ctx = _load(args)
-    lat = build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
+    ctx, lat = _load_gcl(args)
     lines = []
     if args.query is not None:
         expr = parse_expr(args.query, ctx.attributes)

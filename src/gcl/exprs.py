@@ -223,7 +223,7 @@ class Minterm:
         return conj(literal(j, (self.id >> j) & 1 == 1) for j in range(self.m_count))
 
 
-def _guard_cap(m_count: int, cap: int) -> None:
+def _guard_cap(m_count: int, cap: int = DEFAULT_CANONICAL_CAP) -> None:
     if m_count > cap:
         raise CapExceeded(
             f"{m_count} attributes exceed the canonical-form cap of {cap}"
@@ -233,16 +233,19 @@ def _guard_cap(m_count: int, cap: int) -> None:
 @lru_cache(maxsize=None)
 def _var_table(index: int, m_count: int) -> int:
     # truth table of attribute `index` over all 2^m_count minterm ids:
-    # alternating runs of 2^index zeros and ones
+    # alternating runs of 2^index zeros and ones, doubled up to 2^m_count
+    # bits by shifts (a big-int division here costs quadratic time)
     half = 1 << index
-    chunk = ((1 << half) - 1) << half
-    reps = ((1 << (1 << m_count)) - 1) // ((1 << (2 * half)) - 1)
-    return chunk * reps
+    table, width = ((1 << half) - 1) << half, 2 * half
+    while width < 1 << m_count:
+        table |= table << width
+        width *= 2
+    return table
 
 
-def to_canonical(expr: AttrExpr, m_count: int, cap: int = DEFAULT_CANONICAL_CAP) -> CanonicalForm:
+def to_canonical(expr: AttrExpr, m_count: int) -> CanonicalForm:
     """Canonical form of expr over attributes 0 .. m_count-1."""
-    _guard_cap(m_count, cap)
+    _guard_cap(m_count)
     return CanonicalForm(m_count, _table_of(expr, m_count))
 
 
@@ -317,26 +320,24 @@ def _term_strings(pairs, sep: str) -> list[str]:
     return out
 
 
-def atoms_coatoms(m_count: int, cap: int = DEFAULT_CANONICAL_CAP):
+def atoms_coatoms(m_count: int):
     """All minterms in ascending id order, with their paired coatoms.
 
     The coatom paired with atom t is the disjunction of all literals of
     the opposite polarity, i.e. the negation of atom t.
     """
-    _guard_cap(m_count, cap)
+    _guard_cap(m_count)
     atoms = [Minterm(m_count, t) for t in range(1 << m_count)]
     coatoms = [_maxterm(m_count, t) for t in range(1 << m_count)]
     return atoms, coatoms
 
 
-def intrinsic_compare(
-    e1: AttrExpr, e2: AttrExpr, m_count: int, cap: int = DEFAULT_CANONICAL_CAP
-) -> str:
+def intrinsic_compare(e1: AttrExpr, e2: AttrExpr, m_count: int) -> str:
     """Order two expressions by minterm-set inclusion.
 
     Returns "equal", "less", "greater" or "incomparable".
     """
-    _guard_cap(m_count, cap)
+    _guard_cap(m_count)
     t1 = _table_of(e1, m_count)
     t2 = _table_of(e2, m_count)
     if t1 == t2:

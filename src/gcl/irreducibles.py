@@ -111,10 +111,10 @@ class IrredClass:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _guard_cap(ctx: FormalContext, cap: int) -> None:
-    if ctx.n_attributes > cap:
+def _guard_cap(ctx: FormalContext) -> None:
+    if ctx.n_attributes > DEFAULT_IRREDUCIBLES_CAP:
         raise CapExceeded(
-            f"{ctx.n_attributes} attributes exceed the irreducibles cap of {cap}"
+            f"{ctx.n_attributes} attributes exceed the irreducibles cap of {DEFAULT_IRREDUCIBLES_CAP}"
         )
 
 
@@ -220,23 +220,19 @@ def _quotient_terms(
     }
 
 
-def irreducible_conjunctions(
-    ctx: FormalContext, xs: BitSet, cap: int = DEFAULT_IRREDUCIBLES_CAP
-) -> IrredClass:
+def irreducible_conjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
     """The irreducible conjunction class of extent xs (possibly empty)."""
-    return _class_of(ctx, xs, "conjunction", cap)
+    return _class_of(ctx, xs, "conjunction")
 
 
-def irreducible_disjunctions(
-    ctx: FormalContext, xs: BitSet, cap: int = DEFAULT_IRREDUCIBLES_CAP
-) -> IrredClass:
+def irreducible_disjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
     """The irreducible disjunction class of extent xs (possibly empty)."""
-    return _class_of(ctx, xs, "disjunction", cap)
+    return _class_of(ctx, xs, "disjunction")
 
 
-def _class_of(ctx: FormalContext, xs: BitSet, mode: str, cap: int) -> IrredClass:
+def _class_of(ctx: FormalContext, xs: BitSet, mode: str) -> IrredClass:
     _want_objects(ctx, xs)
-    _guard_cap(ctx, cap)
+    _guard_cap(ctx)
     members = _all_classes(ctx, mode).get(xs.bits, ())
     return IrredClass(xs, mode, members)
 
@@ -258,9 +254,7 @@ def quotient_class(c0: IrredClass, ci: IrredClass) -> IrredClass:
     return IrredClass(c0.target, c0.mode, kept)
 
 
-def simplified_intent(
-    ctx: FormalContext, xs: BitSet, mode: str, cap: int = DEFAULT_IRREDUCIBLES_CAP
-) -> AttrExpr:
+def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     """Assemble a reduced expression for a canonical bound of extent xs.
 
     mode "grsp_dnf": sum, over the block-unions X0 inside xs, of the
@@ -274,7 +268,7 @@ def simplified_intent(
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
     _want_objects(ctx, xs)  # a wrong width is reported before the cap
-    _guard_cap(ctx, cap)
+    _guard_cap(ctx)
     ks = block_set_of(ctx, xs)
     part = blocks(ctx)
     x = xs.bits

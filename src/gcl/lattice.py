@@ -33,6 +33,7 @@ from .exprs import (
     DEFAULT_CANONICAL_CAP,
     AttrExpr,
     CanonicalForm,
+    _guard_cap,
     eval_contextual,
 )
 
@@ -172,15 +173,11 @@ class GclLattice:
         return self.nodes[block_set_of(self.context, xs)]
 
 
-def _guard_caps(ctx: FormalContext, part: BlockPartition, node_cap: int, canonical_cap: int):
-    if part.n_f > node_cap:
+def _guard_nodes(n_f: int, cap: int = DEFAULT_NODE_CAP) -> None:
+    if n_f > cap:
         raise CapExceeded(
-            f"{part.n_f} blocks exceed the node cap of {node_cap} "
-            f"(the lattice would need 2^{part.n_f} nodes)"
-        )
-    if ctx.n_attributes > canonical_cap:
-        raise CapExceeded(
-            f"{ctx.n_attributes} attributes exceed the canonical-form cap of {canonical_cap}"
+            f"{n_f} blocks exceed the node cap of {cap} "
+            f"(the lattice would need 2^{n_f} nodes)"
         )
 
 
@@ -193,27 +190,21 @@ def _tables(ctx: FormalContext, part: BlockPartition) -> tuple[int, int]:
     return realized, full ^ realized
 
 
-def contextual_constants(
-    ctx: FormalContext, canonical_cap: int = DEFAULT_CANONICAL_CAP
-) -> tuple[CanonicalForm, CanonicalForm]:
+def contextual_constants(ctx: FormalContext) -> tuple[CanonicalForm, CanonicalForm]:
     """(zero_rho, one_eta): the grsp of the empty extent and the gfcp of G.
 
     zero_rho collects every minterm with empty extent; one_eta is its
     complement, the minterms that occur as block rows.
     """
     # n_F never exceeds the object count, so only the canonical cap applies
-    lat = build_gcl(ctx, ctx.n_objects, canonical_cap)
+    lat = build_gcl(ctx, ctx.n_objects)
     return lat.zero_rho, lat.one_eta
 
 
-def extent_family(ctx: FormalContext, node_cap: int = DEFAULT_NODE_CAP) -> list[BitSet]:
+def extent_family(ctx: FormalContext) -> list[BitSet]:
     """All unions of blocks, in ascending block-set id order."""
     part = blocks(ctx)
-    if part.n_f > node_cap:
-        raise CapExceeded(
-            f"{part.n_f} blocks exceed the node cap of {node_cap} "
-            f"(the family would have 2^{part.n_f} members)"
-        )
+    _guard_nodes(part.n_f)
     return [BitSet(part.union(ks), ctx.n_objects) for ks in range(1 << part.n_f)]
 
 
@@ -233,14 +224,9 @@ def _concept(
     )
 
 
-def general_concept(
-    ctx: FormalContext,
-    xs: BitSet,
-    node_cap: int = DEFAULT_NODE_CAP,
-    canonical_cap: int = DEFAULT_CANONICAL_CAP,
-) -> GeneralConcept:
+def general_concept(ctx: FormalContext, xs: BitSet) -> GeneralConcept:
     """The concept at extent xs; xs must be a union of blocks."""
-    return build_gcl(ctx, node_cap, canonical_cap).node_of(xs)
+    return build_gcl(ctx).node_of(xs)
 
 
 def build_gcl(
@@ -255,7 +241,8 @@ def build_gcl(
     exactly one block, listed as (lower, upper) pairs in ascending order.
     """
     part = blocks(ctx)
-    _guard_caps(ctx, part, node_cap, canonical_cap)
+    _guard_nodes(part.n_f, node_cap)
+    _guard_cap(ctx.n_attributes, canonical_cap)
     realized, empty = _tables(ctx, part)
     m = ctx.n_attributes
     return GclLattice(

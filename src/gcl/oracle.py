@@ -146,11 +146,11 @@ class _Env:
         return ae
 
     def eval_table(self, table: int) -> int:
+        # a minterm that is no row has an empty extent, so only rows are read
         bits = 0
-        while table:
-            low = table & -table
-            bits |= self.atom_ext[low.bit_length() - 1]
-            table ^= low
+        for row in set(self.ctx.rows):
+            if table >> row & 1:
+                bits |= self.atom_ext[row]
         return bits
 
     @cached_property

@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import strategies as st
 
-from gcl import BitSet, FormalContext
+from gcl import FormalContext
 
 T1_ROWS = ("X.", "XX", ".X")
 
@@ -10,22 +9,3 @@ T1_ROWS = ("X.", "XX", ".X")
 def t1() -> FormalContext:
     """Three objects over {a, b} with rows 10 / 11 / 01."""
     return FormalContext.from_table(("g1", "g2", "g3"), ("a", "b"), T1_ROWS)
-
-
-@st.composite
-def contexts(draw, max_objects: int = 6, max_attributes: int = 4):
-    n = draw(st.integers(0, max_objects))
-    m = draw(st.integers(0, max_attributes))
-    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
-    return FormalContext(
-        tuple(f"g{i + 1}" for i in range(n)),
-        tuple(f"m{j + 1}" for j in range(m)),
-        tuple(rows),
-    )
-
-
-@st.composite
-def contexts_with_subset(draw, **kwargs):
-    ctx = draw(contexts(**kwargs))
-    bits = draw(st.integers(0, (1 << ctx.n_objects) - 1))
-    return ctx, BitSet(bits, ctx.n_objects)

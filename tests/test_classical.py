@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import contexts
+from strategies import contexts
 from gcl import (
     BitSet,
     ClassicalLattice,

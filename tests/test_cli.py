@@ -1,7 +1,11 @@
 """End-to-end runs of the command line driver, in process."""
 
+import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -213,11 +217,20 @@ def test_compare_agrees(capsys, t1_path):
     ]
 
 
-def test_compare_broken_invariant_exits_4(capsys, t1_path, monkeypatch):
-    monkeypatch.setattr("gcl.classical.is_member", lambda *args: False)
-    code, _, err = run(capsys, "compare", t1_path)
+def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
+    from gcl.classical import recover_classical
+
+    def drop_one(lat, kind):
+        got = recover_classical(lat, kind)
+        return dataclasses.replace(got, concepts=got.concepts[1:])
+
+    monkeypatch.setattr("gcl.cli.recover_classical", drop_one)
+    code, out, _ = run(capsys, "compare", t1_path)
     assert code == 4
-    assert "missing from its own irreducible" in err
+    assert out.splitlines() == [
+        "fcl: routes DISAGREE (direct 4 concepts, recovered 3)",
+        "rsl: routes DISAGREE (direct 4 concepts, recovered 3)",
+    ]
 
 
 def test_build_broken_reduced_bound_exits_4(capsys, t1_path, monkeypatch):
@@ -360,6 +373,31 @@ def test_malformed_context(capsys, tmp_path):
     assert "line 10" in err
 
 
+def test_non_utf8_context_is_an_input_error(tmp_path):
+    # run as a child, so a traceback would show on its stderr
+    p = tmp_path / "latin1.cxt"
+    p.write_bytes(T1_CXT.replace("g1", "g\xe9").encode("latin-1"))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcl.cli", "build", str(p)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "gcl: line 6: byte 0xe9 at offset 9 is not UTF-8\n"
+
+
+def test_utf8_names_round_trip_through_out_file(capsys, tmp_path):
+    p = tmp_path / "utf8.cxt"
+    p.write_bytes(T1_CXT.replace("g1", "g\u00e9").encode("utf-8"))
+    target = tmp_path / "lat.txt"
+    code, _, _ = run(capsys, "build", str(p), "--out", str(target))
+    assert code == 0
+    assert "node [1] {g\u00e9}".encode("utf-8") in target.read_bytes()
+
+
 def test_block_cap(capsys, t1_path):
     code, _, err = run(capsys, "build", t1_path, "--max-nf", "1")
     assert code == 3
@@ -392,6 +430,26 @@ def test_block_cap_from_env(capsys, t1_path, monkeypatch):
     code, _, err = run(capsys, "build", t1_path)
     assert code == 3
     assert "node cap of 1" in err
+
+
+def test_max_m_holds_for_every_command(capsys, tmp_path):
+    # 3 objects x 21 attributes: past the default canonical-form cap of 20
+    rows = ["X" * 21, "X." * 10 + "X", "." * 21]
+    names = ["g1", "g2", "g3"] + [f"m{j}" for j in range(21)]
+    p = tmp_path / "wide.cxt"
+    p.write_text("B\n\n3\n21\n\n" + "\n".join(names + rows) + "\n")
+    code, _, err = run(capsys, "build", str(p))
+    assert code == 3
+    assert err == "gcl: 21 attributes exceed the canonical-form cap of 20\n"
+    code, out, _ = run(capsys, "compare", str(p), "--max-m", "21")
+    assert code == 0
+    assert out.splitlines() == [
+        "fcl: routes agree on 3 concepts",
+        "rsl: routes agree on 3 concepts",
+    ]
+    code, out, _ = run(capsys, "verify", str(p), "--max-m", "21")
+    assert code == 0
+    assert out.splitlines()[-1] == "all laws hold"
 
 
 def test_bad_env_value_falls_back(capsys, t1_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import contexts, contexts_with_subset
+from strategies import contexts, contexts_with_subset
 from gcl import (
     BitSet,
     FormalContext,

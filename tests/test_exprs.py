@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import contexts
+from strategies import contexts
 from gcl import (
     BOTTOM,
     BitSet,
@@ -145,7 +145,7 @@ def test_canonical_round_trip_random_tables(m, table):
 def test_cap_guard():
     with pytest.raises(CapExceeded, match="21 attributes"):
         to_canonical(TOP, 21)
-    assert to_canonical(TOP, 21, cap=25).is_one()
+    assert to_canonical(TOP, 20).is_one()
 
 
 # ---------------------------------------------------------------------------

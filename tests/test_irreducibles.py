@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import contexts
+from strategies import contexts
 from gcl import (
     BitSet,
     CapExceeded,
@@ -262,12 +262,12 @@ def test_simplified_intent_width_check(t1):
 # --- caps ---
 
 
-def test_attribute_cap(t1):
-    with pytest.raises(CapExceeded, match="2 attributes exceed"):
-        irreducible_conjunctions(t1, BitSet(0, 3), cap=1)
-    with pytest.raises(CapExceeded, match="cap of 1"):
-        simplified_intent(t1, BitSet(0, 3), "grsp_dnf", cap=1)
+def test_attribute_cap():
     wide = FormalContext(("g1",), tuple(f"m{j}" for j in range(11)), (0,))
+    with pytest.raises(CapExceeded, match="11 attributes exceed the irreducibles cap of 10"):
+        irreducible_conjunctions(wide, BitSet(0, 1))
+    with pytest.raises(CapExceeded, match="11 attributes exceed the irreducibles cap of 10"):
+        simplified_intent(wide, BitSet(0, 1), "grsp_dnf")
     with pytest.raises(CapExceeded, match="11 attributes"):
         irreducible_disjunctions(wide, BitSet(0, 1))
 

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from conftest import contexts
+from strategies import contexts
 from gcl import (
     BitSet,
     CapExceeded,
@@ -162,7 +162,7 @@ def test_node_cap(t1):
     ctx = FormalContext(objs, ("a", "b", "c", "d", "e"), tuple(range(21)))
     with pytest.raises(CapExceeded, match="21 blocks"):
         build_gcl(ctx)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="21 blocks exceed the node cap of 20"):
         extent_family(ctx)
     with pytest.raises(CapExceeded, match="3 blocks exceed"):
         build_gcl(t1, node_cap=2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contexts
+from strategies import contexts
 from gcl import (
     BitSet,
     CanonicalForm,
@@ -72,6 +72,25 @@ def test_big_context_skips_census():
     assert "intrinsic-order-soundness" not in names
     assert names == set(ALL_LAWS) - {"canonical-census", "intrinsic-order-soundness"}
     assert any(n.startswith("skipped canonical-census") for n in rep.notes)
+    assert rep.all_passed
+
+
+def test_wide_context_runs_every_node_law():
+    # 3 x 20: each bound is a 2^20-bit table, so evaluating one must read
+    # the few rows, not walk the table's set bits one at a time
+    ctx = random_context(5, 3, 20, 0.5)
+    rep = verify_laws(ctx)
+    assert {r.law for r in rep.laws} == {
+        "extent-fixpoint",
+        "extent-family-closure",
+        "conjugation-involution",
+        "bound-recursion",
+        "block-cover-decomposition",
+        "single-block-bounds",
+        "order-criterion-agreement",
+        "classical-route-equality",
+        "literal-own-class",
+    }
     assert rep.all_passed
 
 
