@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .value import Value
 
-@dataclass(frozen=True)
-class BitSet:
+
+class BitSet(Value):
     """A subset of {0 .. width-1} stored as an int bitmask."""
 
     bits: int

@@ -19,33 +19,30 @@ as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_, or_
 
 from .bitset import BitSet
 from .context import FormalContext, box_of, intent_of
 from .exprs import _var_table
 from .lattice import GclLattice
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FclConcept:
+class FclConcept(Value):
     """extent = objects with every intent attribute; intent = their common row."""
 
     extent: BitSet
     intent: BitSet
 
 
-@dataclass(frozen=True)
-class RslConcept:
+class RslConcept(Value):
     """extent = union of the intent's columns; intent = columns inside extent."""
 
     extent: BitSet
     intent: BitSet
 
 
-@dataclass(frozen=True)
-class ClassicalLattice:
+class ClassicalLattice(Value):
     kind: str
     context: FormalContext
     concepts: tuple
@@ -153,17 +150,21 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
 
     # the blocks whose row has attribute j cover exactly column j
     col_bits = ctx.cols
+    # a is inside b iff a & b == a: a negated operand of & (a & ~b) would
+    # cost two more passes over a 2^m-bit table per test
     var_tables = [_var_table(j, m) for j in range(m)]
 
     keep = []
     for node in lat.nodes:
         if kind == "rsl":
-            ys = [j for j in range(m) if var_tables[j] & ~node.grsp.table == 0]
+            grsp = node.grsp.table
+            ys = [j for j, t in enumerate(var_tables) if t & grsp == t]
             rebuilt = 0
             for j in ys:
                 rebuilt |= col_bits[j]
         else:
-            ys = [j for j in range(m) if node.gfcp.table & ~var_tables[j] == 0]
+            gfcp = node.gfcp.table
+            ys = [j for j, t in enumerate(var_tables) if gfcp & t == gfcp]
             rebuilt = (1 << ctx.n_objects) - 1
             for j in ys:
                 rebuilt &= col_bits[j]

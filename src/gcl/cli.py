@@ -59,6 +59,11 @@ _INSPECT_BLOCK_LIMIT = 12
 # of text)
 _EXPORT_LOG2_LIMIT = 20
 
+# `gcl inspect` prints both bounds of one node in full, each listing up to
+# 2^m minterm ids, so it is refused up front past this many attributes
+# (16 gives about 13 MB of text)
+_INSPECT_ATTRIBUTE_LIMIT = 16
+
 # `gcl random` refuses contexts with more cells than this
 _RANDOM_CELL_CAP = 10**7
 
@@ -385,6 +390,12 @@ def _cmd_inspect(args) -> int:
         except KeyError as exc:
             print(f"gcl: unknown name {exc.args[0]!r}", file=sys.stderr)
             return EXIT_INPUT
+    if ctx.n_attributes > _INSPECT_ATTRIBUTE_LIMIT:
+        raise CapExceeded(
+            f"inspect of {ctx.n_attributes} attributes refused: each bound lists up to "
+            f"2^{ctx.n_attributes} minterms, over the inspect limit of "
+            f"{_INSPECT_ATTRIBUTE_LIMIT} attributes"
+        )
     node = lat.node_of(xs)
 
     lines.append(f"extent: {_braced(ctx.object_names(node.extent))}")

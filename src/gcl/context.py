@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .bitset import BitSet
 from .errors import NotAGeneralExtent, ParseError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(Value):
     """A finite binary context.
 
     ``rows[i]`` is the attribute mask of object i (bit j set iff object i
@@ -199,16 +198,14 @@ def approx_diamond(ctx: FormalContext, ys: BitSet) -> BitSet:
 # ---------------------------------------------------------------------------
 # blocks
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     """A maximal set of row-identical objects, with their common row."""
 
     extent: BitSet
     intent: BitSet
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Value):
     """The blocks of a context, ordered by first occurrence of a member."""
 
     blocks: tuple[Block, ...]

@@ -18,12 +18,12 @@ to intersection and union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitset import BitSet
 from .context import FormalContext
 from .errors import CapExceeded, ParseError
+from .value import Value
 
 DEFAULT_CANONICAL_CAP = 20
 
@@ -31,13 +31,12 @@ DEFAULT_CANONICAL_CAP = 20
 # ---------------------------------------------------------------------------
 # expression AST
 
-class AttrExpr:
+class AttrExpr(Value):
     """Base class for attribute expressions; nodes are immutable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(AttrExpr):
     index: int
 
@@ -46,12 +45,10 @@ class Var(AttrExpr):
             raise ValueError(f"negative attribute index {self.index}")
 
 
-@dataclass(frozen=True)
 class Not(AttrExpr):
     child: AttrExpr
 
 
-@dataclass(frozen=True)
 class And(AttrExpr):
     children: tuple[AttrExpr, ...]
 
@@ -60,7 +57,6 @@ class And(AttrExpr):
             raise ValueError("And needs at least one child")
 
 
-@dataclass(frozen=True)
 class Or(AttrExpr):
     children: tuple[AttrExpr, ...]
 
@@ -69,7 +65,6 @@ class Or(AttrExpr):
             raise ValueError("Or needs at least one child")
 
 
-@dataclass(frozen=True)
 class _Const(AttrExpr):
     value: bool
 
@@ -140,8 +135,7 @@ def _fold(expr: AttrExpr, m_count: int, leaf, full: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Value):
     """The minterm set of a composite attribute over m_count attributes.
 
     Bit t of ``table`` is set iff minterm t is covered.  Two composite
@@ -204,8 +198,7 @@ class CanonicalForm:
         return self.table == (1 << (1 << self.m_count)) - 1
 
 
-@dataclass(frozen=True)
-class Minterm:
+class Minterm(Value):
     """One full conjunction: polarity bit j gives the sign of attribute j."""
 
     m_count: int

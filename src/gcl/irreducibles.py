@@ -38,21 +38,20 @@ smallest (for disjunctions the largest) of their extents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitset import BitSet
 from .context import FormalContext, _want_objects, block_set_of, blocks
 from .errors import CapExceeded
 from .exprs import AttrExpr, conj, disj, literal
+from .value import Value
 
 DEFAULT_IRREDUCIBLES_CAP = 10
 
 _MODES = ("conjunction", "disjunction")
 
 
-@dataclass(frozen=True)
-class LiteralSet:
+class LiteralSet(Value):
     """Signed attribute picks: pos and neg are masks over M."""
 
     pos: BitSet
@@ -98,8 +97,7 @@ class LiteralSet:
         return "{" + body + "}"
 
 
-@dataclass(frozen=True)
-class IrredClass:
+class IrredClass(Value):
     """All irreducible literal sets of one mode sharing a target extent."""
 
     target: BitSet

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .bitset import BitSet
 from .context import BlockPartition, FormalContext, block_set_of, blocks
@@ -36,12 +35,12 @@ from .exprs import (
     _guard_cap,
     eval_contextual,
 )
+from .value import Value
 
 DEFAULT_NODE_CAP = 20
 
 
-@dataclass(frozen=True)
-class GeneralConcept:
+class GeneralConcept(Value):
     """A lattice node: an extent with its two canonical attribute bounds.
 
     grsp is the largest composite attribute whose extent is exactly the
@@ -151,8 +150,7 @@ class _Edges(_View):
         return lo, lo | 1 << free[skip]
 
 
-@dataclass(frozen=True)
-class GclLattice:
+class GclLattice(Value):
     context: FormalContext
     partition: BlockPartition
     nodes: Sequence[GeneralConcept]

@@ -20,7 +20,6 @@ linear congruential generator so that law sweeps can be pinned to seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .bitset import BitSet
@@ -53,23 +52,24 @@ from .irreducibles import (
     is_member,
 )
 from .lattice import GclLattice, build_gcl, dagger
+from .value import Value
 
 _SWEEP_OBJECT_CAP = 16
 _SWEEP_ATTRIBUTE_CAP = 4
 _EXHAUSTIVE_CAP = 12
 _FAMILY_CAP = 10
 _CLASS_SCAN_CAP = 8
+# order-criterion-agreement compares 4^n_F pairs of 2^m-bit tables
+_ORDER_LOG2_CAP = 32
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(Value):
     law: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(Value):
     """One attribute class: its extent, size and canonical extremes."""
 
     extent: BitSet
@@ -78,8 +78,7 @@ class ClassSummary:
     max_form: CanonicalForm
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Value):
     digest: str
     n_objects: int
     n_attributes: int
@@ -714,6 +713,13 @@ def _needs_family(env: _Env):
     return None
 
 
+def _needs_order(env: _Env):
+    size = 2 * env.lat.partition.n_f + env.m
+    if size > _ORDER_LOG2_CAP:
+        return f"needs 2 * blocks + attributes at most {_ORDER_LOG2_CAP}, has {size}"
+    return _needs_family(env)
+
+
 def _needs_census(env: _Env):
     if env.m > 3 or env.n > _SWEEP_OBJECT_CAP:
         return f"needs at most 3 attributes and {_SWEEP_OBJECT_CAP} objects"
@@ -742,7 +748,7 @@ LAWS: tuple[tuple, ...] = (
     ("block-cover-decomposition", _needs_family, _law_block_cover),
     ("single-block-bounds", _needs_family, _law_single_block),
     ("constants-decomposition", _needs_classes, _law_constants_decomposition),
-    ("order-criterion-agreement", _needs_family, _law_order_agreement),
+    ("order-criterion-agreement", _needs_order, _law_order_agreement),
     ("classical-route-equality", _needs_family, _law_route_equality),
     ("literal-own-class", None, _law_literal_own_class),
     ("negation-swap", _needs_classes, _law_negation_swap),

@@ -1,6 +1,5 @@
 """End-to-end runs of the command line driver, in process."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -222,7 +221,7 @@ def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
 
     def drop_one(lat, kind):
         got = recover_classical(lat, kind)
-        return dataclasses.replace(got, concepts=got.concepts[1:])
+        return type(got)(got.kind, got.context, got.concepts[1:], got.hasse_edges)
 
     monkeypatch.setattr("gcl.cli.recover_classical", drop_one)
     code, out, _ = run(capsys, "compare", t1_path)
@@ -423,6 +422,26 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
         assert code == 3 and out == ""
         assert "export of 16 blocks and 16 attributes refused" in err
         assert "export limit of 2^20" in err
+
+
+def test_wide_inspect_is_refused_before_rendering(capsys, tmp_path, monkeypatch):
+    # 3 objects x 17 attributes: within every cap, but each printed bound
+    # would list up to 2^17 minterm ids
+    rows = ["X" * 17, "X." * 8 + "X", "." * 17]
+    names = ["g1", "g2", "g3"] + [f"m{j}" for j in range(17)]
+    p = tmp_path / "wide.cxt"
+    p.write_text("B\n\n3\n17\n\n" + "\n".join(names + rows) + "\n")
+
+    def never(*args):
+        raise AssertionError("a node was looked up or rendered")
+
+    monkeypatch.setattr("gcl.cli.GclLattice.node_of", never)
+    monkeypatch.setattr("gcl.cli._bound_pretty", never)
+    for target in (["--objects", "g1,g3"], ["--query", "m0 & !m1"]):
+        code, out, err = run(capsys, "inspect", str(p), *target)
+        assert (code, out) == (3, "")
+        assert "inspect of 17 attributes refused" in err
+        assert "inspect limit of 16 attributes" in err
 
 
 def test_block_cap_from_env(capsys, t1_path, monkeypatch):
