@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
@@ -126,132 +127,240 @@ def _bound_pretty(
     return base
 
 
-def _gcl_data(lat: GclLattice) -> dict:
-    ctx = lat.context
-    n_f, m = lat.partition.n_f, ctx.n_attributes
+# ---------------------------------------------------------------------------
+# export
+#
+# Each format is a generator of text chunks, written as they come: the
+# header and blocks, then one chunk per node, then the covers a batch at a
+# time.  No node list, edge list or whole-output string is ever held.  The
+# json generator lays out what json.dumps(data, indent=2, sort_keys=True)
+# would print for the same data.
+
+# cover pairs per written chunk
+_EDGE_BATCH = 1024
+
+
+def _check_export(lat: GclLattice | ClassicalLattice) -> None:
+    """Refuse a gcl export past the export limit, before anything is written."""
+    if not isinstance(lat, GclLattice):
+        return
+    n_f, m = lat.partition.n_f, lat.context.n_attributes
     if n_f + m > _EXPORT_LOG2_LIMIT:
         raise CapExceeded(
             f"export of {n_f} blocks and {m} attributes refused: 2^{n_f} nodes "
             f"over 2^{m} minterms exceed the export limit of 2^{_EXPORT_LOG2_LIMIT}"
         )
-    fancy = m <= DEFAULT_IRREDUCIBLES_CAP and n_f <= _PRETTY_BLOCK_LIMIT
-    nodes = [
-        {
-            "block_set": node.block_set,
-            "extent": ctx.object_names(node.extent),
-            "grsp_minterms": node.grsp.ids(),
-            "grsp_pretty": _bound_pretty(ctx, node.extent, node.grsp, "grsp", fancy),
-            "gfcp_minterms": node.gfcp.ids(),
-            "gfcp_pretty": _bound_pretty(ctx, node.extent, node.gfcp, "gfcp", fancy),
-        }
-        for node in lat.nodes
-    ]
-    return {
-        "kind": "gcl",
-        "objects": list(lat.context.objects),
-        "attributes": list(lat.context.attributes),
-        "blocks": [
-            {
-                "extent": ctx.object_names(b.extent),
-                "row": ctx.attribute_names(b.intent),
-            }
-            for b in lat.partition.blocks
-        ],
-        "nodes": nodes,
-        "edges": [list(e) for e in lat.hasse_edges],
-        "constants": {
-            "zero_rho": lat.zero_rho.ids(),
-            "one_eta": lat.one_eta.ids(),
-        },
-    }
 
 
-def _classical_data(lat: ClassicalLattice) -> dict:
-    ctx = lat.context
+def _kind(lat: GclLattice | ClassicalLattice) -> str:
+    return "gcl" if isinstance(lat, GclLattice) else lat.kind
+
+
+def _fancy(lat: GclLattice) -> bool:
+    return (
+        lat.context.n_attributes <= DEFAULT_IRREDUCIBLES_CAP
+        and lat.partition.n_f <= _PRETTY_BLOCK_LIMIT
+    )
+
+
+def _pretty(lat: GclLattice, node, which: str, fancy: bool) -> str:
+    return _bound_pretty(lat.context, node.extent, getattr(node, which), which, fancy)
+
+
+def _property(lat: ClassicalLattice, concept) -> str:
     op = conj if lat.kind == "fcl" else disj
-    return {
-        "kind": lat.kind,
-        "objects": list(ctx.objects),
-        "attributes": list(ctx.attributes),
-        "nodes": [
-            {
-                "extent": ctx.object_names(c.extent),
-                "intent": ctx.attribute_names(c.intent),
-                "property": expr_to_str(op(Var(j) for j in c.intent), ctx.attributes),
-            }
-            for c in lat.concepts
-        ],
-        "edges": [list(e) for e in lat.hasse_edges],
-    }
+    return expr_to_str(op(Var(j) for j in concept.intent), lat.context.attributes)
+
+
+def _joined(items, sep: str, size: int):
+    """sep.join(items), yielded size items at a time."""
+    items = iter(items)
+    lead = ""
+    while batch := list(islice(items, size)):
+        yield lead + sep.join(batch)
+        lead = sep
 
 
 def _braced(names) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def _node_label(kind: str, node: dict) -> str:
-    desc = node["grsp_pretty"] if kind == "gcl" else node["property"]
-    return f"{_braced(node['extent'])} | {desc}"
-
-
-def _to_dot(data: dict) -> str:
-    lines = [f"digraph {data['kind']} {{", "  rankdir=BT;"]
-    for i, node in enumerate(data["nodes"]):
-        label = _node_label(data["kind"], node)
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}"];')
-    for lo, hi in data["edges"]:
-        lines.append(f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _covers_line(edges) -> str:
-    if not edges:
-        return "covers: (none)"
-    return "covers: " + ", ".join(f"{lo}<{hi}" for lo, hi in edges)
-
-
-def _to_text(data: dict) -> str:
-    kind = data["kind"]
+def _text(lat: GclLattice | ClassicalLattice):
+    ctx = lat.context
     head = (
-        f"{kind} lattice: {len(data['objects'])} objects, "
-        f"{len(data['attributes'])} attributes, "
+        f"{_kind(lat)} lattice: {ctx.n_objects} objects, "
+        f"{ctx.n_attributes} attributes, "
     )
-    lines = []
-    if kind == "gcl":
-        lines.append(head + f"{len(data['blocks'])} blocks, {len(data['nodes'])} nodes")
-        for k, b in enumerate(data["blocks"]):
-            row = " & ".join(b["row"]) if b["row"] else "(no attributes)"
-            lines.append(f"block D{k + 1}: {_braced(b['extent'])} with row {row}")
-        lines.append(f"zero_rho: minterms {data['constants']['zero_rho']}")
-        lines.append(f"one_eta: minterms {data['constants']['one_eta']}")
-        for i, node in enumerate(data["nodes"]):
-            lines.append(f"node [{i}] {_braced(node['extent'])}")
-            lines.append(f"  grsp: {node['grsp_pretty']}")
-            lines.append(f"  gfcp: {node['gfcp_pretty']}")
-    else:
-        lines.append(head + f"{len(data['nodes'])} concepts")
-        for i, node in enumerate(data["nodes"]):
+    if isinstance(lat, GclLattice):
+        part = lat.partition
+        lines = [head + f"{part.n_f} blocks, {len(lat.nodes)} nodes"]
+        for k, b in enumerate(part.blocks):
+            row = " & ".join(ctx.attribute_names(b.intent)) or "(no attributes)"
             lines.append(
-                f"concept [{i}] {_braced(node['extent'])} "
-                f"with intent {_braced(node['intent'])}"
+                f"block D{k + 1}: {_braced(ctx.object_names(b.extent))} with row {row}"
             )
-            lines.append(f"  property: {node['property']}")
-    lines.append(_covers_line(data["edges"]))
-    return "\n".join(lines) + "\n"
+        lines.append(f"zero_rho: minterms {lat.zero_rho.ids()}")
+        lines.append(f"one_eta: minterms {lat.one_eta.ids()}")
+        yield "\n".join(lines) + "\n"
+        fancy = _fancy(lat)
+        for i, node in enumerate(lat.nodes):
+            yield (
+                f"node [{i}] {_braced(ctx.object_names(node.extent))}\n"
+                f"  grsp: {_pretty(lat, node, 'grsp', fancy)}\n"
+                f"  gfcp: {_pretty(lat, node, 'gfcp', fancy)}\n"
+            )
+    else:
+        yield head + f"{len(lat.concepts)} concepts\n"
+        for i, c in enumerate(lat.concepts):
+            yield (
+                f"concept [{i}] {_braced(ctx.object_names(c.extent))} "
+                f"with intent {_braced(ctx.attribute_names(c.intent))}\n"
+                f"  property: {_property(lat, c)}\n"
+            )
+    if not lat.hasse_edges:
+        yield "covers: (none)\n"
+        return
+    yield "covers: "
+    yield from _joined((f"{lo}<{hi}" for lo, hi in lat.hasse_edges), ", ", _EDGE_BATCH)
+    yield "\n"
 
 
-def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str) -> str:
-    """Serialize a lattice as json, dot or text; output is deterministic."""
-    data = _gcl_data(lat) if isinstance(lat, GclLattice) else _classical_data(lat)
-    if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if fmt == "dot":
-        return _to_dot(data)
-    if fmt == "text":
-        return _to_text(data)
-    raise ValueError(f"unknown format {fmt!r}")
+def _dot(lat: GclLattice | ClassicalLattice):
+    ctx = lat.context
+    yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
+    if isinstance(lat, GclLattice):
+        fancy = _fancy(lat)
+        labels = (
+            (node.extent, _pretty(lat, node, "grsp", fancy)) for node in lat.nodes
+        )
+    else:
+        labels = ((c.extent, _property(lat, c)) for c in lat.concepts)
+    for i, (extent, desc) in enumerate(labels):
+        label = f"{_braced(ctx.object_names(extent))} | {desc}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        yield f'  n{i} [label="{label}"];\n'
+    yield from _joined(
+        (f"  n{lo} -> n{hi};\n" for lo, hi in lat.hasse_edges), "", _EDGE_BATCH
+    )
+    yield "}\n"
+
+
+def _json_block(items, level: int, brackets: str = "[]") -> str:
+    """Encoded items as a json array (or object) at nesting depth level."""
+    items = list(items)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _json_object(fields: dict, level: int) -> str:
+    """Encoded values as a json object at depth level, keys sorted."""
+    return _json_block(
+        (f'"{key}": {value}' for key, value in sorted(fields.items())), level, "{}"
+    )
+
+
+def _json_names(names, level: int) -> str:
+    return _json_block(map(json.dumps, names), level)
+
+
+def _json_ids(cf: CanonicalForm, level: int) -> str:
+    return _json_block(map(str, cf.ids()), level)
+
+
+def _json_stream(items, count: int, size: int):
+    """A top-level member's array of count encoded items, size at a time."""
+    if not count:
+        yield "[]"
+        return
+    yield "[\n    "
+    yield from _joined(items, ",\n    ", size)
+    yield "\n  ]"
+
+
+def _json(lat: GclLattice | ClassicalLattice):
+    ctx = lat.context
+    if isinstance(lat, GclLattice):
+        fancy = _fancy(lat)
+        members = lat.nodes
+        nodes = (
+            {
+                "block_set": str(node.block_set),
+                "extent": _json_names(ctx.object_names(node.extent), 3),
+                "grsp_minterms": _json_ids(node.grsp, 3),
+                "grsp_pretty": json.dumps(_pretty(lat, node, "grsp", fancy)),
+                "gfcp_minterms": _json_ids(node.gfcp, 3),
+                "gfcp_pretty": json.dumps(_pretty(lat, node, "gfcp", fancy)),
+            }
+            for node in members
+        )
+        blocks = (
+            {
+                "extent": _json_names(ctx.object_names(b.extent), 3),
+                "row": _json_names(ctx.attribute_names(b.intent), 3),
+            }
+            for b in lat.partition.blocks
+        )
+        constants = {
+            "zero_rho": _json_ids(lat.zero_rho, 2),
+            "one_eta": _json_ids(lat.one_eta, 2),
+        }
+        fields = {
+            "blocks": _json_block((_json_object(b, 2) for b in blocks), 1),
+            "constants": _json_object(constants, 1),
+        }
+    else:
+        members = lat.concepts
+        nodes = (
+            {
+                "extent": _json_names(ctx.object_names(c.extent), 3),
+                "intent": _json_names(ctx.attribute_names(c.intent), 3),
+                "property": json.dumps(_property(lat, c)),
+            }
+            for c in members
+        )
+        fields = {}
+    fields["kind"] = json.dumps(_kind(lat))
+    fields["objects"] = _json_names(ctx.objects, 1)
+    fields["attributes"] = _json_names(ctx.attributes, 1)
+    fields["nodes"] = _json_stream(
+        (_json_object(node, 2) for node in nodes), len(members), 1
+    )
+    fields["edges"] = _json_stream(
+        (f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.hasse_edges),
+        len(lat.hasse_edges),
+        _EDGE_BATCH,
+    )
+    lead = "{\n"
+    for key, value in sorted(fields.items()):
+        yield f'{lead}  "{key}": '
+        if isinstance(value, str):
+            yield value
+        else:
+            yield from value
+        lead = ",\n"
+    yield "\n}\n"
+
+
+_FORMATS = {"text": _text, "json": _json, "dot": _dot}
+
+
+def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str, out) -> None:
+    """Write a lattice to the text stream out as json, dot or text.
+
+    The output is deterministic and written node by node as it is
+    rendered, so its size never sits in memory.  A refused export (the
+    gcl export limit) writes nothing; an invariant error raised while
+    rendering leaves the part written so far.
+    """
+    chunks = _FORMATS.get(fmt)
+    if chunks is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    _check_export(lat)
+    write = out.write
+    for chunk in chunks(lat):
+        write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +399,13 @@ def _cmd_build(args) -> int:
         lat = _load_gcl(args)[1]
     else:
         lat = (build_fcl if args.lattice == "fcl" else build_rsl)(_load(args))
-    _emit(export_lattice(lat, args.format), args.out)
+    # a refusal must leave an existing --out file as it was
+    _check_export(lat)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            export_lattice(lat, args.format, out)
+    else:
+        export_lattice(lat, args.format, sys.stdout)
     return EXIT_OK
 
 

@@ -37,8 +37,8 @@ class FormalContext(Value):
     """A finite binary context.
 
     ``rows[i]`` is the attribute mask of object i (bit j set iff object i
-    has attribute j).  Object and attribute names must be unique and
-    non-empty.
+    has attribute j).  Object and attribute names must be unique,
+    non-empty and free of line breaks.
     """
 
     objects: tuple[str, ...]
@@ -55,6 +55,10 @@ class FormalContext(Value):
                 raise ValueError(f"duplicate {what} names")
             if any(not n for n in names):
                 raise ValueError(f"empty {what} name")
+            # the cxt format and the text and dot exports give a name one line
+            for n in names:
+                if "\n" in n or "\r" in n:
+                    raise ValueError(f"{what} name {n!r} contains a line break")
         limit = 1 << len(self.attributes)
         for i, row in enumerate(self.rows):
             if not 0 <= row < limit:

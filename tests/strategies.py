@@ -22,3 +22,25 @@ def contexts_with_subset(draw, **kwargs):
     ctx = draw(contexts(**kwargs))
     bits = draw(st.integers(0, (1 << ctx.n_objects) - 1))
     return ctx, BitSet(bits, ctx.n_objects)
+
+
+# names a spreadsheet or another tool may well produce: separators, quotes,
+# blanks at either end, backslashes, non-ASCII letters and a stray byte
+# order mark; only line breaks are left out, since a context refuses them
+HOSTILE_NAMES = st.one_of(
+    st.sampled_from(
+        ["a,b", '"q"', "a\\b", "'", " lead", "trail ", " ", ";", "\t", "é", "漢字", "🙂", "\ufeffx", "X", "."]
+    ),
+    st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), min_size=1),
+)
+
+
+@st.composite
+def hostile_contexts(draw):
+    names = draw(st.lists(HOSTILE_NAMES, unique=True, max_size=9))
+    m = draw(st.integers(0, min(4, len(names))))
+    attributes, objects = names[:m], names[m:]
+    rows = draw(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=len(objects), max_size=len(objects))
+    )
+    return FormalContext(tuple(objects), tuple(attributes), tuple(rows))

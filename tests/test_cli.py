@@ -232,6 +232,16 @@ def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
     ]
 
 
+def test_build_refuses_names_with_line_breaks(capsys, tmp_path):
+    # quoted csv fields may hold a line break, which no cxt name can
+    p = tmp_path / "broken.csv"
+    p.write_bytes(b',a,"b\nc"\n"g\n1",X,.\ng2,.,X\n')
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(capsys, "build", str(p), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "gcl: object name 'g\\n1' contains a line break\n"
+
+
 def test_build_broken_reduced_bound_exits_4(capsys, t1_path, monkeypatch):
     monkeypatch.setattr("gcl.cli.simplified_intent", lambda *args: TOP)
     code, _, err = run(capsys, "build", t1_path)
@@ -417,11 +427,18 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
 
     monkeypatch.setattr("gcl.lattice._concept", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
+    # a refused export neither truncates nor creates its --out file
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    missing = tmp_path / "missing.txt"
     for fmt in ("text", "json", "dot"):
-        code, out, err = run(capsys, "build", str(p), "--format", fmt)
-        assert code == 3 and out == ""
-        assert "export of 16 blocks and 16 attributes refused" in err
-        assert "export limit of 2^20" in err
+        for out_args in ((), ("--out", str(kept)), ("--out", str(missing))):
+            code, out, err = run(capsys, "build", str(p), "--format", fmt, *out_args)
+            assert code == 3 and out == ""
+            assert "export of 16 blocks and 16 attributes refused" in err
+            assert "export limit of 2^20" in err
+    assert kept.read_text() == "earlier output\n"
+    assert not missing.exists()
 
 
 def test_wide_inspect_is_refused_before_rendering(capsys, tmp_path, monkeypatch):

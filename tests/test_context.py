@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from strategies import contexts, contexts_with_subset
+from strategies import contexts, contexts_with_subset, hostile_contexts
 from gcl import (
     BitSet,
     FormalContext,
@@ -49,6 +49,15 @@ def test_from_table(t1):
 def test_from_table_accepts_10_notation():
     ctx = FormalContext.from_table(("g1",), ("a", "b"), ("10",))
     assert ctx.rows == (0b01,)
+
+
+@pytest.mark.parametrize("name", ["g\n1", "g\r", "\r\n", "\n"])
+def test_validation_rejects_line_breaks_in_names(name):
+    # cxt keeps one name per line, and so do the text and dot exports
+    with pytest.raises(ValueError, match="object name .* contains a line break"):
+        FormalContext((name,), ("a",), (0,))
+    with pytest.raises(ValueError, match="attribute name .* contains a line break"):
+        FormalContext(("g1",), (name,), (0,))
 
 
 def test_validation_rejects_bad_shapes():
@@ -129,6 +138,8 @@ def test_parse_cxt_errors(text, line, fragment):
         (",a\ng1,2\n", "bad csv cell"),
         (",a,b\ng1,1\n", "1 cells, expected 2"),
         (",a,a\ng1,1,0\n", "duplicate attribute"),
+        (',a,"b\nc"\n"g\n1",X,.\ng2,.,X\n', r"object name 'g\\n1' contains a line break"),
+        (',"a\r"\ng1,X\n', r"attribute name 'a\\r' contains a line break"),
     ],
 )
 def test_parse_csv_errors(text, fragment):
@@ -143,28 +154,6 @@ def test_cxt_round_trip_bytes(t1):
 @given(contexts())
 def test_cxt_round_trip_identity(ctx):
     assert parse_context(context_to_cxt(ctx), "cxt") == ctx
-
-
-# names a spreadsheet or another tool may well produce: separators, quotes,
-# blanks at either end, non-ASCII letters and a stray byte order mark; only
-# line breaks are left out, since cxt keeps one name per line
-HOSTILE_NAMES = st.one_of(
-    st.sampled_from(
-        ["a,b", '"q"', "'", " lead", "trail ", " ", ";", "\t", "é", "漢字", "🙂", "\ufeffx", "X", "."]
-    ),
-    st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), min_size=1),
-)
-
-
-@st.composite
-def hostile_contexts(draw):
-    names = draw(st.lists(HOSTILE_NAMES, unique=True, max_size=9))
-    m = draw(st.integers(0, min(4, len(names))))
-    attributes, objects = names[:m], names[m:]
-    rows = draw(
-        st.lists(st.integers(0, (1 << m) - 1), min_size=len(objects), max_size=len(objects))
-    )
-    return FormalContext(tuple(objects), tuple(attributes), tuple(rows))
 
 
 def _csv_text(ctx, cells):
