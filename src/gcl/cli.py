@@ -251,7 +251,10 @@ def _json_block(items, level: int, brackets: str = "[]") -> str:
     if not items:
         return brackets
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    # the brackets go onto the end items, so the joined text is never copied
+    items[0] = brackets[0] + pad + items[0]
+    items[-1] += "\n" + "  " * level + brackets[1]
+    return ("," + pad).join(items)
 
 
 def _json_object(fields: dict, level: int) -> str:

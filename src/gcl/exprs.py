@@ -19,6 +19,8 @@ to intersection and union.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add
 
 from .bitset import BitSet
 from .context import FormalContext
@@ -26,6 +28,14 @@ from .errors import CapExceeded, ParseError
 from .value import Value
 
 DEFAULT_CANONICAL_CAP = 20
+
+# a plain bound's terms come from two tables: one over the first
+# _TERM_SPLIT attributes and one over the rest, so at the canonical cap
+# neither holds more than 2^_TERM_SPLIT strings
+_TERM_SPLIT = DEFAULT_CANONICAL_CAP // 2
+
+# binary digits to the bytes itertools.compress selects by
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +145,11 @@ def _fold(expr: AttrExpr, m_count: int, leaf, full: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical forms
 
+def _selectors(table: int) -> bytes:
+    """Byte t is 1 where bit t of table is set, 0 elsewhere, up to its top bit."""
+    return f"{table:b}".encode()[::-1].translate(_SELECT)
+
+
 class CanonicalForm(Value):
     """The minterm set of a composite attribute over m_count attributes.
 
@@ -167,7 +182,7 @@ class CanonicalForm(Value):
         return frozenset(self.ids())
 
     def ids(self) -> list[int]:
-        return [t for t, bit in enumerate(reversed(f"{self.table:b}")) if bit == "1"]
+        return list(compress(range(1 << self.m_count), _selectors(self.table)))
 
     def _check(self, other: "CanonicalForm") -> None:
         if self.m_count != other.m_count:
@@ -271,37 +286,61 @@ def _maxterm(m_count: int, id: int) -> AttrExpr:
 def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
     """expr_to_str(canonical_to_expr(cf, mode), attributes), read off the bits.
 
-    Terms are joined from per-attribute literal strings, so no expression
-    tree is built: the literal strings of the low and the high half of
-    the attributes are combined once, and each term is two lookups.
+    No expression tree is built: each term is picked from cached tables of
+    literal-term strings by the table's selector bytes (see _term_tables).
     """
     m = cf.m_count
-    names = [attributes[j] for j in range(m)]
     if mode == "dnf":
-        # a minterm's literal j is positive where bit j of its id is set
-        ids, none, unit, inner, outer = cf.ids(), "0", "1", " & ", " | "
-        pairs = [("!" + a, a) for a in names]
+        table, none, unit, outer = cf.table, "0", "1", " | "
     elif mode == "cnf":
-        # a maxterm's literal j is negated where bit j of its id is set
-        ids, none, unit, inner, outer = (~cf).ids(), "1", "0", " | ", " & "
-        pairs = [(a, "!" + a) for a in names]
+        table, none, unit, outer = (~cf).table, "1", "0", " & "
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if not ids:
+    if not table:
         return none
     if m == 0:
         return unit
-    half = m // 2
-    low = _term_strings(pairs[:half], inner)
-    high = _term_strings(pairs[half:], inner)
-    if half:
-        mask = (1 << half) - 1
-        terms = [f"{low[t & mask]}{inner}{high[t >> half]}" for t in ids]
+    # sliced, not tuple(map(...)): tuple() of an iterator shrinks a tuple of
+    # guessed size, and the tuple free list then keeps one more per call
+    names = tuple(attributes[:m])
+    if len(names) < m:
+        raise IndexError(f"{len(names)} attribute names for {m} attributes")
+    low, high = _term_tables(names, mode)
+    selectors = _selectors(table)
+    if m <= _TERM_SPLIT:
+        terms = list(compress(low, selectors))
     else:
-        terms = [high[t] for t in ids]
+        # term t is low[t % 2^_TERM_SPLIT] + high[t >> _TERM_SPLIT]: each
+        # high term takes its low terms from its own slice of selectors
+        terms = []
+        for h, tail in enumerate(high):
+            chunk = selectors[h << _TERM_SPLIT:(h + 1) << _TERM_SPLIT]
+            if 1 in chunk:
+                terms.extend(map(add, compress(low, chunk), repeat(tail)))
     if mode == "cnf" and len(terms) > 1 and m > 1:
-        terms = [f"({t})" for t in terms]
+        # parenthesise every maxterm in the join itself, without a copy of
+        # the joined string or of each term
+        terms[0] = "(" + terms[0]
+        terms[-1] += ")"
+        outer = ") & ("
     return outer.join(terms)
+
+
+@lru_cache(maxsize=8)
+def _term_tables(names: tuple[str, ...], mode: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(low, high): every term over the first _TERM_SPLIT names and every
+    term over the rest, each listed by its bits.  Low terms end in the
+    inner separator when a high part exists, so a term is low + high."""
+    if mode == "dnf":
+        # a minterm's literal j is positive where bit j of its id is set
+        inner, pairs = " & ", [("!" + a, a) for a in names]
+    else:
+        # a maxterm's literal j is negated where bit j of its id is set
+        inner, pairs = " | ", [(a, "!" + a) for a in names]
+    low = _term_strings(pairs[:_TERM_SPLIT], inner)
+    if len(names) > _TERM_SPLIT:
+        low = [s + inner for s in low]
+    return tuple(low), tuple(_term_strings(pairs[_TERM_SPLIT:], inner))
 
 
 def _term_strings(pairs, sep: str) -> list[str]:

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategies import contexts
+from gcl import exprs
 from gcl import (
     BOTTOM,
     BitSet,
@@ -220,6 +221,67 @@ def test_print_parse_round_trip(m, table):
         text = expr_to_str(e, attrs)
         assert canonical_to_str(cf, mode, attrs) == text
         assert to_canonical(parse_expr(text, attrs), m) == cf
+
+
+# two name sets of every width up to 12: a table cache keyed on the width
+# alone would render the second set with the first one's names
+NAME_SETS = (tuple(f"m{j}" for j in range(12)), tuple(f"attr_{j}!" for j in range(12)))
+
+
+@st.composite
+def bound_forms(draw):
+    """Canonical forms over 0-12 attributes, across the 10-attribute split
+    of the literal-term tables: random, near-full and sparse tables."""
+    m = draw(st.integers(0, 12))
+    size = 1 << m
+    full = (1 << size) - 1
+    flips = sum(1 << t for t in draw(st.sets(st.integers(0, size - 1), max_size=4)))
+    table = draw(st.sampled_from([draw(st.integers(0, full)), full ^ flips, flips]))
+    return CanonicalForm(m, table)
+
+
+@settings(deadline=None)
+@given(bound_forms())
+@example(CanonicalForm(11, (1 << (1 << 11)) - 1))
+@example(CanonicalForm(12, 1 << 4095))
+@example(CanonicalForm(1, 0b01))
+def test_canonical_to_str_matches_the_expression_route(cf):
+    for mode in ("dnf", "cnf"):
+        expr = canonical_to_expr(cf, mode)
+        for names in NAME_SETS:
+            expected = expr_to_str(expr, names)
+            for attrs in (list(names[:cf.m_count]), names[:cf.m_count]):
+                assert canonical_to_str(cf, mode, attrs) == expected
+
+
+def test_canonical_to_str_needs_a_name_per_attribute():
+    with pytest.raises(IndexError, match="1 attribute names for 2 attributes"):
+        canonical_to_str(CanonicalForm(2, 0b0110), "dnf", ["a"])
+
+
+@given(bound_forms())
+@example(CanonicalForm(0, 0))
+@example(CanonicalForm(12, 0))
+@example(CanonicalForm(12, (1 << (1 << 12)) - 1))
+def test_ids_lists_the_set_bits(cf):
+    m, table = cf.m_count, cf.table
+    assert cf.ids() == [t for t in range(1 << m) if table >> t & 1]
+
+
+def test_literal_term_tables_stay_small_at_twenty_attributes():
+    # a bound over 20 attributes picks its terms from two cached tables of
+    # at most 2^10 strings each, never from one table of all 2^20 terms
+    names = tuple(f"a{j}" for j in range(20))
+    sparse = 1 | 1 << 777 | 1 << 1_048_575
+    full = (1 << (1 << 20)) - 1
+    for mode, table in (("dnf", sparse), ("cnf", full ^ sparse)):
+        cf = CanonicalForm(20, table)
+        text = canonical_to_str(cf, mode, names)
+        assert text == expr_to_str(canonical_to_expr(cf, mode), names)
+        hits = exprs._term_tables.cache_info().hits
+        low, high = exprs._term_tables(names, mode)
+        assert exprs._term_tables.cache_info().hits == hits + 1
+        assert len(low) <= 1 << 10 and len(high) <= 1 << 10
 
 
 @given(contexts(max_objects=5, max_attributes=3))
