@@ -13,9 +13,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, compress, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .bitset import BitSet
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
 from .context import FormalContext, context_to_cxt, parse_context
 from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
@@ -26,7 +28,10 @@ from .exprs import (
     And,
     CanonicalForm,
     Or,
-    Var,
+    _selectors,
+    _term_runs,
+    _term_tables,
+    _TERM_SPLIT,
     canonical_to_str,
     conj,
     disj,
@@ -131,10 +136,16 @@ def _bound_pretty(
 # export
 #
 # Each format is a generator of text chunks, written as they come: the
-# header and blocks, then one chunk per node, then the covers a batch at a
-# time.  No node list, edge list or whole-output string is ever held.  The
-# json generator lays out what json.dumps(data, indent=2, sort_keys=True)
-# would print for the same data.
+# header and blocks, then the nodes, then the covers a batch at a time.  No
+# node list, edge list or whole-output string is ever held, and a gcl
+# export builds no node object.  Everything a node prints is picked from
+# tables encoded once per export for the format (json or dot escaping
+# applied): names by the bits of an extent or intent, minterm ids and bound
+# terms by the selector bytes of a minterm table (see exprs._term_runs).  A
+# bound or id list comes in runs of at most 2^_TERM_SPLIT items, so a node
+# over more attributes is written run by run.  The json generator lays out
+# what json.dumps(data, indent=2, sort_keys=True) would print for the same
+# data.
 
 # cover pairs per written chunk
 _EDGE_BATCH = 1024
@@ -163,13 +174,104 @@ def _fancy(lat: GclLattice) -> bool:
     )
 
 
-def _pretty(lat: GclLattice, node, which: str, fancy: bool) -> str:
-    return _bound_pretty(lat.context, node.extent, getattr(node, which), which, fancy)
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _property(lat: ClassicalLattice, concept) -> str:
-    op = conj if lat.kind == "fcl" else disj
-    return expr_to_str(op(Var(j) for j in concept.intent), lat.context.attributes)
+def _json_escape(text: str) -> str:
+    """text as json.dumps writes it inside its quotes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def _picked(table, bits: int):
+    """The entries of table at the set bits of bits, in order."""
+    return compress(table, _selectors(bits))
+
+
+def _braced(names) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _property(lat: ClassicalLattice, attributes, intent: int) -> str:
+    """The conjunction (fcl) or disjunction (rsl) of an intent's names."""
+    if lat.kind == "fcl":
+        return " & ".join(_picked(attributes, intent)) or "1"
+    return " | ".join(_picked(attributes, intent)) or "0"
+
+
+def _node_bounds(lat: GclLattice, escape):
+    """bound(ks, rows, which): node ks's grsp or gfcp text, as escaped runs.
+
+    rows is the node's row table.  A plain bound's runs come from the
+    literal-term tables, escaped here once per export; a reduced bound
+    (see _fancy) is rendered and escaped whole.
+    """
+    ctx, part = lat.context, lat.partition
+    m = ctx.n_attributes
+    empty = lat.zero_rho.table
+    if _fancy(lat):
+
+        def bound(ks, rows, which):
+            if which == "grsp":
+                rows |= empty
+            extent = BitSet(part.union(ks), ctx.n_objects)
+            cf = CanonicalForm(m, rows)
+            yield escape(_bound_pretty(ctx, extent, cf, which, True))
+
+        return bound
+    full = empty | lat.one_eta.table
+    dnf, cnf = (
+        [tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)]
+        for mode in ("dnf", "cnf")
+    )
+
+    def bound(ks, rows, which):
+        if which == "grsp":
+            return _term_runs(rows | empty, m, "dnf", *dnf)
+        return _term_runs(full ^ rows, m, "cnf", *cnf)
+
+    return bound
+
+
+def _id_strings(m: int) -> tuple[str, ...]:
+    """The id strings of the first 2^_TERM_SPLIT minterms over m attributes."""
+    return tuple(map(str, range(1 << min(m, _TERM_SPLIT))))
+
+
+def _id_runs(table: int, ids: tuple[str, ...], sep: str):
+    """The ids of table's set bits, sep-joined, as runs of one slice of
+    2^_TERM_SPLIT minterms each, every run after the first led by sep.
+
+    ids holds the first slice's id strings; later slices format theirs.
+    """
+    selectors = _selectors(table)
+    if len(selectors) <= len(ids):
+        return (sep.join(compress(ids, selectors)),)
+    return _split_ids(selectors, ids, sep)
+
+
+def _split_ids(selectors: bytes, ids: tuple[str, ...], sep: str):
+    """_id_runs past the first slice: one run per slice with an id in it."""
+    step = len(ids)
+    lead = ""
+    for base in range(0, len(selectors), step):
+        chunk = selectors[base:base + step]
+        if 1 in chunk:
+            if base:
+                picked = map(str, compress(range(base, base + step), chunk))
+            else:
+                picked = compress(ids, chunk)
+            yield lead + sep.join(picked)
+            lead = sep
+
+
+def _gcl_nodes(lat: GclLattice, node):
+    """node(ks)'s chunks for every block set ks, in order.  While a bound
+    is one run, a node's chunks are joined and written at once."""
+    n = 1 << lat.partition.n_f
+    if lat.context.n_attributes <= _TERM_SPLIT:
+        return map("".join, map(node, range(n)))
+    return chain.from_iterable(map(node, range(n)))
 
 
 def _joined(items, sep: str, size: int):
@@ -181,41 +283,46 @@ def _joined(items, sep: str, size: int):
         lead = sep
 
 
-def _braced(names) -> str:
-    return "{" + ", ".join(names) + "}"
-
-
 def _text(lat: GclLattice | ClassicalLattice):
     ctx = lat.context
+    objects, attributes = ctx.objects, ctx.attributes
     head = (
         f"{_kind(lat)} lattice: {ctx.n_objects} objects, "
         f"{ctx.n_attributes} attributes, "
     )
     if isinstance(lat, GclLattice):
         part = lat.partition
-        lines = [head + f"{part.n_f} blocks, {len(lat.nodes)} nodes"]
+        lines = [head + f"{part.n_f} blocks, {1 << part.n_f} nodes"]
         for k, b in enumerate(part.blocks):
-            row = " & ".join(ctx.attribute_names(b.intent)) or "(no attributes)"
+            row = " & ".join(_picked(attributes, b.intent.bits)) or "(no attributes)"
             lines.append(
-                f"block D{k + 1}: {_braced(ctx.object_names(b.extent))} with row {row}"
+                f"block D{k + 1}: {_braced(_picked(objects, b.extent.bits))} "
+                f"with row {row}"
             )
-        lines.append(f"zero_rho: minterms {lat.zero_rho.ids()}")
-        lines.append(f"one_eta: minterms {lat.one_eta.ids()}")
         yield "\n".join(lines) + "\n"
-        fancy = _fancy(lat)
-        for i, node in enumerate(lat.nodes):
-            yield (
-                f"node [{i}] {_braced(ctx.object_names(node.extent))}\n"
-                f"  grsp: {_pretty(lat, node, 'grsp', fancy)}\n"
-                f"  gfcp: {_pretty(lat, node, 'gfcp', fancy)}\n"
-            )
+        ids = _id_strings(ctx.n_attributes)
+        for name, cf in (("zero_rho", lat.zero_rho), ("one_eta", lat.one_eta)):
+            yield f"{name}: minterms ["
+            yield from _id_runs(cf.table, ids, ", ")
+            yield "]\n"
+        bound = _node_bounds(lat, str)
+
+        def node(ks):
+            rows = part.row_table(ks)
+            yield f"node [{ks}] {_braced(_picked(objects, part.union(ks)))}\n  grsp: "
+            yield from bound(ks, rows, "grsp")
+            yield "\n  gfcp: "
+            yield from bound(ks, rows, "gfcp")
+            yield "\n"
+
+        yield from _gcl_nodes(lat, node)
     else:
         yield head + f"{len(lat.concepts)} concepts\n"
         for i, c in enumerate(lat.concepts):
             yield (
-                f"concept [{i}] {_braced(ctx.object_names(c.extent))} "
-                f"with intent {_braced(ctx.attribute_names(c.intent))}\n"
-                f"  property: {_property(lat, c)}\n"
+                f"concept [{i}] {_braced(_picked(objects, c.extent.bits))} "
+                f"with intent {_braced(_picked(attributes, c.intent.bits))}\n"
+                f"  property: {_property(lat, attributes, c.intent.bits)}\n"
             )
     if not lat.hasse_edges:
         yield "covers: (none)\n"
@@ -227,18 +334,25 @@ def _text(lat: GclLattice | ClassicalLattice):
 
 def _dot(lat: GclLattice | ClassicalLattice):
     ctx = lat.context
+    objects = tuple(map(_dot_escape, ctx.objects))
     yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
     if isinstance(lat, GclLattice):
-        fancy = _fancy(lat)
-        labels = (
-            (node.extent, _pretty(lat, node, "grsp", fancy)) for node in lat.nodes
-        )
+        part = lat.partition
+        bound = _node_bounds(lat, _dot_escape)
+
+        def node(ks):
+            names = _braced(_picked(objects, part.union(ks)))
+            yield f'  n{ks} [label="{names} | '
+            yield from bound(ks, part.row_table(ks), "grsp")
+            yield '"];\n'
+
+        yield from _gcl_nodes(lat, node)
     else:
-        labels = ((c.extent, _property(lat, c)) for c in lat.concepts)
-    for i, (extent, desc) in enumerate(labels):
-        label = f"{_braced(ctx.object_names(extent))} | {desc}"
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        yield f'  n{i} [label="{label}"];\n'
+        attributes = tuple(map(_dot_escape, ctx.attributes))
+        for i, c in enumerate(lat.concepts):
+            names = _braced(_picked(objects, c.extent.bits))
+            desc = _property(lat, attributes, c.intent.bits)
+            yield f'  n{i} [label="{names} | {desc}"];\n'
     yield from _joined(
         (f"  n{lo} -> n{hi};\n" for lo, hi in lat.hasse_edges), "", _EDGE_BATCH
     )
@@ -264,12 +378,13 @@ def _json_object(fields: dict, level: int) -> str:
     )
 
 
-def _json_names(names, level: int) -> str:
-    return _json_block(map(json.dumps, names), level)
-
-
-def _json_ids(cf: CanonicalForm, level: int) -> str:
-    return _json_block(map(str, cf.ids()), level)
+def _json_ids(table: int, ids: tuple[str, ...], level: int):
+    """The ids of table's set bits as a json array at depth level, in runs."""
+    if not table:
+        return ("[]",)
+    pad = "\n" + "  " * (level + 1)
+    runs = _id_runs(table, ids, "," + pad)
+    return chain(("[" + pad,), runs, ("\n" + "  " * level + "]",))
 
 
 def _json_stream(items, count: int, size: int):
@@ -284,52 +399,65 @@ def _json_stream(items, count: int, size: int):
 
 def _json(lat: GclLattice | ClassicalLattice):
     ctx = lat.context
+    objects = tuple(map(encode_basestring_ascii, ctx.objects))
+    attributes = tuple(map(encode_basestring_ascii, ctx.attributes))
     if isinstance(lat, GclLattice):
-        fancy = _fancy(lat)
-        members = lat.nodes
-        nodes = (
-            {
-                "block_set": str(node.block_set),
-                "extent": _json_names(ctx.object_names(node.extent), 3),
-                "grsp_minterms": _json_ids(node.grsp, 3),
-                "grsp_pretty": json.dumps(_pretty(lat, node, "grsp", fancy)),
-                "gfcp_minterms": _json_ids(node.gfcp, 3),
-                "gfcp_pretty": json.dumps(_pretty(lat, node, "gfcp", fancy)),
-            }
-            for node in members
-        )
+        part = lat.partition
+        ids = _id_strings(ctx.n_attributes)
+        bound = _node_bounds(lat, _json_escape)
+        empty = lat.zero_rho.table
+
+        def node(ks):
+            rows = part.row_table(ks)
+            extent = _json_block(_picked(objects, part.union(ks)), 3)
+            lead = ",\n    " if ks else ""
+            yield f'{lead}{{\n      "block_set": {ks},\n      "extent": {extent}'
+            yield ',\n      "gfcp_minterms": '
+            yield from _json_ids(rows, ids, 3)
+            yield ',\n      "gfcp_pretty": "'
+            yield from bound(ks, rows, "gfcp")
+            yield '",\n      "grsp_minterms": '
+            yield from _json_ids(rows | empty, ids, 3)
+            yield ',\n      "grsp_pretty": "'
+            yield from bound(ks, rows, "grsp")
+            yield '"\n    }'
+
         blocks = (
             {
-                "extent": _json_names(ctx.object_names(b.extent), 3),
-                "row": _json_names(ctx.attribute_names(b.intent), 3),
+                "extent": _json_block(_picked(objects, b.extent.bits), 3),
+                "row": _json_block(_picked(attributes, b.intent.bits), 3),
             }
-            for b in lat.partition.blocks
+            for b in part.blocks
         )
-        constants = {
-            "zero_rho": _json_ids(lat.zero_rho, 2),
-            "one_eta": _json_ids(lat.one_eta, 2),
-        }
         fields = {
             "blocks": _json_block((_json_object(b, 2) for b in blocks), 1),
-            "constants": _json_object(constants, 1),
+            "constants": chain(
+                ['{\n    "one_eta": '],
+                _json_ids(lat.one_eta.table, ids, 2),
+                [',\n    "zero_rho": '],
+                _json_ids(empty, ids, 2),
+                ["\n  }"],
+            ),
+            "nodes": chain(["[\n    "], _gcl_nodes(lat, node), ["\n  ]"]),
         }
     else:
-        members = lat.concepts
+        unquoted = tuple(map(_json_escape, ctx.attributes))
         nodes = (
             {
-                "extent": _json_names(ctx.object_names(c.extent), 3),
-                "intent": _json_names(ctx.attribute_names(c.intent), 3),
-                "property": json.dumps(_property(lat, c)),
+                "extent": _json_block(_picked(objects, c.extent.bits), 3),
+                "intent": _json_block(_picked(attributes, c.intent.bits), 3),
+                "property": f'"{_property(lat, unquoted, c.intent.bits)}"',
             }
-            for c in members
+            for c in lat.concepts
         )
-        fields = {}
+        fields = {
+            "nodes": _json_stream(
+                (_json_object(node, 2) for node in nodes), len(lat.concepts), 1
+            )
+        }
     fields["kind"] = json.dumps(_kind(lat))
-    fields["objects"] = _json_names(ctx.objects, 1)
-    fields["attributes"] = _json_names(ctx.attributes, 1)
-    fields["nodes"] = _json_stream(
-        (_json_object(node, 2) for node in nodes), len(members), 1
-    )
+    fields["objects"] = _json_block(objects, 1)
+    fields["attributes"] = _json_block(attributes, 1)
     fields["edges"] = _json_stream(
         (f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.hasse_edges),
         len(lat.hasse_edges),
@@ -353,7 +481,8 @@ def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str, out) -> None:
     """Write a lattice to the text stream out as json, dot or text.
 
     The output is deterministic and written node by node as it is
-    rendered, so its size never sits in memory.  A refused export (the
+    rendered, a wide node's bounds run by run, so neither its size nor
+    one node's sits in memory.  A refused export (the
     gcl export limit) writes nothing; an invariant error raised while
     rendering leaves the part written so far.
     """

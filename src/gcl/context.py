@@ -15,7 +15,8 @@ The two maps between block sets (int masks over the blocks) and the
 extents they cover live here and nowhere else in the builder:
 ``BlockPartition.union`` takes a block set to its extent, and
 ``block_set_of`` takes an extent back to its block set, refusing one that
-is not a union of blocks.
+is not a union of blocks.  ``BlockPartition.row_table`` takes a block set
+to the minterm table of its blocks' rows.
 
 Two file formats are understood: the ``cxt`` format (header line ``B``,
 dimensions, names, then an X/. matrix) and a csv layout with attribute
@@ -226,15 +227,28 @@ class BlockPartition(Value):
     def _extents(self) -> tuple[int, ...]:
         return tuple(b.extent.bits for b in self.blocks)
 
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        return tuple(1 << b.intent.bits for b in self.blocks)
+
     def union(self, block_set: int) -> int:
         """The extent bits of the union of the blocks in block_set."""
-        exts = self._extents
-        bits = 0
-        while block_set:
-            low = block_set & -block_set
-            bits |= exts[low.bit_length() - 1]
-            block_set ^= low
-        return bits
+        return _or_over(self._extents, block_set)
+
+    def row_table(self, block_set: int) -> int:
+        """The minterm table of the rows of the blocks in block_set: bit t
+        is set iff t is the row of one of them."""
+        return _or_over(self._rows, block_set)
+
+
+def _or_over(values: tuple[int, ...], block_set: int) -> int:
+    """The bitwise or of values[k] over the blocks k in block_set."""
+    bits = 0
+    while block_set:
+        low = block_set & -block_set
+        bits |= values[low.bit_length() - 1]
+        block_set ^= low
+    return bits
 
 
 @lru_cache(maxsize=32)
@@ -359,30 +373,39 @@ _CSV_CELLS = {"1": True, "X": True, "0": False, ".": False}
 
 
 def _parse_csv(text: str) -> FormalContext:
+    # a quoted field may span lines, so positions are the reader's line
+    # count (the last line of the record read), not a record count
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty csv input", 1) from None
+        return _read_csv(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed csv: {exc}", reader.line_num) from None
+
+
+def _read_csv(reader) -> FormalContext:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty csv input", 1)
     if not header or header[0] != "":
-        raise ParseError("csv header must start with an empty cell", 1)
+        raise ParseError("csv header must start with an empty cell", reader.line_num)
     attributes = tuple(header[1:])
 
     objects = []
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for rec in reader:
         if not rec:
             continue
         if len(rec) != len(attributes) + 1:
             raise ParseError(
-                f"row has {len(rec) - 1} cells, expected {len(attributes)}", lineno
+                f"row has {len(rec) - 1} cells, expected {len(attributes)}",
+                reader.line_num,
             )
         objects.append(rec[0])
         bits = 0
         for j, cell in enumerate(rec[1:]):
             val = _CSV_CELLS.get(cell.strip())
             if val is None:
-                raise ParseError(f"bad csv cell {cell!r}", lineno)
+                raise ParseError(f"bad csv cell {cell!r}", reader.line_num)
             if val:
                 bits |= 1 << j
         rows.append(bits)

@@ -283,47 +283,66 @@ def _maxterm(m_count: int, id: int) -> AttrExpr:
     return disj(literal(j, (id >> j) & 1 == 0) for j in range(m_count))
 
 
+# by mode: the text of an empty and of a full bound, and the separator
+# between its terms
+_MODE_TEXT = {"dnf": ("0", "1", " | "), "cnf": ("1", "0", " & ")}
+
+
 def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
     """expr_to_str(canonical_to_expr(cf, mode), attributes), read off the bits.
 
-    No expression tree is built: each term is picked from cached tables of
-    literal-term strings by the table's selector bytes (see _term_tables).
+    No expression tree is built: the text is the join of _term_runs over
+    the cached tables of literal-term strings (see _term_tables).
     """
-    m = cf.m_count
-    if mode == "dnf":
-        table, none, unit, outer = cf.table, "0", "1", " | "
-    elif mode == "cnf":
-        table, none, unit, outer = (~cf).table, "1", "0", " & "
-    else:
+    if mode not in _MODE_TEXT:
         raise ValueError(f"unknown mode {mode!r}")
-    if not table:
-        return none
-    if m == 0:
-        return unit
+    m = cf.m_count
     # sliced, not tuple(map(...)): tuple() of an iterator shrinks a tuple of
     # guessed size, and the tuple free list then keeps one more per call
     names = tuple(attributes[:m])
     if len(names) < m:
         raise IndexError(f"{len(names)} attribute names for {m} attributes")
-    low, high = _term_tables(names, mode)
+    table = cf.table if mode == "dnf" else (~cf).table
+    return "".join(_term_runs(table, m, mode, *_term_tables(names, mode)))
+
+
+def _term_runs(table: int, m: int, mode: str, low, high):
+    """The text of a plain bound over m attributes, as an iterable of runs.
+
+    Each set bit of table is one term: a minterm for "dnf", a maxterm for
+    "cnf" (table then holds the complement of the bound).  Each term is
+    picked from the (low, high) term tables by the table's selector bytes,
+    with no Python code run per term.  Up to _TERM_SPLIT attributes the
+    text is one run; above, term t is low[t % 2^_TERM_SPLIT] +
+    high[t >> _TERM_SPLIT], and each high term gives one run from its own
+    slice of selectors, led by the separator after the first.  The tables
+    may come escaped for an output format; the separators need none.
+    """
+    none, unit, outer = _MODE_TEXT[mode]
+    if not table:
+        return (none,)
+    if not m:
+        return (unit,)
     selectors = _selectors(table)
+    lead = close = ""
+    if mode == "cnf" and m > 1 and table & (table - 1):
+        # parenthesise every maxterm in the separators, not term by term
+        lead, close, outer = "(", ")", ") & ("
     if m <= _TERM_SPLIT:
-        terms = list(compress(low, selectors))
-    else:
-        # term t is low[t % 2^_TERM_SPLIT] + high[t >> _TERM_SPLIT]: each
-        # high term takes its low terms from its own slice of selectors
-        terms = []
-        for h, tail in enumerate(high):
-            chunk = selectors[h << _TERM_SPLIT:(h + 1) << _TERM_SPLIT]
-            if 1 in chunk:
-                terms.extend(map(add, compress(low, chunk), repeat(tail)))
-    if mode == "cnf" and len(terms) > 1 and m > 1:
-        # parenthesise every maxterm in the join itself, without a copy of
-        # the joined string or of each term
-        terms[0] = "(" + terms[0]
-        terms[-1] += ")"
-        outer = ") & ("
-    return outer.join(terms)
+        return (lead + outer.join(compress(low, selectors)) + close,)
+    return _split_runs(selectors, low, high, lead, outer, close)
+
+
+def _split_runs(selectors: bytes, low, high, lead: str, outer: str, close: str):
+    """_term_runs above _TERM_SPLIT attributes: one run per high term."""
+    step = 1 << _TERM_SPLIT
+    for h, tail in enumerate(high):
+        chunk = selectors[h * step:(h + 1) * step]
+        if 1 in chunk:
+            yield lead + outer.join(map(add, compress(low, chunk), repeat(tail)))
+            lead = outer
+    if close:
+        yield close
 
 
 @lru_cache(maxsize=8)

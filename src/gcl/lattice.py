@@ -17,7 +17,8 @@ double as indices into the lattice's node sequence.  Nodes are built on
 demand: ``build_gcl`` only partitions the context and computes the two
 minterm tables, and a node or cover pair costs O(n_F) int operations
 when it is first read.  Block sets are mapped to extents and back only
-through ``BlockPartition.union`` and ``block_set_of`` in ``context``.
+through ``BlockPartition.union`` and ``block_set_of`` in ``context``, and
+to their gfcp tables only through ``BlockPartition.row_table``.
 """
 
 from __future__ import annotations
@@ -181,9 +182,7 @@ def _guard_nodes(n_f: int, cap: int = DEFAULT_NODE_CAP) -> None:
 
 def _tables(ctx: FormalContext, part: BlockPartition) -> tuple[int, int]:
     """(realized, empty) minterm tables: block rows vs extent-free minterms."""
-    realized = 0
-    for row in part.intent_ids():
-        realized |= 1 << row
+    realized = part.row_table((1 << part.n_f) - 1)
     full = (1 << (1 << ctx.n_attributes)) - 1
     return realized, full ^ realized
 
@@ -209,10 +208,7 @@ def extent_family(ctx: FormalContext) -> list[BitSet]:
 def _concept(
     ctx: FormalContext, part: BlockPartition, block_set: int, empty_table: int
 ) -> GeneralConcept:
-    gfcp = 0
-    for k, b in enumerate(part.blocks):
-        if block_set >> k & 1:
-            gfcp |= 1 << b.intent.bits
+    gfcp = part.row_table(block_set)
     m = ctx.n_attributes
     return GeneralConcept(
         block_set,

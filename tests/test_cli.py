@@ -382,6 +382,14 @@ def test_malformed_context(capsys, tmp_path):
     assert "line 10" in err
 
 
+def test_oversized_csv_field_is_an_input_error(capsys, tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("," + "a" * 200_000 + "\n")
+    code, out, err = run(capsys, "build", str(p))
+    assert (code, out) == (2, "")
+    assert err == "gcl: line 1: malformed csv: field larger than field limit (131072)\n"
+
+
 def test_non_utf8_context_is_an_input_error(tmp_path):
     # run as a child, so a traceback would show on its stderr
     p = tmp_path / "latin1.cxt"
@@ -425,8 +433,13 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
     def never(*args):
         raise AssertionError("a node was built or rendered")
 
+    # everything a node's text is computed from, on either rendering path
     monkeypatch.setattr("gcl.lattice._concept", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
+    monkeypatch.setattr("gcl.cli._term_runs", never)
+    monkeypatch.setattr("gcl.cli._id_runs", never)
+    monkeypatch.setattr("gcl.cli._picked", never)
+    monkeypatch.setattr("gcl.context.BlockPartition.union", never)
     # a refused export neither truncates nor creates its --out file
     kept = tmp_path / "kept.txt"
     kept.write_text("earlier output\n")

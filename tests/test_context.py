@@ -147,6 +147,26 @@ def test_parse_csv_errors(text, fragment):
         parse_context(text, "csv")
 
 
+def test_csv_errors_report_the_line_not_the_record():
+    # the quoted header name spans lines 1-2, so the bad cell sits on line 3
+    with pytest.raises(ParseError, match="bad csv cell 'Z'") as err:
+        parse_context(',"a\nb",c\ng1,1,Z\n', "csv")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="row has 1 cells") as err:
+        parse_context(',a,b\n"g\n1",1,0\n\ng2,1\n', "csv")
+    assert err.value.line == 5
+
+
+def test_oversized_csv_field_is_a_parse_error():
+    # past the csv module's field limit of 131,072 characters
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        parse_context(",a\ng1," + "1" * 200_000 + "\n", "csv")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        parse_context("," + "a" * 200_000 + "\n", "csv")
+    assert err.value.line == 1
+
+
 def test_cxt_round_trip_bytes(t1):
     assert context_to_cxt(t1) == T1_CXT
 

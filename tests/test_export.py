@@ -8,21 +8,26 @@ import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strategies import hostile_contexts
 from gcl import FormalContext, build_fcl, build_gcl, build_rsl
-from gcl.cli import export_lattice, main
+from gcl.cli import _bound_pretty, _fancy, export_lattice, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
 
 # (context file, lattice kind, golden stem): the fancy context has 8 blocks,
 # so its bounds take the reduced rendering; the plain one has 9, past the
-# pretty limit, and is read as csv.  Names carry quotes, backslashes, a
-# tab, non-ASCII letters and leading or trailing blanks.
+# pretty limit, and is read as csv; the wide one has 11 attributes, so its
+# bounds are written in runs, one per high term of the literal-term tables,
+# and its 11th attribute (the first in the high table) carries a tab, a
+# quote, a backslash and an astral character.  Names carry quotes,
+# backslashes, a tab, non-ASCII letters and leading or trailing blanks.
 CASES = [
     ("export_fancy.cxt", "gcl", "export_fancy_gcl"),
     ("export_plain.csv", "gcl", "export_plain_gcl"),
+    ("export_wide.cxt", "gcl", "export_wide_gcl"),
     ("export_fancy.cxt", "fcl", "export_fancy_fcl"),
     ("export_fancy.cxt", "rsl", "export_fancy_rsl"),
 ]
@@ -82,20 +87,134 @@ class _CountingSink:
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
-def test_export_memory_stays_far_below_its_output(fmt):
-    # 10 blocks over 6 attributes, past the pretty limit: 1024 nodes whose
-    # plain bounds give 2-5 MB of output, all ASCII, so characters are bytes
-    m = 6
-    rows = tuple((7 * i + 3) % (1 << m) for i in range(10))
+def test_plain_export_builds_no_node(monkeypatch, capsysbinary, fmt):
+    def never(*args):
+        raise AssertionError("a node was built")
+
+    monkeypatch.setattr("gcl.lattice._concept", never)
+    argv = ["build", str(GOLDEN / "export_plain.csv"), "--format", fmt]
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == _golden("export_plain_gcl", fmt)
+
+
+# ---------------------------------------------------------------------------
+# differential check against the node-by-node rendering
+#
+# The reference renders node by node from the lattice's nodes, with
+# canonical_to_str (or the reduced bound, on a lattice small enough for it)
+# and json.dumps: no name, id or term tables and no runs.  It shares
+# _term_runs with the export through canonical_to_str, so the golden files
+# and test_exprs check the runs themselves.
+
+def _reference(lat, fmt: str) -> str:
+    ctx, part = lat.context, lat.partition
+    fancy = _fancy(lat)
+
+    def pretty(node, which):
+        return _bound_pretty(ctx, node.extent, getattr(node, which), which, fancy)
+
+    def braced(names):
+        return "{" + ", ".join(names) + "}"
+
+    nodes = list(lat.nodes)
+    edges = list(lat.hasse_edges)
+    if fmt == "json":
+        data = {
+            "kind": "gcl",
+            "objects": list(ctx.objects),
+            "attributes": list(ctx.attributes),
+            "blocks": [
+                {"extent": ctx.object_names(b.extent), "row": ctx.attribute_names(b.intent)}
+                for b in part.blocks
+            ],
+            "constants": {"zero_rho": lat.zero_rho.ids(), "one_eta": lat.one_eta.ids()},
+            "nodes": [
+                {
+                    "block_set": n.block_set,
+                    "extent": ctx.object_names(n.extent),
+                    "grsp_minterms": n.grsp.ids(),
+                    "grsp_pretty": pretty(n, "grsp"),
+                    "gfcp_minterms": n.gfcp.ids(),
+                    "gfcp_pretty": pretty(n, "gfcp"),
+                }
+                for n in nodes
+            ],
+            "edges": [list(e) for e in edges],
+        }
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if fmt == "dot":
+        lines = ["digraph gcl {", "  rankdir=BT;"]
+        for i, n in enumerate(nodes):
+            label = f"{braced(ctx.object_names(n.extent))} | {pretty(n, 'grsp')}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{i} [label="{label}"];')
+        lines.extend(f"  n{lo} -> n{hi};" for lo, hi in edges)
+        return "\n".join(lines) + "\n}\n"
+    lines = [
+        f"gcl lattice: {ctx.n_objects} objects, {ctx.n_attributes} attributes, "
+        f"{part.n_f} blocks, {len(nodes)} nodes"
+    ]
+    for k, b in enumerate(part.blocks):
+        row = " & ".join(ctx.attribute_names(b.intent)) or "(no attributes)"
+        lines.append(f"block D{k + 1}: {braced(ctx.object_names(b.extent))} with row {row}")
+    lines.append(f"zero_rho: minterms {lat.zero_rho.ids()}")
+    lines.append(f"one_eta: minterms {lat.one_eta.ids()}")
+    for i, n in enumerate(nodes):
+        lines.append(f"node [{i}] {braced(ctx.object_names(n.extent))}")
+        lines.append(f"  grsp: {pretty(n, 'grsp')}")
+        lines.append(f"  gfcp: {pretty(n, 'gfcp')}")
+    lines.append("covers: " + (", ".join(f"{lo}<{hi}" for lo, hi in edges) or "(none)"))
+    return "\n".join(lines) + "\n"
+
+
+# every character either escaping must handle, plus plain and non-ASCII ones
+_ESCAPED = st.text(st.sampled_from('"\\\tab \u00e9\U0001f642'), min_size=1, max_size=3)
+
+
+@st.composite
+def _wide_contexts(draw):
+    """9 to 12 attributes and at most 3 blocks, under hostile names."""
+    m = draw(st.integers(9, 12))
+    n = draw(st.integers(0, 5))
+    names = draw(st.lists(_ESCAPED, unique=True, min_size=m + n, max_size=m + n))
+    kinds = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    return FormalContext(tuple(names[m:]), tuple(names[:m]), tuple(rows))
+
+
+_HIGH_NAMES = tuple("abcdefghij") + ('h\t"\\\U0001f642', "\\x")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@settings(max_examples=12, deadline=None)
+@given(ctx=_wide_contexts())
+@example(ctx=FormalContext(("o\t1", '"o2"'), _HIGH_NAMES, (0b100000000001, 0b011111111110)))
+@example(ctx=FormalContext((), _HIGH_NAMES[:11], ()))
+def test_export_matches_the_node_rendering_across_the_term_split(fmt, ctx):
+    lat = build_gcl(ctx)
+    assert _exported(lat, fmt) == _reference(lat, fmt)
+
+
+class _CountingSink:
+    """A text stream that keeps nothing but the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def _export_peak(n_f: int, m: int, fmt: str) -> tuple[int, int]:
+    """(tracemalloc peak, characters written) of a plain export of n_f
+    blocks over m attributes, all ASCII, so characters are bytes."""
+    rows = tuple((7 * i + 3) % (1 << m) for i in range(n_f))
     ctx = FormalContext(
-        tuple(f"g{i}" for i in range(10)), tuple(f"m{j}" for j in range(m)), rows
+        tuple(f"g{i}" for i in range(n_f)), tuple(f"m{j}" for j in range(m)), rows
     )
     lat = build_gcl(ctx)
-    assert lat.partition.n_f == 10
-    # the lattice keeps every node it builds (meet, join and dagger hand out
-    # those very objects), so they are built first: what is measured is the
-    # export's own memory
-    built = list(lat.nodes)
+    assert lat.partition.n_f == n_f
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -103,6 +222,23 @@ def test_export_memory_stays_far_below_its_output(fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(built) == 1024 and sink.size > 2 * 10**6
-    assert peak < sink.size / 4, f"peak {peak} B for {sink.size} B written"
+    return peak, sink.size
 
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_export_memory_stays_far_below_its_output(fmt):
+    # 10 blocks over 6 attributes, past the pretty limit: 1024 nodes whose
+    # plain bounds give 2-5 MB of output.  No node is built, so the
+    # lattice's node cache adds nothing to the peak
+    peak, size = _export_peak(10, 6, fmt)
+    assert size > 2 * 10**6
+    assert peak < size / 4, f"peak {peak} B for {size} B written"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_export_memory_stays_far_below_one_wide_bound(fmt):
+    # 1 block over 16 attributes: 2 nodes, one of whose bounds holds
+    # 2^16 - 1 terms, most of the output; it is written in runs
+    peak, size = _export_peak(1, 16, fmt)
+    assert size > 2 * 10**6
+    assert peak < size / 4, f"peak {peak} B for {size} B written"

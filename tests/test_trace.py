@@ -21,8 +21,15 @@ def test_traced_commands_exit_0(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     spans_file = tmp_path / "spans.json"
     traced = [sys.executable, str(ROOT / "perfbench" / "traced_gcl.py"), str(spans_file)]
+    # the plain context has 9 blocks, past the pretty limit, so its export
+    # takes the table-picking path
+    plain = ROOT / "tests" / "golden" / "export_plain.csv"
     names = set()
-    for argv in (["verify", str(ctx)], ["build", str(ctx), "--format", "json"]):
+    for argv in (
+        ["verify", str(ctx)],
+        ["build", str(ctx), "--format", "json"],
+        ["build", str(plain), "--format", "json"],
+    ):
         proc = subprocess.run(
             [*traced, repr(time.monotonic()), *argv], capture_output=True, text=True, env=env
         )
