@@ -29,6 +29,7 @@ from .exprs import (
     CanonicalForm,
     Or,
     _selectors,
+    _slice_runs,
     _term_runs,
     _term_tables,
     _TERM_SPLIT,
@@ -46,7 +47,7 @@ from .irreducibles import (
     irreducible_disjunctions,
     simplified_intent,
 )
-from .lattice import DEFAULT_NODE_CAP, GclLattice, build_gcl
+from .lattice import GclLattice, build_gcl
 from .oracle import enumerate_mstar, random_context, verify_laws
 
 EXIT_OK = 0
@@ -247,22 +248,14 @@ def _id_runs(table: int, ids: tuple[str, ...], sep: str):
     selectors = _selectors(table)
     if len(selectors) <= len(ids):
         return (sep.join(compress(ids, selectors)),)
-    return _split_ids(selectors, ids, sep)
 
+    def pick(h, chunk):
+        if not h:
+            return compress(ids, chunk)
+        base = h << _TERM_SPLIT
+        return map(str, compress(range(base, base + len(ids)), chunk))
 
-def _split_ids(selectors: bytes, ids: tuple[str, ...], sep: str):
-    """_id_runs past the first slice: one run per slice with an id in it."""
-    step = len(ids)
-    lead = ""
-    for base in range(0, len(selectors), step):
-        chunk = selectors[base:base + step]
-        if 1 in chunk:
-            if base:
-                picked = map(str, compress(range(base, base + step), chunk))
-            else:
-                picked = compress(ids, chunk)
-            yield lead + sep.join(picked)
-            lead = sep
+    return _slice_runs(selectors, pick, sep)
 
 
 def _gcl_nodes(lat: GclLattice, node):
@@ -514,9 +507,9 @@ def _load(args) -> FormalContext:
 
 
 def _load_gcl(args) -> tuple[FormalContext, GclLattice]:
-    """The context and its general lattice, within the --max-nf/--max-m caps."""
+    """The context and its general lattice, within the --max-m cap."""
     ctx = _load(args)
-    return ctx, build_gcl(ctx, node_cap=args.max_nf, canonical_cap=args.max_m)
+    return ctx, build_gcl(ctx, args.max_m)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -588,8 +581,9 @@ def _cmd_compare(args) -> int:
     code = EXIT_OK
     lines = []
     for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
-        direct = builder(ctx)
+        # recovery walks every node, so past the node cap it refuses first
         recovered = recover_classical(lat, kind)
+        direct = builder(ctx)
         if (
             direct.concepts == recovered.concepts
             and direct.hasse_edges == recovered.hasse_edges
@@ -703,13 +697,7 @@ def _build_parser() -> _Parser:
             help="default: csv for a .csv path, cxt otherwise",
         )
 
-    def add_caps(p):
-        p.add_argument(
-            "--max-nf",
-            type=int,
-            default=_env_int("GCL_MAX_NF", DEFAULT_NODE_CAP),
-            help="refuse contexts with more blocks (env GCL_MAX_NF)",
-        )
+    def add_cap(p):
         p.add_argument(
             "--max-m",
             type=int,
@@ -722,7 +710,7 @@ def _build_parser() -> _Parser:
     build.add_argument("--lattice", choices=("gcl", "fcl", "rsl"), default="gcl")
     build.add_argument("--format", choices=("json", "dot", "text"), default="text")
     build.add_argument("--out", help="write here instead of stdout")
-    add_caps(build)
+    add_cap(build)
     build.set_defaults(func=_cmd_build)
 
     verify = sub.add_parser("verify", help="run the law suite against a context")
@@ -734,14 +722,14 @@ def _build_parser() -> _Parser:
     )
     verify.add_argument("--json", action="store_true", help="machine-readable report")
     verify.add_argument("--out", help="write here instead of stdout")
-    add_caps(verify)
+    add_cap(verify)
     verify.set_defaults(func=_cmd_verify)
 
     compare = sub.add_parser(
         "compare", help="check both routes to the classical lattices agree"
     )
     add_input(compare)
-    add_caps(compare)
+    add_cap(compare)
     compare.set_defaults(func=_cmd_compare)
 
     rand = sub.add_parser("random", help="generate a reproducible random context")
@@ -764,7 +752,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="also list the irreducible classes of the extent",
     )
-    add_caps(inspect)
+    add_cap(inspect)
     inspect.set_defaults(func=_cmd_inspect)
 
     return parser

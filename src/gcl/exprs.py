@@ -19,7 +19,7 @@ to intersection and union.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add
 
 from .bitset import BitSet
@@ -330,19 +330,23 @@ def _term_runs(table: int, m: int, mode: str, low, high):
         lead, close, outer = "(", ")", ") & ("
     if m <= _TERM_SPLIT:
         return (lead + outer.join(compress(low, selectors)) + close,)
-    return _split_runs(selectors, low, high, lead, outer, close)
+
+    def pick(h, chunk):
+        return map(add, compress(low, chunk), repeat(high[h]))
+
+    return chain(_slice_runs(selectors, pick, outer, lead), (close,))
 
 
-def _split_runs(selectors: bytes, low, high, lead: str, outer: str, close: str):
-    """_term_runs above _TERM_SPLIT attributes: one run per high term."""
+def _slice_runs(selectors: bytes, pick, sep: str, lead: str = ""):
+    """One run per slice of 2^_TERM_SPLIT selector bytes that selects an
+    item: sep.join(pick(h, chunk)) for slice h, led by lead for the first
+    run and by sep for the others."""
     step = 1 << _TERM_SPLIT
-    for h, tail in enumerate(high):
-        chunk = selectors[h * step:(h + 1) * step]
+    for base in range(0, len(selectors), step):
+        chunk = selectors[base:base + step]
         if 1 in chunk:
-            yield lead + outer.join(map(add, compress(low, chunk), repeat(tail)))
-            lead = outer
-    if close:
-        yield close
+            yield lead + sep.join(pick(base >> _TERM_SPLIT, chunk))
+            lead = sep
 
 
 @lru_cache(maxsize=8)

@@ -16,9 +16,11 @@ Each node therefore stores its block subset as an int id; node ids
 double as indices into the lattice's node sequence.  Nodes are built on
 demand: ``build_gcl`` only partitions the context and computes the two
 minterm tables, and a node or cover pair costs O(n_F) int operations
-when it is first read.  Block sets are mapped to extents and back only
-through ``BlockPartition.union`` and ``block_set_of`` in ``context``, and
-to their gfcp tables only through ``BlockPartition.row_table``.
+when it is first read, at any n_F.  Only walking all 2^n_F nodes or
+covers is refused past the node cap of 20 blocks.  Block sets are mapped
+to extents and back only through ``BlockPartition.union`` and
+``block_set_of`` in ``context``, and to their gfcp tables only through
+``BlockPartition.row_table``.
 """
 
 from __future__ import annotations
@@ -56,15 +58,23 @@ class GeneralConcept(Value):
 
 
 class _View(Sequence):
-    """A read-only sequence computed on demand; equal by content to a tuple.
+    """A read-only sequence over the cube of n_F blocks, computed on demand;
+    equal by content to a tuple.
 
-    Subclasses give ``__len__`` and ``_at(i)`` for 0 <= i < len.
+    Subclasses set ``_nf`` and ``_n``, the item count, and give ``_at(i)``
+    for 0 <= i < _n.  Indexing reads ``_n``, not ``len`` (which stops at
+    2^63 - 1), so an item is reached at any n_F.  Iteration walks the
+    whole cube, so it is refused past the node cap, and so are equality
+    and hashing, which iterate.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nf", "_n")
+
+    def __len__(self) -> int:
+        return self._n
 
     def __getitem__(self, i):
-        n = len(self)
+        n = self._n
         if isinstance(i, slice):
             return tuple(map(self._at, range(n)[i]))
         i = operator.index(i)
@@ -75,12 +85,17 @@ class _View(Sequence):
         return self._at(i)
 
     def __iter__(self):
-        return map(self._at, range(len(self)))
+        _guard_nodes(self._nf)
+        return self._walk()
+
+    def _walk(self):
+        return map(self._at, range(self._n))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, _View)):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        pairs = zip(self, other)  # refused here past the node cap
+        return len(self) == len(other) and all(a == b for a, b in pairs)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -96,13 +111,11 @@ class _Nodes(_View):
     __slots__ = ("_ctx", "_part", "_empty", "_built")
 
     def __init__(self, ctx: FormalContext, part: BlockPartition, empty_table: int):
+        self._nf, self._n = part.n_f, 1 << part.n_f
         self._ctx = ctx
         self._part = part
         self._empty = empty_table
         self._built: dict[int, GeneralConcept] = {}
-
-    def __len__(self) -> int:
-        return 1 << self._part.n_f
 
     def _at(self, block_set: int) -> GeneralConcept:
         node = self._built.get(block_set)
@@ -115,15 +128,12 @@ class _Nodes(_View):
 class _Edges(_View):
     """Cover pairs (ks, ks | 1 << k): ks ascending, then k ascending."""
 
-    __slots__ = ("_nf",)
+    __slots__ = ()
 
     def __init__(self, n_f: int):
-        self._nf = n_f
+        self._nf, self._n = n_f, (n_f << n_f) >> 1
 
-    def __len__(self) -> int:
-        return (self._nf << self._nf) >> 1
-
-    def __iter__(self):
+    def _walk(self):
         nf = self._nf
         for ks in range(1 << nf):
             for k in range(nf):
@@ -172,10 +182,11 @@ class GclLattice(Value):
         return self.nodes[block_set_of(self.context, xs)]
 
 
-def _guard_nodes(n_f: int, cap: int = DEFAULT_NODE_CAP) -> None:
-    if n_f > cap:
+def _guard_nodes(n_f: int) -> None:
+    """Refuse to walk all 2^n_F nodes or covers past the node cap."""
+    if n_f > DEFAULT_NODE_CAP:
         raise CapExceeded(
-            f"{n_f} blocks exceed the node cap of {cap} "
+            f"{n_f} blocks exceed the node cap of {DEFAULT_NODE_CAP} "
             f"(the lattice would need 2^{n_f} nodes)"
         )
 
@@ -193,8 +204,7 @@ def contextual_constants(ctx: FormalContext) -> tuple[CanonicalForm, CanonicalFo
     zero_rho collects every minterm with empty extent; one_eta is its
     complement, the minterms that occur as block rows.
     """
-    # n_F never exceeds the object count, so only the canonical cap applies
-    lat = build_gcl(ctx, ctx.n_objects)
+    lat = build_gcl(ctx)
     return lat.zero_rho, lat.one_eta
 
 
@@ -224,9 +234,7 @@ def general_concept(ctx: FormalContext, xs: BitSet) -> GeneralConcept:
 
 
 def build_gcl(
-    ctx: FormalContext,
-    node_cap: int = DEFAULT_NODE_CAP,
-    canonical_cap: int = DEFAULT_CANONICAL_CAP,
+    ctx: FormalContext, canonical_cap: int = DEFAULT_CANONICAL_CAP
 ) -> GclLattice:
     """The lattice: one node per union of blocks, built when first read.
 
@@ -235,7 +243,6 @@ def build_gcl(
     exactly one block, listed as (lower, upper) pairs in ascending order.
     """
     part = blocks(ctx)
-    _guard_nodes(part.n_f, node_cap)
     _guard_cap(ctx.n_attributes, canonical_cap)
     realized, empty = _tables(ctx, part)
     m = ctx.n_attributes

@@ -18,6 +18,25 @@ def contexts(draw, max_objects: int = 6, max_attributes: int = 4):
 
 
 @st.composite
+def wide_contexts(draw, min_blocks: int = 63, max_blocks: int = 200):
+    """Contexts of min_blocks to max_blocks distinct rows over 8 to 10
+    attributes, some rows repeated, in shuffled order."""
+    m = draw(st.integers(8, 10))
+    distinct = draw(
+        st.lists(
+            st.integers(0, (1 << m) - 1), min_size=min_blocks, max_size=max_blocks, unique=True
+        )
+    )
+    repeated = draw(st.lists(st.sampled_from(distinct), max_size=20))
+    rows = draw(st.permutations(distinct + repeated))
+    return FormalContext(
+        tuple(f"g{i + 1}" for i in range(len(rows))),
+        tuple(f"m{j + 1}" for j in range(m)),
+        tuple(rows),
+    )
+
+
+@st.composite
 def contexts_with_subset(draw, **kwargs):
     ctx = draw(contexts(**kwargs))
     bits = draw(st.integers(0, (1 << ctx.n_objects) - 1))

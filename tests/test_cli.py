@@ -416,13 +416,52 @@ def test_utf8_names_round_trip_through_out_file(capsys, tmp_path):
 
 
 def test_block_cap(capsys, t1_path):
-    code, _, err = run(capsys, "build", t1_path, "--max-nf", "1")
-    assert code == 3
-    assert "3 blocks exceed the node cap of 1" in err
+    # the node cap is fixed: --max-nf is no option of any command
+    for command in (["build"], ["verify"], ["compare"], ["inspect", "--objects", "g1"]):
+        code, _, err = run(capsys, *command, t1_path, "--max-nf", "1")
+        assert code == 1
+        assert "unrecognized arguments: --max-nf 1" in err
+
+
+@pytest.fixture
+def blocks64_path(capsys, tmp_path):
+    # 70 random rows over 8 attributes, 64 of them distinct: 64 blocks
+    p = tmp_path / "b64.cxt"
+    assert run(capsys, "random", "5", "70", "8", "0.5", "--out", str(p))[0] == 0
+    return str(p)
+
+
+def test_reading_one_node_passes_the_node_cap(capsys, blocks64_path):
+    # inspect and verify read nodes by block set, so 2^64 nodes are no bar
+    code, out, err = run(capsys, "inspect", blocks64_path, "--query", "m1 & !m2")
+    assert (code, err) == (0, "")
+    assert out.startswith("query: m1 & !m2\nextent: {")
+    code, out, err = run(capsys, "verify", blocks64_path)
+    assert (code, err) == (0, "")
+    assert "70 objects, 8 attributes, 64 blocks" in out
+    assert out.endswith("all laws hold\n")
+
+
+def test_walking_the_cube_is_refused_past_the_node_cap(capsys, blocks64_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a direct build ran")
+
+    # compare walks every node to recover the classical lattices, and is
+    # refused before it builds them directly
+    monkeypatch.setattr("gcl.cli.build_fcl", never)
+    monkeypatch.setattr("gcl.cli.build_rsl", never)
+    code, out, err = run(capsys, "compare", blocks64_path)
+    assert (code, out) == (3, "")
+    assert err == (
+        "gcl: 64 blocks exceed the node cap of 20 (the lattice would need 2^64 nodes)\n"
+    )
+    code, out, err = run(capsys, "build", blocks64_path)
+    assert (code, out) == (3, "")
+    assert "export of 64 blocks and 8 attributes refused" in err
 
 
 def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypatch):
-    # 16 blocks x 16 attributes: within the node and canonical caps, but
+    # 16 blocks x 16 attributes: within the canonical cap, but
     # the export would print 2^16 nodes with 2^16-minterm bounds
     names = [f"g{i}" for i in range(16)]
     attrs = [f"m{j}" for j in range(16)]
@@ -474,13 +513,6 @@ def test_wide_inspect_is_refused_before_rendering(capsys, tmp_path, monkeypatch)
         assert "inspect limit of 16 attributes" in err
 
 
-def test_block_cap_from_env(capsys, t1_path, monkeypatch):
-    monkeypatch.setenv("GCL_MAX_NF", "1")
-    code, _, err = run(capsys, "build", t1_path)
-    assert code == 3
-    assert "node cap of 1" in err
-
-
 def test_max_m_holds_for_every_command(capsys, tmp_path):
     # 3 objects x 21 attributes: past the default canonical-form cap of 20
     rows = ["X" * 21, "X." * 10 + "X", "." * 21]
@@ -502,7 +534,7 @@ def test_max_m_holds_for_every_command(capsys, tmp_path):
 
 
 def test_bad_env_value_falls_back(capsys, t1_path, monkeypatch):
-    monkeypatch.setenv("GCL_MAX_NF", "plenty")
+    monkeypatch.setenv("GCL_MAX_M", "plenty")
     code, out, _ = run(capsys, "build", t1_path)
     assert code == 0
     assert "8 nodes" in out

@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from strategies import contexts
+from strategies import contexts, wide_contexts
 from gcl import (
     BitSet,
     CapExceeded,
@@ -157,16 +159,25 @@ def test_class_membership(t1):
 # ---------------------------------------------------------------------------
 # caps and degenerate contexts
 
-def test_node_cap(t1):
+def test_node_cap():
+    # 21 blocks: a node is still read by its block set, but walking all
+    # 2^21 nodes or covers is refused
     objs = tuple(f"g{i}" for i in range(21))
     ctx = FormalContext(objs, ("a", "b", "c", "d", "e"), tuple(range(21)))
-    with pytest.raises(CapExceeded, match="21 blocks"):
-        build_gcl(ctx)
-    with pytest.raises(CapExceeded, match="21 blocks exceed the node cap of 20"):
+    lat = build_gcl(ctx)
+    assert lat.node_of(ctx.object_set(["g3"])).gfcp.ids() == [3]
+    message = re.escape("21 blocks exceed the node cap of 20 (the lattice would need 2^21 nodes)")
+    with pytest.raises(CapExceeded, match=message):
         extent_family(ctx)
-    with pytest.raises(CapExceeded, match="3 blocks exceed"):
-        build_gcl(t1, node_cap=2)
-    assert len(build_gcl(t1, node_cap=3).nodes) == 8
+    with pytest.raises(CapExceeded, match=message):
+        list(lat.nodes)
+    with pytest.raises(CapExceeded, match=message):
+        list(lat.hasse_edges)
+    # equality and hashing iterate, so they are refused too
+    with pytest.raises(CapExceeded, match=message):
+        lat.nodes == build_gcl(ctx).nodes
+    with pytest.raises(CapExceeded, match=message):
+        hash(lat.hasse_edges)
 
 
 def test_canonical_cap():
@@ -261,3 +272,38 @@ def test_one_node_of_a_large_lattice_stays_small():
         tracemalloc.stop()
     assert n.gfcp.ids() == [1, 8, 20]
     assert peak < 100 * 2**20
+
+
+@given(wide_contexts(), st.data())
+def test_nodes_are_reached_by_block_set_at_any_size(ctx, data):
+    # 63 to 200 blocks: 2^n_F nodes are more than len() can count, yet a
+    # node, meet, join or conjugate is read by its block set.  Expected
+    # extents and tables are computed here from the rows alone: the node
+    # on a set of distinct rows has the objects with those rows as its
+    # extent, those rows as gfcp, and gfcp plus every minterm that is no
+    # row as grsp.
+    lat = build_gcl(ctx)
+    distinct = sorted(set(ctx.rows))
+    assert lat.partition.n_f == len(distinct)
+    empty = ((1 << (1 << ctx.n_attributes)) - 1) ^ sum(1 << r for r in distinct)
+
+    def expected(rows):
+        gfcp = sum(1 << r for r in rows)
+        return sum(1 << i for i, r in enumerate(ctx.rows) if r in rows), gfcp, gfcp | empty
+
+    def at(rows):
+        node = lat.node_of(BitSet(expected(rows)[0], ctx.n_objects))
+        assert (node.extent.bits, node.gfcp.table, node.grsp.table) == expected(rows)
+        return node
+
+    def drawn_rows():
+        mask = data.draw(st.integers(0, (1 << len(distinct)) - 1))
+        return {r for k, r in enumerate(distinct) if mask >> k & 1}
+
+    r1, r2 = drawn_rows(), drawn_rows()
+    a, b = at(r1), at(r2)
+    assert meet(lat, a, b) is at(r1 & r2)
+    assert join(lat, a, b) is at(r1 | r2)
+    assert dagger(lat, a) is at(set(distinct) - r1)
+    assert lat.sup is at(set(distinct))
+    assert lat.inf is at(set())
