@@ -540,8 +540,9 @@ def _law_line(r) -> str:
 
 def _cmd_verify(args) -> int:
     ctx, lat = _load_gcl(args)
-    report = verify_laws(ctx, lat)
+    # the sweep runs first, so a sweep over its cap is refused before any law
     sweep = enumerate_mstar(ctx) if args.sweep else None
+    report = verify_laws(ctx, lat)
     failed = not report.all_passed or (sweep is not None and not sweep.all_passed)
 
     if args.json:

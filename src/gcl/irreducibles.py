@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bitset import BitSet
-from .context import FormalContext, _want_objects, block_set_of, blocks
+from .context import FormalContext, _want_objects, block_set_of
 from .errors import CapExceeded
 from .exprs import AttrExpr, conj, disj, literal
 from .value import Value
@@ -204,18 +204,20 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, .
 @lru_cache(maxsize=32)
 def _quotient_terms(
     ctx: FormalContext, mode: str
-) -> dict[int, tuple[tuple[AttrExpr, tuple[int, ...]], ...]]:
-    """Extent bits -> (expression, leave-one-out extents) of each member."""
-    return {
-        ext: tuple(
-            (
-                mu.conjunction() if mode == "conjunction" else mu.disjunction(),
-                tuple(_leave_one_out(ctx, mu, mode)),
-            )
-            for mu in members
+) -> tuple[tuple[int, AttrExpr, tuple[int, ...]], ...]:
+    """(extent bits, expression, leave-one-out extents) of every member,
+    ordered by the block set of its extent (every extent is a union of
+    blocks), as an int, and in class order within one extent."""
+    classes = _all_classes(ctx, mode)
+    return tuple(
+        (
+            ext,
+            mu.conjunction() if mode == "conjunction" else mu.disjunction(),
+            tuple(_leave_one_out(ctx, mu, mode)),
         )
-        for ext, members in _all_classes(ctx, mode).items()
-    }
+        for ext in sorted(classes, key=lambda e: block_set_of(ctx, BitSet(e, ctx.n_objects)))
+        for mu in classes[ext]
+    )
 
 
 def irreducible_conjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
@@ -260,42 +262,27 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     strictly between X0 and xs.  mode "gfcp_cnf" is the mirror image:
     product over the block-unions X0 containing xs of the quotiented
     disjunction classes.  Each quotient is the leave-one-out test of the
-    module docstring.  The result always evaluates to xs and its canonical
-    form equals the corresponding bound.
+    module docstring, so the work is one pass over the members: keep one
+    iff its extent lies inside xs (contains xs) and none of its
+    leave-one-out extents does, in the block-set order of the extents.
+    The result always evaluates to xs and its canonical form equals the
+    corresponding bound.
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
     _want_objects(ctx, xs)  # a wrong width is reported before the cap
     _guard_cap(ctx)
-    ks = block_set_of(ctx, xs)
-    part = blocks(ctx)
+    block_set_of(ctx, xs)  # refuses an extent that is not a union of blocks
     x = xs.bits
 
     if mode == "grsp_dnf":
-        terms = _quotient_terms(ctx, "conjunction")
         return disj(
             term
-            for k0 in _submasks(ks)
-            for term, loo in terms.get(part.union(k0), ())
-            if not any(e & ~x == 0 for e in loo)
+            for ext, term, loo in _quotient_terms(ctx, "conjunction")
+            if ext & ~x == 0 and not any(e & ~x == 0 for e in loo)
         )
-
-    terms = _quotient_terms(ctx, "disjunction")
-    outside = ((1 << part.n_f) - 1) & ~ks
     return conj(
         term
-        for extra in _submasks(outside)
-        for term, loo in terms.get(part.union(ks | extra), ())
-        if not any(x & ~e == 0 for e in loo)
+        for ext, term, loo in _quotient_terms(ctx, "disjunction")
+        if x & ~ext == 0 and not any(x & ~e == 0 for e in loo)
     )
-
-
-def _submasks(mask: int):
-    """All submasks of mask, ascending."""
-    out = []
-    sub = 0
-    while True:
-        out.append(sub)
-        if sub == mask:
-            return out
-        sub = (sub - mask) & mask

@@ -15,18 +15,18 @@ block of row-identical objects.  Consequences used throughout:
 Each node therefore stores its block subset as an int id; node ids
 double as indices into the lattice's node sequence.  Nodes are built on
 demand: ``build_gcl`` only partitions the context and computes the two
-minterm tables, and a node or cover pair costs O(n_F) int operations
-when it is first read, at any n_F.  Only walking all 2^n_F nodes or
-covers is refused past the node cap of 20 blocks.  Block sets are mapped
-to extents and back only through ``BlockPartition.union`` and
-``block_set_of`` in ``context``, and to their gfcp tables only through
-``BlockPartition.row_table``.
+minterm tables, a node costs O(n_F) int operations when it is first
+read, at any n_F, and the cover pairs are generated as they are
+iterated.  Only walking all 2^n_F nodes or covers is refused past the
+node cap of 20 blocks.  Block sets are mapped to extents and back only
+through ``BlockPartition.union`` and ``block_set_of`` in ``context``,
+and to their gfcp tables only through ``BlockPartition.row_table``.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 
 from .bitset import BitSet
 from .context import BlockPartition, FormalContext, block_set_of, blocks
@@ -57,15 +57,13 @@ class GeneralConcept(Value):
     gfcp: CanonicalForm
 
 
-class _View(Sequence):
-    """A read-only sequence over the cube of n_F blocks, computed on demand;
-    equal by content to a tuple.
+class _View(Collection):
+    """A read-only collection over the cube of n_F blocks, computed on
+    demand; equal by content to a tuple.
 
-    Subclasses set ``_nf`` and ``_n``, the item count, and give ``_at(i)``
-    for 0 <= i < _n.  Indexing reads ``_n``, not ``len`` (which stops at
-    2^63 - 1), so an item is reached at any n_F.  Iteration walks the
-    whole cube, so it is refused past the node cap, and so are equality
-    and hashing, which iterate.
+    Subclasses set ``_nf`` and ``_n``, the item count, and give ``_walk()``.
+    Iteration walks the whole cube, so it is refused past the node cap,
+    and so are membership, equality and hashing, which iterate.
     """
 
     __slots__ = ("_nf", "_n")
@@ -73,23 +71,12 @@ class _View(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        n = self._n
-        if isinstance(i, slice):
-            return tuple(map(self._at, range(n)[i]))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for {n} items")
-        return self._at(i)
-
     def __iter__(self):
         _guard_nodes(self._nf)
         return self._walk()
 
-    def _walk(self):
-        return map(self._at, range(self._n))
+    def __contains__(self, item) -> bool:
+        return any(x == item for x in self)
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, _View)):
@@ -101,11 +88,12 @@ class _View(Sequence):
         return hash(tuple(self))
 
 
-class _Nodes(_View):
+class _Nodes(_View, Sequence):
     """The 2^n_F nodes by block-set id, each built once on first access.
 
-    Keeping built nodes makes meet, join and dagger return the very node
-    objects the sequence hands out.
+    Indexing reads ``_n``, not ``len`` (which stops at 2^63 - 1), so a
+    node is reached at any n_F.  Keeping built nodes makes meet, join and
+    dagger return the very node objects the sequence hands out.
     """
 
     __slots__ = ("_ctx", "_part", "_empty", "_built")
@@ -117,16 +105,24 @@ class _Nodes(_View):
         self._empty = empty_table
         self._built: dict[int, GeneralConcept] = {}
 
-    def _at(self, block_set: int) -> GeneralConcept:
-        node = self._built.get(block_set)
+    def __getitem__(self, i) -> GeneralConcept:
+        n = self._n
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for {n} items")
+        node = self._built.get(i)
         if node is None:
-            node = _concept(self._ctx, self._part, block_set, self._empty)
-            self._built[block_set] = node
+            node = self._built[i] = _concept(self._ctx, self._part, i, self._empty)
         return node
+
+    def _walk(self):
+        return map(self.__getitem__, range(self._n))
 
 
 class _Edges(_View):
-    """Cover pairs (ks, ks | 1 << k): ks ascending, then k ascending."""
+    """Cover pairs (ks, ks | 1 << k), ks then k ascending; never indexed."""
 
     __slots__ = ()
 
@@ -140,32 +136,12 @@ class _Edges(_View):
                 if not ks >> k & 1:
                     yield ks, ks | 1 << k
 
-    def _below(self, ks: int) -> int:
-        """How many pairs have a lower end under ks: n_F free blocks per
-        block set, less the set bits of 0 .. ks-1 counted per bit."""
-        taken = 0
-        for b in range(self._nf):
-            taken += (ks >> (b + 1) << b) + max(0, ks % (2 << b) - (1 << b))
-        return self._nf * ks - taken
-
-    def _at(self, i: int) -> tuple[int, int]:
-        lo, hi = 0, (1 << self._nf) - 1
-        while lo < hi:  # the largest ks with _below(ks) <= i
-            mid = (lo + hi + 1) // 2
-            if self._below(mid) <= i:
-                lo = mid
-            else:
-                hi = mid - 1
-        skip = i - self._below(lo)
-        free = [k for k in range(self._nf) if not lo >> k & 1]
-        return lo, lo | 1 << free[skip]
-
 
 class GclLattice(Value):
     context: FormalContext
     partition: BlockPartition
     nodes: Sequence[GeneralConcept]
-    hasse_edges: Sequence[tuple[int, int]]
+    hasse_edges: Collection[tuple[int, int]]
     zero_rho: CanonicalForm
     one_eta: CanonicalForm
 

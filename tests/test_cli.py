@@ -187,6 +187,18 @@ def test_verify_sweep_json(capsys, t1_path):
     assert len(data["sweep"]["classes"]) == 8
 
 
+def test_verify_sweep_over_its_cap_is_refused_before_any_law(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a law ran")
+
+    monkeypatch.setattr("gcl.cli.verify_laws", never)
+    p = tmp_path / "five.csv"
+    p.write_text(",a,b,c,d,e\ng1,1,0,1,0,1\ng2,0,1,1,0,0\n")
+    code, out, err = run(capsys, "verify", str(p), "--sweep")
+    assert (code, out) == (3, "")
+    assert err == "gcl: 5 attributes exceed the sweep cap of 4\n"
+
+
 def test_verify_reports_failures(capsys, t1_path, monkeypatch):
     def fake(ctx, lat=None):
         return OracleReport(

@@ -1,5 +1,7 @@
 """Irreducible literal-set classes, quotients, and reduced intents."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -335,3 +337,35 @@ def test_simplified_intent_matches_the_reference_walk(ctx):
             # the display prune reads the table off its terms in one pass
             pruned, table = _prune_for_display(fast, m)
             assert table == to_canonical(pruned, m).table == bound.table
+
+
+def distinct_rows(seed, n_f, m):
+    """A context of exactly n_f blocks over m attributes, some rows repeated."""
+    rng = random.Random(seed)
+    rows = rng.sample(range(1 << m), n_f)
+    rows += rng.choices(rows, k=3)
+    rng.shuffle(rows)
+    return FormalContext(
+        tuple(f"g{i + 1}" for i in range(len(rows))),
+        tuple(f"m{j + 1}" for j in range(m)),
+        tuple(rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n_f, m", [(7, 7, 5), (8, 8, 4), (9, 9, 5), (10, 10, 4), (11, 11, 4), (12, 12, 4)]
+)
+def test_simplified_intent_matches_the_reference_walk_past_six_blocks(seed, n_f, m):
+    # exports reduce bounds up to 8 blocks and inspect up to 12; the
+    # reference walks 3^n_F block-set pairs, so past 8 blocks only the
+    # nodes of one block, of all blocks but one and of all blocks are read
+    ctx = distinct_rows(seed, n_f, m)
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == n_f
+    full = (1 << n_f) - 1
+    for ks in range(full + 1) if n_f <= 8 else (1, full ^ 1, full):
+        xs = lat.nodes[ks].extent
+        for mode in ("grsp_dnf", "gfcp_cnf"):
+            fast = simplified_intent(ctx, xs, mode)
+            slow = _reference_intent(ctx, xs, mode)
+            assert expr_to_str(fast, ctx.attributes) == expr_to_str(slow, ctx.attributes)

@@ -132,7 +132,12 @@ def test_corrupted_edge_is_caught(t1):
     rep = verify_laws(
         t1,
         type(lat)(
-            lat.context, lat.partition, lat.nodes, lat.hasse_edges[:-1], lat.zero_rho, lat.one_eta
+            lat.context,
+            lat.partition,
+            lat.nodes,
+            tuple(lat.hasse_edges)[:-1],
+            lat.zero_rho,
+            lat.one_eta,
         ),
     )
     assert not rep.all_passed

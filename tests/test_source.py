@@ -33,3 +33,45 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}: {name}"
+        for path in paths
+        for name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_unused_import_check_catches_a_stranded_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .context import blocks, block_set_of as bso\n"
+        "from .exprs import conj\n"
+        "__all__ = ['conj']\n"
+        "bso(os)\n"
+    )
+    assert _unused_imports(tree) == ["blocks (line 3)"]
