@@ -22,20 +22,14 @@ from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
 from .context import FormalContext, context_to_cxt, parse_context
 from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
 from .exprs import (
-    BOTTOM,
     DEFAULT_CANONICAL_CAP,
-    TOP,
-    And,
     CanonicalForm,
-    Or,
     _selectors,
     _slice_runs,
     _term_runs,
     _term_tables,
     _TERM_SPLIT,
     canonical_to_str,
-    conj,
-    disj,
     eval_contextual,
     expr_to_str,
     parse_expr,
@@ -78,37 +72,6 @@ _RANDOM_CELL_CAP = 10**7
 # ---------------------------------------------------------------------------
 # rendering
 
-def _prune_for_display(expr, m_count: int) -> tuple:
-    """Drop zero terms from a sum and unit factors from a product.
-
-    A unit term swallows the whole sum and a zero factor the whole
-    product, so the rendered expression stays canonically equal.  Its
-    truth table is returned with it, combined from each term's table.
-    """
-    full = (1 << (1 << m_count)) - 1
-    if isinstance(expr, Or):
-        kept, table = [], 0
-        for c in expr.children:
-            t = to_canonical(c, m_count).table
-            if t == full:
-                return TOP, full
-            if t:
-                kept.append(c)
-                table |= t
-        return disj(kept), table
-    if isinstance(expr, And):
-        kept, table = [], full
-        for c in expr.children:
-            t = to_canonical(c, m_count).table
-            if not t:
-                return BOTTOM, 0
-            if t != full:
-                kept.append(c)
-                table &= t
-        return conj(kept), table
-    return expr, to_canonical(expr, m_count).table
-
-
 def _bound_pretty(
     ctx: FormalContext, extent, cf: CanonicalForm, which: str, fancy: bool
 ) -> str:
@@ -121,11 +84,8 @@ def _bound_pretty(
     mode = "dnf" if which == "grsp" else "cnf"
     base = canonical_to_str(cf, mode, ctx.attributes)
     if fancy:
-        simp_mode = "grsp_dnf" if which == "grsp" else "gfcp_cnf"
-        simp, table = _prune_for_display(
-            simplified_intent(ctx, extent, simp_mode), ctx.n_attributes
-        )
-        if table != cf.table:
+        simp = simplified_intent(ctx, extent, "grsp_dnf" if which == "grsp" else "gfcp_cnf")
+        if to_canonical(simp, ctx.n_attributes).table != cf.table:
             raise InvariantError(f"reduced {which} does not match its canonical bound")
         text = expr_to_str(simp, ctx.attributes)
         if len(text) < len(base):
@@ -673,13 +633,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def _cap(raw: str) -> int:
+    """An attribute cap given on the command line: an int, at least 0."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid cap {raw!r}: must be at least 0")
+    return value
+
+
+def _env_cap(name: str, default: int) -> int:
+    """The cap set in the environment, or default if unset, unparsable or negative."""
+    try:
+        return _cap(os.environ[name])
+    except (KeyError, argparse.ArgumentTypeError):
         return default
 
 
@@ -701,8 +670,8 @@ def _build_parser() -> _Parser:
     def add_cap(p):
         p.add_argument(
             "--max-m",
-            type=int,
-            default=_env_int("GCL_MAX_M", DEFAULT_CANONICAL_CAP),
+            type=_cap,
+            default=_env_cap("GCL_MAX_M", DEFAULT_CANONICAL_CAP),
             help="refuse contexts with more attributes (env GCL_MAX_M)",
         )
 

@@ -124,12 +124,6 @@ class FormalContext(Value):
     def attribute_names(self, ys: BitSet) -> list[str]:
         return [self.attributes[j] for j in ys]
 
-    def row_set(self, i: int) -> BitSet:
-        return BitSet(self.rows[i], self.n_attributes)
-
-    def col_set(self, j: int) -> BitSet:
-        return BitSet(self.cols[j], self.n_objects)
-
 
 # ---------------------------------------------------------------------------
 # operators

@@ -34,6 +34,11 @@ always kept.  Proof: the possible divisors are the nonempty proper
 subsets of mu, which are irreducible by down-closure and have
 block-union extents; each lies in some mu - l, so ext(mu - l) is the
 smallest (for disjunctions the largest) of their extents.
+
+Only nonempty members with no attribute in both signs enter a display
+form: over all 2^m minterms such a set is neither 0 nor 1.  An
+inconsistent set is 0 in a sum and 1 in a product; the empty set absorbs
+the sum (product), which it joins only at G (the empty extent), as 1 (0).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from functools import lru_cache
 from .bitset import BitSet
 from .context import FormalContext, _want_objects, block_set_of
 from .errors import CapExceeded
-from .exprs import AttrExpr, conj, disj, literal
+from .exprs import BOTTOM, TOP, AttrExpr, conj, disj, literal
 from .value import Value
 
 DEFAULT_IRREDUCIBLES_CAP = 10
@@ -205,9 +210,10 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, .
 def _quotient_terms(
     ctx: FormalContext, mode: str
 ) -> tuple[tuple[int, AttrExpr, tuple[int, ...]], ...]:
-    """(extent bits, expression, leave-one-out extents) of every member,
-    ordered by the block set of its extent (every extent is a union of
-    blocks), as an int, and in class order within one extent."""
+    """(extent bits, expression, leave-one-out extents) of every member
+    that is neither empty nor inconsistent (those are constant; see the
+    module docstring), ordered by the block set of its extent (every extent is
+    a union of blocks), as an int, and in class order within one extent."""
     classes = _all_classes(ctx, mode)
     return tuple(
         (
@@ -217,6 +223,7 @@ def _quotient_terms(
         )
         for ext in sorted(classes, key=lambda e: block_set_of(ctx, BitSet(e, ctx.n_objects)))
         for mu in classes[ext]
+        if mu.size and mu.is_consistent()
     )
 
 
@@ -266,7 +273,9 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     iff its extent lies inside xs (contains xs) and none of its
     leave-one-out extents does, in the block-set order of the extents.
     The result always evaluates to xs and its canonical form equals the
-    corresponding bound.
+    corresponding bound.  No term (factor) is a constant: the member
+    table holds none, and the bounds the empty set would absorb, grsp_dnf
+    of G and gfcp_cnf of the empty extent, are TOP and BOTTOM.
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,11 +285,15 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     x = xs.bits
 
     if mode == "grsp_dnf":
+        if x == (1 << ctx.n_objects) - 1:
+            return TOP
         return disj(
             term
             for ext, term, loo in _quotient_terms(ctx, "conjunction")
             if ext & ~x == 0 and not any(e & ~x == 0 for e in loo)
         )
+    if not x:
+        return BOTTOM
     return conj(
         term
         for ext, term, loo in _quotient_terms(ctx, "disjunction")

@@ -37,6 +37,8 @@ from .context import (
 )
 from .errors import CapExceeded
 from .exprs import (
+    BOTTOM,
+    TOP,
     AttrExpr,
     CanonicalForm,
     Var,
@@ -631,6 +633,8 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     X1 inside xs ("grsp_dnf"), or xs inside X1 and X1 strictly inside X0
     ("gfcp_cnf"), is visited: a member of the class of X0 is dropped iff
     some nonempty smaller member of the class of X1 is a subset of it.
+    Inconsistent survivors are left out, and a surviving empty set makes
+    the bound TOP ("grsp_dnf") or BOTTOM ("gfcp_cnf").
     """
     block_bits = [b.extent.bits for b in blocks(ctx).blocks]
     ks = sum(1 << k for k, bits in enumerate(block_bits) if bits & ~xs.bits == 0)
@@ -651,22 +655,22 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
             if not any(nu.size < mu.size and nu.issubset(mu) for nu in divisors)
         ]
 
+    kept = []
     if mode == "grsp_dnf":
-        terms = []
         for k0 in _submasks(ks):
             room = ks & ~k0
             between = [union_of(k0 | s) for s in _submasks(room) if s]
-            for mu in survivors("conjunction", union_of(k0), between):
-                terms.append(mu.conjunction())
-        return disj(terms)
-
-    terms = []
-    outside = ((1 << len(block_bits)) - 1) & ~ks
-    for extra in _submasks(outside):
-        between = [union_of(ks | s) for s in _submasks(extra) if s != extra]
-        for mu in survivors("disjunction", union_of(ks | extra), between):
-            terms.append(mu.disjunction())
-    return conj(terms)
+            kept += survivors("conjunction", union_of(k0), between)
+        absorbing, combine, term = TOP, disj, LiteralSet.conjunction
+    else:
+        outside = ((1 << len(block_bits)) - 1) & ~ks
+        for extra in _submasks(outside):
+            between = [union_of(ks | s) for s in _submasks(extra) if s != extra]
+            kept += survivors("disjunction", union_of(ks | extra), between)
+        absorbing, combine, term = BOTTOM, conj, LiteralSet.disjunction
+    if any(not mu.size for mu in kept):
+        return absorbing
+    return combine(term(mu) for mu in kept if mu.is_consistent())
 
 
 def _law_negation_swap(env: _Env):

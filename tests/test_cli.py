@@ -552,6 +552,23 @@ def test_bad_env_value_falls_back(capsys, t1_path, monkeypatch):
     assert "8 nodes" in out
 
 
+def test_negative_max_m_is_usage_error(capsys, t1_path):
+    code, out, err = run(capsys, "inspect", t1_path, "--objects", "g1", "--max-m=-2")
+    assert (code, out) == (1, "")
+    assert "argument --max-m: invalid cap '-2': must be at least 0" in err
+    # a value that is no int keeps argparse's own wording
+    code, _, err = run(capsys, "build", t1_path, "--max-m", "two")
+    assert code == 1
+    assert "argument --max-m: invalid int value: 'two'" in err
+
+
+def test_negative_env_value_falls_back(capsys, t1_path, monkeypatch):
+    monkeypatch.setenv("GCL_MAX_M", "-1")
+    code, out, _ = run(capsys, "build", t1_path)
+    assert code == 0
+    assert "8 nodes" in out
+
+
 # --- usage ---
 
 

@@ -7,12 +7,16 @@ from hypothesis import example, given, settings
 
 from strategies import contexts
 from gcl import (
+    BOTTOM,
+    TOP,
+    And,
     BitSet,
     CapExceeded,
     FormalContext,
     IrredClass,
     LiteralSet,
     NotAGeneralExtent,
+    Or,
     eval_contextual,
     expr_to_str,
     irreducible_conjunctions,
@@ -22,7 +26,6 @@ from gcl import (
     simplified_intent,
     to_canonical,
 )
-from gcl.cli import _prune_for_display
 from gcl.irreducibles import _all_classes
 from gcl.lattice import build_gcl
 from gcl.oracle import _class_scan, _reference_intent
@@ -214,12 +217,12 @@ def test_quotient_mode_mismatch(t1):
 @pytest.mark.parametrize(
     "bits,mode,text,ids",
     [
-        (0b001, "grsp_dnf", "a & !a | !b", [0, 1]),
-        (0b000, "grsp_dnf", "!a & !b | a & !a | b & !b", [0]),
-        (0b111, "grsp_dnf", "!b | a | !a | b | 1", [0, 1, 2, 3]),
+        (0b001, "grsp_dnf", "!b", [0, 1]),
+        (0b000, "grsp_dnf", "!a & !b", [0]),
+        (0b111, "grsp_dnf", "1", [0, 1, 2, 3]),
         (0b001, "gfcp_cnf", "!b & a", [1]),
-        (0b111, "gfcp_cnf", "(a | !a) & (b | !b) & (a | b)", [1, 2, 3]),
-        (0b000, "gfcp_cnf", "0 & !b & a & !a & b", []),
+        (0b111, "gfcp_cnf", "a | b", [1, 2, 3]),
+        (0b000, "gfcp_cnf", "0", []),
     ],
 )
 def test_simplified_intent_worked(t1, bits, mode, text, ids):
@@ -328,15 +331,36 @@ def test_level_wise_classes_match_the_scan(ctx):
 @example(table(0, 2, ()))
 @example(table(2, 0, ("", "")))
 def test_simplified_intent_matches_the_reference_walk(ctx):
-    m = ctx.n_attributes
     for node in build_gcl(ctx).nodes:
-        for mode, bound in (("grsp_dnf", node.grsp), ("gfcp_cnf", node.gfcp)):
+        for mode in ("grsp_dnf", "gfcp_cnf"):
             fast = simplified_intent(ctx, node.extent, mode)
             slow = _reference_intent(ctx, node.extent, mode)
             assert expr_to_str(fast, ctx.attributes) == expr_to_str(slow, ctx.attributes)
-            # the display prune reads the table off its terms in one pass
-            pruned, table = _prune_for_display(fast, m)
-            assert table == to_canonical(pruned, m).table == bound.table
+
+
+@given(contexts(max_objects=6, max_attributes=4))
+@settings(max_examples=40, deadline=None)
+@example(table(0, 2, ()))
+@example(table(3, 0, ("", "", "")))
+@example(table(4, 2, ("XX", "X.", ".X", "..")))  # all 2^m rows realised
+@example(table(3, 3, ("XX.", "X.X", "X..")))  # m1 is constant true
+def test_reduced_bound_has_no_constant_term(ctx):
+    m = ctx.n_attributes
+    full = (1 << (1 << m)) - 1
+    for node in build_gcl(ctx).nodes:
+        for mode, bound, outer in (
+            ("grsp_dnf", node.grsp, Or),
+            ("gfcp_cnf", node.gfcp, And),
+        ):
+            expr = simplified_intent(ctx, node.extent, mode)
+            assert to_canonical(expr, m).table == bound.table
+            if expr in (TOP, BOTTOM):
+                # the sum (product) of no terms, or the absorbing empty set
+                assert bound.table in (0, full)
+                continue
+            terms = expr.children if isinstance(expr, outer) else (expr,)
+            for term in terms:
+                assert 0 < to_canonical(term, m).table < full, expr_to_str(term, ctx.attributes)
 
 
 def distinct_rows(seed, n_f, m):

@@ -1,12 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gcl"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gcl"
 
 
 def test_no_assert_statements():
@@ -75,3 +78,88 @@ def test_unused_import_check_catches_a_stranded_import():
         "bso(os)\n"
     )
     assert _unused_imports(tree) == ["blocks (line 3)"]
+
+
+def _definitions(tree: ast.Module, namespace: dict) -> list[tuple[str, str]]:
+    """(qualified name, name) of every function, method and class in tree,
+    nested ones included, save dunders and methods that override an
+    attribute of a base class; namespace holds the module's classes."""
+    found = []
+
+    def visit(node, prefix: str, owner) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix, owner)
+                continue
+            name = child.name
+            dunder = name.startswith("__") and name.endswith("__")
+            overrides = isinstance(owner, type) and any(
+                hasattr(base, name) for base in owner.__mro__[1:]
+            )
+            if not (dunder or overrides):
+                found.append((prefix + name, name))
+            inner = None
+            if isinstance(child, ast.ClassDef):
+                inner = owner.get(name) if isinstance(owner, dict) else getattr(owner, name, None)
+            visit(child, f"{prefix}{name}.", inner)
+
+    visit(tree, "", namespace)
+    return found
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken, and the parts of dotted-name strings
+    (as monkeypatch targets and __all__ entries spell them)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_definition_is_referenced():
+    referencing = [SRC, ROOT / "tests", ROOT / "perfbench"]
+    refs = set()
+    for path in sorted(p for folder in referencing for p in folder.rglob("*.py")):
+        refs |= _references(ast.parse(path.read_text(), str(path)))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"gcl.{path.stem}" if path.stem != "__init__" else "gcl")
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            f"{path.name}: {qual}"
+            for qual, name in _definitions(tree, vars(module))
+            if name not in refs
+        ]
+    assert found == []
+
+
+def test_definition_check_catches_an_orphan():
+    source = (
+        "import argparse\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message): ...\n"
+        "    def __repr__(self): ...\n"
+        "    def orphan_method(self): ...\n"
+        "def used():\n"
+        "    def orphan_inner(): ...\n"
+        "    return 'gcl.by_string'\n"
+        "def by_string(): ...\n"
+        "def orphan(): ...\n"
+        "main = used\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<synthetic>", "exec"), namespace)
+    tree = ast.parse(source)
+    refs = _references(tree)
+    assert [q for q, name in _definitions(tree, namespace) if name not in refs] == [
+        "Parser",
+        "Parser.orphan_method",
+        "used.orphan_inner",
+        "orphan",
+    ]
