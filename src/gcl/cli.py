@@ -4,18 +4,17 @@ Subcommands: build (construct and export a lattice), verify (run the law
 suite), compare (check the two routes to the classical lattices agree),
 random (generate a reproducible context), inspect (describe one general
 concept).  Exit codes: 0 success, 1 usage, 2 unreadable or malformed
-input, 3 a size cap was hit, 4 a law or route comparison failed.
+input, 3 a size cap was hit, 4 a law or route comparison failed, 141 the
+reader closed stdout early.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from itertools import chain, compress, islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .bitset import BitSet
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
@@ -49,6 +48,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_LAW = 4
+# 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+EXIT_PIPE = 141
 
 # exports stay readable on small contexts but never silently explode on
 # large ones: past these sizes the plain canonical rendering is used
@@ -139,9 +140,28 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+class _JsonEscapes(dict):
+    """The str.translate table of json.dumps's string escaping (ensure_ascii
+    on): printable ASCII as itself, quote, backslash and five controls by
+    short escapes, every other character as \\uXXXX, a surrogate pair past
+    the BMP.  Those others come from __missing__ and are not stored."""
+
+    def __missing__(self, code: int) -> str:
+        if code < 0x10000:
+            return f"\\u{code:04x}"
+        high, low = divmod(code - 0x10000, 0x400)
+        return f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
+
+
+_JSON_ESCAPES = _JsonEscapes(
+    {code: chr(code) for code in range(0x20, 0x7F)}
+    | {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+)
+
+
 def _json_escape(text: str) -> str:
     """text as json.dumps writes it inside its quotes."""
-    return encode_basestring_ascii(text)[1:-1]
+    return text.translate(_JSON_ESCAPES)
 
 
 def _picked(table, bits: int):
@@ -352,8 +372,8 @@ def _json_stream(items, count: int, size: int):
 
 def _json(lat: GclLattice | ClassicalLattice):
     ctx = lat.context
-    objects = tuple(map(encode_basestring_ascii, ctx.objects))
-    attributes = tuple(map(encode_basestring_ascii, ctx.attributes))
+    objects = tuple(f'"{_json_escape(name)}"' for name in ctx.objects)
+    attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
     if isinstance(lat, GclLattice):
         part = lat.partition
         ids = _id_strings(ctx.n_attributes)
@@ -408,7 +428,7 @@ def _json(lat: GclLattice | ClassicalLattice):
                 (_json_object(node, 2) for node in nodes), len(lat.concepts), 1
             )
         }
-    fields["kind"] = json.dumps(_kind(lat))
+    fields["kind"] = f'"{_json_escape(_kind(lat))}"'
     fields["objects"] = _json_block(objects, 1)
     fields["attributes"] = _json_block(attributes, 1)
     fields["edges"] = _json_stream(
@@ -506,6 +526,8 @@ def _cmd_verify(args) -> int:
     failed = not report.all_passed or (sweep is not None and not sweep.all_passed)
 
     if args.json:
+        import json  # only this command pays for loading it
+
         data = report.as_dict(ctx)
         if sweep is not None:
             data["sweep"] = sweep.as_dict(ctx)
@@ -625,12 +647,18 @@ def _cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+#
+# The grammar gcl had under the standard library's argument parser, read
+# from one table that also gives the usage and help: options before, between
+# or after the positionals, --opt=value, unique prefixes of long options,
+# --, negative numbers as positionals, the last of a repeated option
+# winning, and that parser's error text.  The library parser itself is not
+# used: importing it and building one cost more start-up than a small
+# command's work.
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; keep 2 for input errors and use 1 here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+class _Usage(Exception):
+    """args: (the command, None for gcl itself; the error, None for -h)."""
 
 
 def _cap(raw: str) -> int:
@@ -638,104 +666,241 @@ def _cap(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        raise ValueError(f"invalid int value: {raw!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid cap {raw!r}: must be at least 0")
+        raise ValueError(f"invalid cap {raw!r}: must be at least 0")
     return value
 
 
-def _env_cap(name: str, default: int) -> int:
-    """The cap set in the environment, or default if unset, unparsable or negative."""
+def _default_max_m() -> int:
+    """GCL_MAX_M, or the canonical cap if it is unset, unparsable or negative."""
     try:
-        return _cap(os.environ[name])
-    except (KeyError, argparse.ArgumentTypeError):
-        return default
+        return _cap(os.environ["GCL_MAX_M"])
+    except (KeyError, ValueError):
+        return DEFAULT_CANONICAL_CAP
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="gcl",
-        description="General concept lattices over binary formal contexts.",
+# An argument is (name, kind, default, help).  A name without a leading "-"
+# is a required positional, filled in table order.  kind converts the text,
+# is the tuple of its choices, or is None for a flag.  A default that is a
+# function is called at each parse.
+_CONTEXT = ("context", str, None, "path to a context file")
+_INPUT = ("--input-format", ("cxt", "csv"), None, "default: csv for a .csv path, cxt otherwise")
+_OUT = ("--out", str, None, "write here instead of stdout")
+_MAX_M = ("--max-m", _cap, _default_max_m, "refuse contexts with more attributes (env GCL_MAX_M)")
+_COMMANDS = {  # name: (help, function, arguments)
+    "build": ("construct a lattice and export it", _cmd_build, (
+        _CONTEXT, _INPUT,
+        ("--lattice", ("gcl", "fcl", "rsl"), "gcl", "the lattice to build"),
+        ("--format", ("json", "dot", "text"), "text", "the export format"),
+        _OUT, _MAX_M,
+    )),
+    "verify": ("run the law suite against a context", _cmd_verify, (
+        _CONTEXT, _INPUT,
+        ("--sweep", None, False, "also classify every composite attribute (small contexts only)"),
+        ("--json", None, False, "machine-readable report"),
+        _OUT, _MAX_M,
+    )),
+    "compare": ("check both routes to the classical lattices agree", _cmd_compare, (
+        _CONTEXT, _INPUT, _MAX_M,
+    )),
+    "random": ("generate a reproducible random context", _cmd_random, (
+        ("seed", int, None, "seed of the generator"),
+        ("objects", int, None, "number of objects"),
+        ("attributes", int, None, "number of attributes"),
+        ("density", float, None, "chance that a cell is set, in [0, 1]"),
+        _OUT,
+    )),
+    "inspect": ("describe one general concept", _cmd_inspect, (
+        _CONTEXT, _INPUT,
+        ("--objects", str, None, "comma-separated object names ('' for the empty set)"),
+        ("--query", str, None, "attribute expression, e.g. 'a & !b'"),
+        ("--irreducibles", None, False, "also list the irreducible classes of the extent"),
+        _MAX_M,
+    )),
+}
+_ONE_OF = {"inspect": ("--objects", "--query")}  # exactly one of these is required
+_HELP = ("-h", "--help")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _converted(command: str | None, name: str, kind, raw: str):
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        why = f"invalid choice: {raw!r} (choose from {', '.join(map(repr, kind))})"
+    else:
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            # _cap words its own errors; int and float fail as the library words it
+            why = exc if kind is _cap else f"invalid {kind.__name__} value: {raw!r}"
+    raise _Usage(command, f"argument {name}: {why}")
+
+
+def _option(arg: str, names, command: str | None):
+    """arg as the library parser reads it among the option names: (name,
+    the text after = or after -h, else None) for an option, ("", None) for
+    an unknown one, None for a positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    found = [name for name in names if name.startswith(head)] if arg[1] == "-" else []
+    if len(found) > 1:
+        raise _Usage(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    if arg.startswith("-h"):
+        return "-h", arg[2:]
+    # a negative number (-\d+ or -\d*.\d+) or text with a space is a positional
+    whole, dot, fraction = arg[1:].partition(".")
+    number = (fraction if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+    return None if number or " " in arg else ("", None)
+
+
+def _parse(command: str | None, rows, argv: list[str]) -> tuple[dict, list[str]]:
+    """The values of the arguments rows in argv, and the strings left over."""
+    options = dict.fromkeys(_HELP, ("-h/--help", None))
+    options.update((row[0], row) for row in rows if row[0][0] == "-")
+    positionals = [row for row in reversed(rows) if row[0][0] != "-"]
+    values = {_dest(n): d() if callable(d) else d for n, _, d, _ in rows if n[0] == "-"}
+    one_of, chosen, extra, filled, i = _ONE_OF.get(command, ()), None, [], -1, 0
+    # as in the library parser, every string is read before any is acted
+    # on, so an ambiguous prefix is the first error; after -- all are
+    # positionals
+    end = argv.index("--") if "--" in argv else len(argv)
+    hits = [_option(arg, tuple(options), command) for arg in argv[:end]]
+    hits += [("--", None)] + [None] * (len(argv) - end - 1)
+    while i < len(argv):
+        arg, hit, i = argv[i], hits[i], i + 1
+        name, value = hit or ("", None)
+        if hit is None and positionals:
+            name, kind = positionals.pop()[:2]
+            values[name], filled = _converted(command, name, kind, arg), i
+            continue
+        if name == "--":
+            # the library leaves -- over unless it touches a positional it fills
+            if filled < i - 1 and not (positionals and i < len(argv)):
+                extra.append(arg)
+            continue
+        if not name:
+            extra.append(arg)
+            continue
+        label, kind = options[name][:2]
+        if kind is None and value is not None:
+            raise _Usage(command, f"argument {label}: ignored explicit argument {value!r}")
+        if name in _HELP:
+            raise _Usage(command, None)
+        if kind is not None and value is None:
+            if i == len(argv) or hits[i] is not None:
+                raise _Usage(command, f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        values[_dest(name)] = True if kind is None else _converted(command, name, kind, value)
+        if name in one_of:
+            if chosen not in (None, name):
+                raise _Usage(command, f"argument {name}: not allowed with argument {chosen}")
+            chosen = name
+    if positionals:
+        missing = ", ".join(row[0] for row in reversed(positionals))
+        raise _Usage(command, f"the following arguments are required: {missing}")
+    if one_of and chosen is None:
+        raise _Usage(command, f"one of the arguments {' '.join(one_of)} is required")
+    return values, extra
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read by the grammar; _Usage for an error or -h."""
+    # gcl's own options end at its command, the first positional; as in the
+    # library parser, a -- there is taken for the command unless nothing
+    # follows
+    at = (
+        i
+        for i, arg in enumerate(argv)
+        if (i + 1 < len(argv) if arg == "--" else not _option(arg, _HELP, None))
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    i = next(at, len(argv))
+    extra = _parse(None, (), argv[:i])[1]
+    if i == len(argv):
+        raise _Usage(None, "the following arguments are required: command")
+    command = _converted(None, "command", tuple(_COMMANDS), argv[i])
+    values, more = _parse(command, _COMMANDS[command][2], argv[i + 1 :])
+    if extra + more:
+        raise _Usage(None, "unrecognized arguments: " + " ".join(extra + more))
+    return SimpleNamespace(command=command, **values)
 
-    def add_input(p):
-        p.add_argument("context", help="path to a context file")
-        p.add_argument(
-            "--input-format",
-            choices=("cxt", "csv"),
-            help="default: csv for a .csv path, cxt otherwise",
-        )
 
-    def add_cap(p):
-        p.add_argument(
-            "--max-m",
-            type=_cap,
-            default=_env_cap("GCL_MAX_M", DEFAULT_CANONICAL_CAP),
-            help="refuse contexts with more attributes (env GCL_MAX_M)",
-        )
+def _invocation(name: str, kind, *_) -> str:
+    if name[0] != "-" or kind is None:
+        return name
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _dest(name).upper()
+    return f"{name} {metavar}"
 
-    build = sub.add_parser("build", help="construct a lattice and export it")
-    add_input(build)
-    build.add_argument("--lattice", choices=("gcl", "fcl", "rsl"), default="gcl")
-    build.add_argument("--format", choices=("json", "dot", "text"), default="text")
-    build.add_argument("--out", help="write here instead of stdout")
-    add_cap(build)
-    build.set_defaults(func=_cmd_build)
 
-    verify = sub.add_parser("verify", help="run the law suite against a context")
-    add_input(verify)
-    verify.add_argument(
-        "--sweep",
-        action="store_true",
-        help="also classify every composite attribute (small contexts only)",
-    )
-    verify.add_argument("--json", action="store_true", help="machine-readable report")
-    verify.add_argument("--out", help="write here instead of stdout")
-    add_cap(verify)
-    verify.set_defaults(func=_cmd_verify)
+def _usage(command: str | None) -> str:
+    """The usage lines of a command, or of gcl for None."""
+    if command is None:
+        return "usage: gcl [-h] command ...\n"
+    rows, one_of = _COMMANDS[command][2], _ONE_OF.get(command, ())
+    group = "(" + " | ".join(_invocation(*row) for row in rows if row[0] in one_of) + ")"
+    parts = [
+        group if row[0] in one_of else f"[{_invocation(*row)}]"
+        for row in rows
+        if row[0][0] == "-" and row[0] not in one_of[1:]
+    ]
+    lines = [lead := f"usage: gcl {command}"]
+    for part in ["[-h]"] + parts + [row[0] for row in rows if row[0][0] != "-"]:
+        if len(lines[-1]) + len(part) >= 78 and not lines[-1].isspace():
+            lines.append(" " * len(lead))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
 
-    compare = sub.add_parser(
-        "compare", help="check both routes to the classical lattices agree"
-    )
-    add_input(compare)
-    add_cap(compare)
-    compare.set_defaults(func=_cmd_compare)
 
-    rand = sub.add_parser("random", help="generate a reproducible random context")
-    rand.add_argument("seed", type=int)
-    rand.add_argument("objects", type=int)
-    rand.add_argument("attributes", type=int)
-    rand.add_argument("density", type=float)
-    rand.add_argument("--out", help="write here instead of stdout")
-    rand.set_defaults(func=_cmd_random)
-
-    inspect = sub.add_parser("inspect", help="describe one general concept")
-    add_input(inspect)
-    target = inspect.add_mutually_exclusive_group(required=True)
-    target.add_argument(
-        "--objects", help="comma-separated object names ('' for the empty set)"
-    )
-    target.add_argument("--query", help="attribute expression, e.g. 'a & !b'")
-    inspect.add_argument(
-        "--irreducibles",
-        action="store_true",
-        help="also list the irreducible classes of the extent",
-    )
-    add_cap(inspect)
-    inspect.set_defaults(func=_cmd_inspect)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The -h text of a command, or of gcl for None."""
+    if command is None:
+        about, rows = "General concept lattices over binary formal contexts.", ()
+        first = ("commands", [(name, spec[0]) for name, spec in _COMMANDS.items()])
+    else:
+        about, _, rows = _COMMANDS[command]
+        first = ("positional arguments", [(r[0], r[3]) for r in rows if r[0][0] != "-"])
+    options = [("-h, --help", "show this help message and exit")]
+    options += [(_invocation(*row), row[3]) for row in rows if row[0][0] == "-"]
+    text = f"{_usage(command)}\n{about}\n"
+    for title, entries in (first, ("options", options)):
+        text += f"\n{title}:\n"
+        for invocation, what in entries:
+            pad = "\n" + " " * 24 if len(invocation) > 20 else " " * (22 - len(invocation))
+            text += f"  {invocation}{pad}{what}\n"
+    if command in _ONE_OF:
+        text += f"\nexactly one of {' and '.join(_ONE_OF[command])} is required\n"
+    return text
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:
+        command, error = exc.args
+        if error is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        prog = "gcl" if command is None else f"gcl {command}"
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {error}\n")
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
+    except BrokenPipeError:
+        # the reader closed stdout early (gcl build ... | head): stop quietly,
+        # with stdout on devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ParseError, NotAGeneralExtent, OSError) as exc:
         print(f"gcl: {exc}", file=sys.stderr)
         return EXIT_INPUT

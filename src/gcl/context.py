@@ -25,7 +25,6 @@ names in the header row and object names in the first column.
 
 from __future__ import annotations
 
-import csv
 import io
 from functools import cached_property, lru_cache
 
@@ -367,6 +366,8 @@ _CSV_CELLS = {"1": True, "X": True, "0": False, ".": False}
 
 
 def _parse_csv(text: str) -> FormalContext:
+    import csv  # only csv input pays for loading it
+
     # a quoted field may span lines, so positions are the reader's line
     # count (the last line of the record read), not a record count
     reader = csv.reader(io.StringIO(text))

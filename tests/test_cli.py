@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from gcl import TOP, LawResult, OracleReport
+from gcl import cli
 from gcl.cli import main
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
@@ -594,3 +595,174 @@ def test_inspect_target_is_exclusive(capsys, t1_path):
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "build", "--help")[0] == 0
+
+
+def test_help_lists_the_grammar_table(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gcl [-h] command ...\n")
+    for name, (about, _, _) in cli._COMMANDS.items():
+        assert f"  {name} " in out and about in out
+    for name, (about, _, rows) in cli._COMMANDS.items():
+        code, out, err = run(capsys, name, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: gcl {name} [-h]") and about in out
+        for arg, kind, _, text in rows:
+            assert f"  {arg}" in out and text in out
+            if isinstance(kind, tuple):
+                assert "{" + ",".join(kind) + "}" in out
+
+
+# Each usage error with the last line argparse printed for it; the usage
+# block above that line is laid out anew from the grammar table.
+USAGE_ERRORS = [
+    ([], "gcl: error: the following arguments are required: command"),
+    (
+        ["bild"],
+        "gcl: error: argument command: invalid choice: 'bild' "
+        "(choose from 'build', 'verify', 'compare', 'random', 'inspect')",
+    ),
+    (["build"], "gcl build: error: the following arguments are required: context"),
+    (["build", "F", "extra"], "gcl: error: unrecognized arguments: extra"),
+    (["build", "F", "--max-nf", "1"], "gcl: error: unrecognized arguments: --max-nf 1"),
+    (["build", "F", "-x"], "gcl: error: unrecognized arguments: -x"),
+    (["build", "--", "F", "--", "--x"], "gcl: error: unrecognized arguments: -- --x"),
+    (["build", "F", "--out"], "gcl build: error: argument --out: expected one argument"),
+    (["build", "F", "--out", "--", "x"], "gcl build: error: argument --out: expected one argument"),
+    (
+        ["build", "F", "--format", "xml"],
+        "gcl build: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'json', 'dot', 'text')",
+    ),
+    (
+        ["build", "F", "--max-m", "two"],
+        "gcl build: error: argument --max-m: invalid int value: 'two'",
+    ),
+    (
+        ["build", "F", "--max-m=-2"],
+        "gcl build: error: argument --max-m: invalid cap '-2': must be at least 0",
+    ),
+    (
+        ["verify", "F", "--json=1"],
+        "gcl verify: error: argument --json: ignored explicit argument '1'",
+    ),
+    (["random", "1", "4", "3"], "gcl random: error: the following arguments are required: density"),
+    (["random", "1", "2", "3", "4", "5"], "gcl: error: unrecognized arguments: 5"),
+    (["random", "x", "4", "3", "0.5"], "gcl random: error: argument seed: invalid int value: 'x'"),
+    (
+        ["inspect", "F", "--objects", "g1", "--query", "a"],
+        "gcl inspect: error: argument --query: not allowed with argument --objects",
+    ),
+    (["inspect", "F"], "gcl inspect: error: one of the arguments --objects --query is required"),
+    (
+        ["inspect", "F", "--i", "cxt", "--objects", "g1"],
+        "gcl inspect: error: ambiguous option: --i could match --input-format, --irreducibles",
+    ),
+    (
+        ["inspect", "F", "--query", "-a"],
+        "gcl inspect: error: argument --query: expected one argument",
+    ),
+    (["build", "F", "-hx"], "gcl build: error: argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,last", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_end_with_argparse_line(capsys, argv, last):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    prog = last.split(": error: ")[0]
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith("\n" + last + "\n")
+
+
+_DEFAULTS = {
+    "build": dict(lattice="gcl", format="text", out=None),
+    "verify": dict(sweep=False, json=False, out=None),
+    "compare": {},
+    "inspect": dict(objects=None, query=None, irreducibles=False),
+}
+
+
+def _args(command, context="F", **fields):
+    """The values argparse gave a command reading a context."""
+    common = dict(command=command, context=context, input_format=None, max_m=20)
+    return {**common, **_DEFAULTS[command], **fields}
+
+
+def _random(seed, objects, attributes, density, out=None):
+    """The values argparse gave the random command."""
+    fields = dict(seed=seed, objects=objects, attributes=attributes, density=density)
+    return dict(command="random", **fields, out=out)
+
+
+# Command lines with the values argparse gave the command for them.
+
+
+VALID_ARGV = [
+    (["build", "F", "--format", "json"], _args("build", format="json")),
+    (["build", "--format", "json", "F"], _args("build", format="json")),
+    (
+        ["build", "--out", "o.txt", "F", "--lattice", "fcl"],
+        _args("build", out="o.txt", lattice="fcl"),
+    ),
+    (
+        ["build", "F", "--format=dot", "--input-format=csv"],
+        _args("build", format="dot", input_format="csv"),
+    ),
+    (["build", "F", "--form", "dot", "--lat=rsl"], _args("build", format="dot", lattice="rsl")),
+    (["build", "F", "--format", "json", "--format", "dot"], _args("build", format="dot")),
+    (["build", "--", "-F"], _args("build", "-F")),
+    (["build", "F", "--"], _args("build")),
+    (
+        ["inspect", "F", "--obj", "g1,g2", "--irr"],
+        _args("inspect", objects="g1,g2", irreducibles=True),
+    ),
+    (
+        ["inspect", "--query", "a & !b", "F", "--max-m", "3"],
+        _args("inspect", query="a & !b", max_m=3),
+    ),
+    (["inspect", "F", "--query=-a"], _args("inspect", query="-a")),
+    (["inspect", "F", "--objects", "g1", "--objects", "g2"], _args("inspect", objects="g2")),
+    (
+        ["verify", "F", "--max-m", "5", "--max-m=7", "--json", "--sweep", "--json"],
+        _args("verify", max_m=7, json=True, sweep=True),
+    ),
+    (
+        ["verify", "--sw", "F", "--j", "--o", "r.txt"],
+        _args("verify", sweep=True, json=True, out="r.txt"),
+    ),
+    (["compare", "F", "--max-m", "-0"], _args("compare", max_m=0)),
+    (["random", "1", "-4", "3", "0.5"], _random(1, -4, 3, 0.5)),
+    (["random", "--out", "c.cxt", "-1", "4", "3", "-.5"], _random(-1, 4, 3, -0.5, "c.cxt")),
+    (["random", "1", "4", "--out", "c.cxt", "3", "0.5"], _random(1, 4, 3, 0.5, "c.cxt")),
+]
+
+
+@pytest.mark.parametrize("argv,want", VALID_ARGV)
+def test_valid_argv_reaches_the_command_with_argparse_values(monkeypatch, argv, want):
+    monkeypatch.delenv("GCL_MAX_M", raising=False)
+    seen = []
+    about, _, rows = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (about, lambda args: seen.append(args) or 0, rows))
+    assert main(argv) == 0
+    assert [vars(args) for args in seen] == [want]
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # 12 distinct rows over 8 attributes: a text export of several MB
+    rows = [format(i * 37 % 256, "08b").replace("1", "X").replace("0", ".") for i in range(12)]
+    names = [f"g{i}" for i in range(12)] + [f"m{j}" for j in range(8)]
+    p = tmp_path / "big.cxt"
+    p.write_text("B\n\n12\n8\n\n" + "\n".join(names + rows) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gcl.cli", "build", str(p)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

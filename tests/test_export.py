@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from strategies import hostile_contexts
 from gcl import FormalContext, build_fcl, build_gcl, build_rsl
-from gcl.cli import _bound_pretty, _fancy, export_lattice, main
+from gcl.cli import _bound_pretty, _fancy, _json_escape, export_lattice, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
@@ -84,6 +84,18 @@ class _CountingSink:
     def write(self, text: str) -> int:
         self.size += len(text)
         return len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters(exclude_categories=())))
+@example(text='"\\/')
+@example(text="".join(map(chr, range(0x20))) + "\x7f\x80 \u00e9\u2028\uffff")
+@example(text="\U0001f600\U0010ffff\U00010000")
+@example(text="\ud800 \udfff \udbff\udc00")
+def test_json_escape_matches_json_dumps(text):
+    # quotes, backslashes, controls, DEL, non-BMP characters (as surrogate
+    # pairs) and lone surrogates, all as json.dumps writes them
+    assert _json_escape(text) == json.dumps(text)[1:-1]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
