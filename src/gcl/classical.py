@@ -11,10 +11,13 @@ disjunctive bound of X, and in the FCL intent iff the conjunctive bound
 of X is inside the minterm set of m.  recover_classical exploits exactly
 that, making it an independent route to the same lattices.
 
-Extents come from one worklist closure over the columns, and both routes
-take their covers from the upper-neighbour construction of Lindig, "Fast
-Concept Analysis" (2000); the oracle keeps the brute-force cover search
-as an independent check.
+Extents come from one worklist closure over the columns.  All three
+routes hand their concepts to one step that sorts them and takes the
+covers from Lindig's neighbour test ("Fast Concept Analysis", 2000),
+counted over the attributes outside each intent, never over objects: a
+lattice of C concepts costs O(C * m) big-int operations on top of its
+extents, whatever the number of objects.  The oracle keeps the
+brute-force cover search as an independent check.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class ClassicalLattice(Value):
         return self.concepts[0]
 
 
-def _closure(ctx: FormalContext, seed: int, op) -> list[int]:
+def _closure(ctx: FormalContext, seed: int, op) -> set[int]:
     # worklist closure of {seed} under combining with single columns
     found = {seed}
     todo = [seed]
@@ -72,67 +75,51 @@ def _closure(ctx: FormalContext, seed: int, op) -> list[int]:
             if new not in found:
                 found.add(new)
                 todo.append(new)
-    return sorted(found, key=lambda b: (b.bit_count(), b))
+    return found
 
 
-def _covers(
-    kind: str, ext_bits: list[int], cols, full: int
-) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (lower, upper) of a classical extent family, ascending.
+def _lattice(kind: str, ctx: FormalContext, concepts) -> ClassicalLattice:
+    """The classical lattice of concepts, ascending by (object count, bits).
 
-    For each FCL extent x, each object g outside it closes x + g to the
-    least extent y above both; y covers x exactly when every one of the
-    |y - x| objects it adds closes x to y (Lindig's counting test).  RSL
-    extents are the complements of the intersections of complemented
-    columns, so their covers are that dual family's covers reversed.
-    Closures missing from ext_bits give no edge.
+    Covers come from Lindig's counting test over the attributes outside
+    each intent: attribute j sends FCL extent x to x & col_j below it and
+    RSL extent x to x | col_j above it, and such a candidate y is a cover
+    of x exactly when |intent(y) - intent(x)| attributes send x to it.  A
+    candidate missing from concepts gives no edge.
     """
-    if kind == "rsl":
-        dual = [full ^ b for b in ext_bits]
-        edges = _covers("fcl", dual, [full ^ c for c in cols], full)
-        return tuple(sorted((hi, lo) for lo, hi in edges))
-    index = {bits: i for i, bits in enumerate(ext_bits)}
+    concepts = sorted(concepts, key=lambda c: (len(c.extent), c.extent.bits))
+    index = {c.extent.bits: i for i, c in enumerate(concepts)}
+    op = and_ if kind == "fcl" else or_
+    cols = ctx.cols
     edges = []
-    for i, x in enumerate(ext_bits):
-        above = [c for c in cols if x & ~c == 0]
+    for i, c in enumerate(concepts):
+        x, ix = c.extent.bits, c.intent.bits
         hits: dict[int, int] = {}
-        rest = full & ~x
-        while rest:
-            g = rest & -rest
-            rest ^= g
-            y = full
-            for c in above:
-                if c & g:
-                    y &= c
-            hits[y] = hits.get(y, 0) + 1
+        for j, col in enumerate(cols):
+            if not ix >> j & 1:
+                y = op(x, col)
+                hits[y] = hits.get(y, 0) + 1
         for y, count in hits.items():
-            j = index.get(y)
-            if j is not None and count == (y ^ x).bit_count():
-                edges.append((i, j))
-    return tuple(sorted(edges))
+            k = index.get(y)
+            if k is not None and count == (concepts[k].intent.bits ^ ix).bit_count():
+                edges.append((k, i) if kind == "fcl" else (i, k))
+    return ClassicalLattice(kind, ctx, tuple(concepts), tuple(sorted(edges)))
 
 
 def build_fcl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X^I) over all intersections of columns, G included."""
-    full = (1 << ctx.n_objects) - 1
-    ext_bits = _closure(ctx, full, and_)
-    concepts = tuple(
+    return _lattice("fcl", ctx, (
         FclConcept(ext := BitSet(bits, ctx.n_objects), intent_of(ctx, ext))
-        for bits in ext_bits
-    )
-    edges = _covers("fcl", ext_bits, ctx.cols, full)
-    return ClassicalLattice("fcl", ctx, concepts, edges)
+        for bits in _closure(ctx, (1 << ctx.n_objects) - 1, and_)
+    ))
 
 
 def build_rsl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X-box) over all unions of columns, the empty set included."""
-    ext_bits = _closure(ctx, 0, or_)
-    concepts = tuple(
+    return _lattice("rsl", ctx, (
         RslConcept(ext := BitSet(bits, ctx.n_objects), box_of(ctx, ext))
-        for bits in ext_bits
-    )
-    edges = _covers("rsl", ext_bits, ctx.cols, (1 << ctx.n_objects) - 1)
-    return ClassicalLattice("rsl", ctx, concepts, edges)
+        for bits in _closure(ctx, 0, or_)
+    ))
 
 
 def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
@@ -154,6 +141,7 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
     # cost two more passes over a 2^m-bit table per test
     var_tables = [_var_table(j, m) for j in range(m)]
 
+    concept = RslConcept if kind == "rsl" else FclConcept
     keep = []
     for node in lat.nodes:
         if kind == "rsl":
@@ -170,13 +158,6 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
                 rebuilt &= col_bits[j]
         if rebuilt != node.extent.bits:
             continue
-        intent = BitSet.of(ys, m)
-        if kind == "rsl":
-            keep.append(RslConcept(node.extent, intent))
-        else:
-            keep.append(FclConcept(node.extent, intent))
+        keep.append(concept(node.extent, BitSet.of(ys, m)))
 
-    keep.sort(key=lambda c: (len(c.extent), c.extent.bits))
-    ext_bits = [c.extent.bits for c in keep]
-    edges = _covers(kind, ext_bits, col_bits, (1 << ctx.n_objects) - 1)
-    return ClassicalLattice(kind, ctx, tuple(keep), edges)
+    return _lattice(kind, ctx, keep)

@@ -129,10 +129,11 @@ def _kind(lat: GclLattice | ClassicalLattice) -> str:
     return "gcl" if isinstance(lat, GclLattice) else lat.kind
 
 
-def _fancy(lat: GclLattice) -> bool:
+def _fancy(lat: GclLattice, block_limit: int) -> bool:
+    """Whether bounds may print reduced: few enough attributes and blocks."""
     return (
         lat.context.n_attributes <= DEFAULT_IRREDUCIBLES_CAP
-        and lat.partition.n_f <= _PRETTY_BLOCK_LIMIT
+        and lat.partition.n_f <= block_limit
     )
 
 
@@ -190,7 +191,7 @@ def _node_bounds(lat: GclLattice, escape):
     ctx, part = lat.context, lat.partition
     m = ctx.n_attributes
     empty = lat.zero_rho.table
-    if _fancy(lat):
+    if _fancy(lat, _PRETTY_BLOCK_LIMIT):
 
         def bound(ks, rows, which):
             if which == "grsp":
@@ -625,10 +626,7 @@ def _cmd_inspect(args) -> int:
     lines.append(f"extent: {_braced(ctx.object_names(node.extent))}")
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if node.block_set >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)"))
-    fancy = (
-        ctx.n_attributes <= DEFAULT_IRREDUCIBLES_CAP
-        and lat.partition.n_f <= _INSPECT_BLOCK_LIMIT
-    )
+    fancy = _fancy(lat, _INSPECT_BLOCK_LIMIT)
     for which, cf in (("grsp", node.grsp), ("gfcp", node.gfcp)):
         pretty = _bound_pretty(ctx, node.extent, cf, which, fancy)
         lines.append(f"{which}: {pretty}  (minterms {cf.ids()})")

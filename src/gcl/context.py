@@ -140,9 +140,10 @@ def _want_attributes(ctx: FormalContext, ys: BitSet) -> None:
 def intent_of(ctx: FormalContext, xs: BitSet) -> BitSet:
     """Attributes shared by every object of xs (all of M for xs = empty)."""
     _want_objects(ctx, xs)
-    bits = (1 << ctx.n_attributes) - 1
-    for i in xs:
-        bits &= ctx.rows[i]
+    bits = 0
+    for j, col in enumerate(ctx.cols):
+        if xs.bits & ~col == 0:
+            bits |= 1 << j
     return BitSet(bits, ctx.n_attributes)
 
 

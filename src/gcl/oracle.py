@@ -178,16 +178,20 @@ class _Env:
             diamonds.append(approx_diamond(ctx, ys).bits)
         return extents, boxes, diamonds
 
-    def sweep_classes(self) -> dict[int, list[int]]:
-        """extent bits -> [size, min table, max table] over all 2^(2^m) tables."""
-        size = 1 << (1 << self.m)
-        ext_of = [0] * size
+    @cached_property
+    def table_extents(self) -> list[int]:
+        """Extent bits of every one of the 2^(2^m) minterm tables, by table."""
+        ext_of = [0] * (1 << (1 << self.m))
         ae = self.atom_ext
-        for f in range(1, size):
+        for f in range(1, len(ext_of)):
             low = f & -f
             ext_of[f] = ext_of[f ^ low] | ae[low.bit_length() - 1]
+        return ext_of
+
+    def sweep_classes(self) -> dict[int, list[int]]:
+        """extent bits -> [size, min table, max table] over all 2^(2^m) tables."""
         grouped: dict[int, list[int]] = {}
-        for f, ext in enumerate(ext_of):
+        for f, ext in enumerate(self.table_extents):
             acc = grouped.get(ext)
             if acc is None:
                 grouped[ext] = [1, f, f]
@@ -383,12 +387,8 @@ def _law_canonical_census(env: _Env):
 
 
 def _law_intrinsic_order(env: _Env):
-    size = 1 << (1 << env.m)
-    ext_of = [0] * size
-    ae = env.atom_ext
-    for f in range(1, size):
-        low = f & -f
-        ext_of[f] = ext_of[f ^ low] | ae[low.bit_length() - 1]
+    ext_of = env.table_extents
+    size = len(ext_of)
     for f1 in range(size):
         e1 = ext_of[f1]
         for f2 in range(size):

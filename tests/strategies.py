@@ -6,9 +6,15 @@ from gcl import BitSet, FormalContext
 
 
 @st.composite
-def contexts(draw, max_objects: int = 6, max_attributes: int = 4):
-    n = draw(st.integers(0, max_objects))
-    m = draw(st.integers(0, max_attributes))
+def contexts(
+    draw,
+    max_objects: int = 6,
+    max_attributes: int = 4,
+    min_objects: int = 0,
+    min_attributes: int = 0,
+):
+    n = draw(st.integers(min_objects, max_objects))
+    m = draw(st.integers(min_attributes, max_attributes))
     rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
     return FormalContext(
         tuple(f"g{i + 1}" for i in range(n)),

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strategies import contexts
 from gcl import (
@@ -148,14 +149,27 @@ def swept_extents(ctx, kind):
     return sorted(found, key=lambda b: (b.bit_count(), b))
 
 
-@given(contexts(max_objects=8, max_attributes=6))
+@given(
+    st.one_of(
+        contexts(max_objects=8, max_attributes=6),
+        # wide: far more attributes than objects
+        contexts(max_objects=5, max_attributes=12),
+        # duplicate-heavy: many objects over few distinct rows
+        contexts(min_objects=12, max_objects=12, min_attributes=2, max_attributes=3),
+    )
+)
 @example(FormalContext(("g1", "g2", "g3"), (), (0, 0, 0)))
 @example(FormalContext((), ("a", "b", "c"), ()))
 @example(FormalContext((), (), ()))
-@settings(max_examples=80, deadline=None)
+@example(FormalContext(("g1", "g2"), tuple(f"m{j}" for j in range(12)), (0x5A3, 0xF0F)))
+@example(FormalContext(tuple(f"g{i}" for i in range(12)), ("a", "b"), (1, 2, 3, 0) * 3))
+@settings(max_examples=120, deadline=None)
 def test_closure_and_covers_match_brute_force(ctx):
-    for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
-        lat = builder(ctx)
-        ext = [c.extent.bits for c in lat.concepts]
+    lat = build_gcl(ctx)
+    for kind, build in (("fcl", build_fcl), ("rsl", build_rsl)):
+        direct = build(ctx)
+        ext = [c.extent.bits for c in direct.concepts]
         assert ext == swept_extents(ctx, kind)
-        assert lat.hasse_edges == _hasse(ext)
+        assert direct.hasse_edges == _hasse(ext)
+        recovered = recover_classical(lat, kind)
+        assert recovered.hasse_edges == _hasse([c.extent.bits for c in recovered.concepts])

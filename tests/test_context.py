@@ -248,6 +248,18 @@ def test_operator_width_checks(t1):
 
 
 @given(contexts_with_subset())
+@example((FormalContext(("g1", "g2"), (), (0, 0)), BitSet(0b11, 2)))
+@example((FormalContext(("g1", "g2"), ("a", "b"), (0b01, 0b11)), BitSet(0, 2)))
+@example((FormalContext((), ("a", "b"), ()), BitSet(0, 0)))
+def test_intent_of_is_the_and_of_member_rows(pair):
+    ctx, xs = pair
+    bits = (1 << ctx.n_attributes) - 1
+    for i in xs:
+        bits &= ctx.rows[i]
+    assert intent_of(ctx, xs) == BitSet(bits, ctx.n_attributes)
+
+
+@given(contexts_with_subset())
 def test_derivation_galois(pair):
     ctx, xs = pair
     ys = intent_of(ctx, xs)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from strategies import hostile_contexts
 from gcl import FormalContext, build_fcl, build_gcl, build_rsl
-from gcl.cli import _bound_pretty, _fancy, _json_escape, export_lattice, main
+from gcl.cli import _PRETTY_BLOCK_LIMIT, _bound_pretty, _fancy, _json_escape, export_lattice, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
@@ -120,7 +120,7 @@ def test_plain_export_builds_no_node(monkeypatch, capsysbinary, fmt):
 
 def _reference(lat, fmt: str) -> str:
     ctx, part = lat.context, lat.partition
-    fancy = _fancy(lat)
+    fancy = _fancy(lat, _PRETTY_BLOCK_LIMIT)
 
     def pretty(node, which):
         return _bound_pretty(ctx, node.extent, getattr(node, which), which, fancy)

@@ -64,6 +64,16 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert proc.stderr.splitlines() == [
         "[]", "[]", "[]", "[]", "[]", "[]", "['csv']", "['csv', 'json']"
     ]
+    # typing (which loads re) is checked without site: a site .pth file may
+    # import it before gcl does
+    bare = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, gcl.cli; print('typing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert bare.stdout == "False\n"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
