@@ -14,6 +14,15 @@ reuses the builder's internals; extents are recomputed from the incidence
 rows.  ``_reference_intent`` is the matching brute-force walk for the
 reduced bounds of ``simplified_intent``.
 
+Each law still covers its whole domain, in one sweep over tables.  The
+laws over every pair of nodes read inclusion up-sets built column by
+column over the bits that vary between keys (``_up_sets``), so they
+report the same first failing pair as a pairwise loop.  The monotonicity
+laws compare each set only with those one element smaller, which covers
+every pair by transitivity.  The class scan indexes the signed literal
+sets by 2|M|-bit masks: each extent is one fold onto the extent of the
+set without its lowest literal.
+
 ``random_context`` generates reproducible test contexts from a 64-bit
 linear congruential generator so that law sweeps can be pinned to seeds.
 """
@@ -218,6 +227,39 @@ def _submasks(mask: int):
         sub = (sub - mask) & mask
 
 
+def _one_smaller(mask: int):
+    """The masks with one set bit of mask cleared, lowest bit first."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield mask ^ low
+
+
+def _up_sets(keys: list[int]) -> list[int]:
+    """Bit j of entry i is set iff keys[i] is a subset of keys[j].
+
+    One column per bit that some but not all keys hold: the entries
+    holding that bit can only sit below other holders.  Keys are read
+    through their bits, never hashed, so wide tables cost their varying
+    bits, not their width.
+    """
+    up = [(1 << len(keys)) - 1] * len(keys)
+    some, every = 0, -1
+    for key in keys:
+        some |= key
+        every &= key
+    vary = some & ~every
+    while vary:
+        low = vary & -vary
+        vary ^= low
+        holders = [j for j, key in enumerate(keys) if key & low]
+        column = sum(1 << j for j in holders)
+        for j in holders:
+            up[j] &= column
+    return up
+
+
 def _law_triple_application(env: _Env):
     intents, boxes, diamonds = env.obj_tables
     extents, aboxes, adiamonds = env.attr_tables
@@ -239,10 +281,11 @@ def _law_triple_application(env: _Env):
 
 
 def _law_monotonicity(env: _Env):
+    # by transitivity, pairs one element apart cover every pair x1 <= x2
     intents, boxes, diamonds = env.obj_tables
     extents, aboxes, adiamonds = env.attr_tables
     for x2 in range(1 << env.n):
-        for x1 in _submasks(x2):
+        for x1 in _one_smaller(x2):
             if intents[x2] & ~intents[x1]:
                 return f"{env.names(x1)} <= {env.names(x2)}: derivation not antitone"
             if boxes[x1] & ~boxes[x2]:
@@ -250,7 +293,7 @@ def _law_monotonicity(env: _Env):
             if diamonds[x1] & ~diamonds[x2]:
                 return f"{env.names(x1)} <= {env.names(x2)}: diamond not monotone"
     for y2 in range(1 << env.m):
-        for y1 in _submasks(y2):
+        for y1 in _one_smaller(y2):
             if extents[y2] & ~extents[y1]:
                 return f"Y1=0x{y1:x} <= Y2=0x{y2:x}: derivation not antitone"
             if aboxes[y1] & ~aboxes[y2]:
@@ -347,14 +390,10 @@ def _law_family_closure(env: _Env):
         return "an intersection-lattice extent escapes the family"
     if not rsl <= have:
         return "a union-lattice extent escapes the family"
-    # transitive reduction of the inclusion order over node indices
-    up = [0] * len(exts)
-    down = [0] * len(exts)
-    for i, a in enumerate(exts):
-        for j, b in enumerate(exts):
-            if i != j and a & ~b == 0:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    # transitive reduction of the inclusion order over node indices; the
+    # extents are distinct, so dropping i itself leaves the strict order
+    up = [u & ~(1 << i) for i, u in enumerate(_up_sets(exts))]
+    down = [d & ~(1 << i) for i, d in enumerate(_up_sets([env.full_g ^ a for a in exts]))]
     covers = set()
     for i in range(len(exts)):
         rest = up[i]
@@ -387,12 +426,11 @@ def _law_canonical_census(env: _Env):
 
 
 def _law_intrinsic_order(env: _Env):
+    # by transitivity, pairs one minterm apart cover every pair f1 <= f2
     ext_of = env.table_extents
-    size = len(ext_of)
-    for f1 in range(size):
-        e1 = ext_of[f1]
-        for f2 in range(size):
-            if f1 & ~f2 == 0 and e1 & ~ext_of[f2]:
+    for f2, e2 in enumerate(ext_of):
+        for f1 in _one_smaller(f2):
+            if ext_of[f1] & ~e2:
                 return f"tables 0x{f1:x} <= 0x{f2:x} but extents are not ordered"
     return None
 
@@ -412,36 +450,43 @@ def _law_dagger(env: _Env):
             return f"X={env.names(a.extent.bits)}: conjugate gfcp is not the negated grsp"
     full = len(nodes) - 1
     sets = [a.block_set for a in nodes]
-    for ka in sets:
-        for kb in sets:
-            fwd = ka & ~kb == 0
-            rev = (kb ^ full) & ~(ka ^ full) == 0
-            if fwd != rev:
-                return (
-                    f"block sets 0x{ka:x} vs 0x{kb:x}: "
-                    "conjugation does not reverse the order"
-                )
+    co = [ks ^ full for ks in sets]
+    span = 0
+    for ks in co:
+        span |= ks
+    # fwd[a] bit b: ka <= kb; rev[a] bit b: ~kb <= ~ka, read as up-sets of
+    # the complements within span, which turn the order around
+    fwd = _up_sets(sets)
+    rev = _up_sets([span ^ ks for ks in co])
+    for ka, f, r in zip(sets, fwd, rev):
+        if f != r:
+            kb = sets[((f ^ r) & -(f ^ r)).bit_length() - 1]
+            return (
+                f"block sets 0x{ka:x} vs 0x{kb:x}: "
+                "conjugation does not reverse the order"
+            )
     return None
 
 
 def _law_bound_recursion(env: _Env):
-    lat = env.lat
-    nf = lat.partition.n_f
-    full = (1 << nf) - 1
-    for node in lat.nodes:
+    nodes = list(env.lat.nodes)
+    grsp = [node.grsp.table for node in nodes]
+    gfcp = [node.gfcp.table for node in nodes]
+    full = (1 << env.lat.partition.n_f) - 1
+    for node in nodes:
         ks = node.block_set
         if ks.bit_count() >= 2:
             union = 0
             for sub in _submasks(ks):
                 if sub != ks:
-                    union |= lat.nodes[sub].grsp.table
+                    union |= grsp[sub]
             if union != node.grsp.table:
                 return f"X={env.names(node.extent.bits)}: grsp is not the union below"
         if (full ^ ks).bit_count() >= 2:
             inter = env.full_t
             for sub in _submasks(full ^ ks):
                 if sub != 0:
-                    inter &= lat.nodes[ks | sub].gfcp.table
+                    inter &= gfcp[ks | sub]
             if inter != node.gfcp.table:
                 return f"X={env.names(node.extent.bits)}: gfcp is not the intersection above"
     return None
@@ -524,17 +569,18 @@ def _law_constants_decomposition(env: _Env):
 
 
 def _law_order_agreement(env: _Env):
-    triples = [
-        (node.extent.bits, node.grsp.table, node.gfcp.table) for node in env.lat.nodes
-    ]
-    for ea, ra, fa in triples:
-        for eb, rb, fb in triples:
-            by_extent = ea & ~eb == 0
-            if by_extent != (ra & ~rb == 0) or by_extent != (fa & ~fb == 0):
-                return (
-                    f"{env.names(ea)} vs {env.names(eb)}: "
-                    "the three order criteria disagree"
-                )
+    nodes = list(env.lat.nodes)
+    exts = [node.extent.bits for node in nodes]
+    by_grsp = _up_sets([node.grsp.table for node in nodes])
+    by_gfcp = _up_sets([node.gfcp.table for node in nodes])
+    for ea, up, r, f in zip(exts, _up_sets(exts), by_grsp, by_gfcp):
+        bad = (up ^ r) | (up ^ f)
+        if bad:
+            eb = exts[(bad & -bad).bit_length() - 1]
+            return (
+                f"{env.names(ea)} vs {env.names(eb)}: "
+                "the three order criteria disagree"
+            )
     return None
 
 
@@ -592,34 +638,37 @@ def _class_scan(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ..
     """Extent bits -> irreducible members, over every signed subset of M."""
     m = ctx.n_attributes
     full = (1 << ctx.n_objects) - 1
-    unit = full if mode == "conjunction" else 0
-    pick = (lambda a, b: a & b) if mode == "conjunction" else (lambda a, b: a | b)
-
-    lit_bits = [[full ^ ctx.cols[j], ctx.cols[j]] for j in range(m)]
+    # mask bit j is literal m_j, bit m + j its negation.  A disjunction's
+    # extent is kept complemented, as the conjunction of the negated
+    # literals, so both modes fold with & from G and compare alike.
+    flip = 0 if mode == "conjunction" else full
+    lit = [col ^ flip for col in ctx.cols] + [col ^ full ^ flip for col in ctx.cols]
+    ext = [full] * (1 << 2 * m)
+    member = bytearray(len(ext))
+    member[0] = 1
+    for mask in range(1, len(ext)):
+        low = mask & -mask
+        rest = mask ^ low
+        whole = ext[mask] = ext[rest] & lit[low.bit_length() - 1]
+        # a member's leave-one-out subsets are members too, so a set whose
+        # rest is no member, or has its extent, is out at once
+        if not member[rest] or rest and ext[rest] == whole:
+            continue
+        for sub in _one_smaller(rest):
+            if ext[sub | low] == whole:
+                break
+        else:
+            member[mask] = 1
+    half = (1 << m) - 1
     found: dict[int, list[LiteralSet]] = {}
-    for pos in range(1 << m):
-        for neg in range(1 << m):
-            chosen = [(j, 1) for j in range(m) if (pos >> j) & 1] + [
-                (j, 0) for j in range(m) if (neg >> j) & 1
-            ]
-            exts = [lit_bits[j][s] for j, s in chosen]
-            whole = unit
-            for e in exts:
-                whole = pick(whole, e)
-            if len(exts) > 1:
-                # prefix/suffix folds give every leave-one-out extent in O(n)
-                n = len(exts)
-                prefix = [unit] * (n + 1)
-                for i in range(n):
-                    prefix[i + 1] = pick(prefix[i], exts[i])
-                suffix = [unit] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    suffix[i] = pick(suffix[i + 1], exts[i])
-                if any(pick(prefix[i], suffix[i + 1]) == whole for i in range(n)):
-                    continue
-            found.setdefault(whole, []).append(
-                LiteralSet(BitSet(pos, m), BitSet(neg, m))
-            )
+    # members in (pos, neg) order, so the classes are keyed as they always were
+    for mask in sorted(
+        (mask for mask, kept in enumerate(member) if kept),
+        key=lambda mask: (mask & half, mask >> m),
+    ):
+        found.setdefault(ext[mask] ^ flip, []).append(
+            LiteralSet(BitSet(mask & half, m), BitSet(mask >> m, m))
+        )
     return {
         ext: tuple(sorted(members, key=lambda s: (s.size, s.pos.bits, s.neg.bits)))
         for ext, members in found.items()

@@ -5,9 +5,10 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcl.oracle as oracle
 from strategies import contexts
 from gcl import (
     BitSet,
@@ -24,6 +25,8 @@ from gcl import (
     random_context,
     verify_laws,
 )
+from gcl.irreducibles import _all_classes
+from gcl.oracle import _CLASS_SCAN_CAP, _class_scan, _up_sets
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
 
@@ -141,6 +144,129 @@ def test_corrupted_edge_is_caught(t1):
         ),
     )
     assert not rep.all_passed
+
+
+def _flip_minterm(lat, field, block_set, minterm):
+    nodes = list(lat.nodes)
+    node = nodes[block_set]
+    tables = {"grsp": node.grsp, "gfcp": node.gfcp}
+    tables[field] = CanonicalForm(lat.context.n_attributes, tables[field].table ^ 1 << minterm)
+    nodes[block_set] = type(node)(node.block_set, node.extent, tables["grsp"], tables["gfcp"])
+    return type(lat)(
+        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
+    )
+
+
+def _grsp_gains_a_row(monkeypatch, lat):
+    # the node of every block but block 0 takes block 0's row: its grsp
+    # becomes the top's
+    row = lat.partition.blocks[0].intent.bits
+    return _flip_minterm(lat, "grsp", len(lat.nodes) - 2, row)
+
+
+def _gfcp_loses_its_row(monkeypatch, lat):
+    # block 0's own node drops its row: its gfcp becomes the bottom's
+    return _flip_minterm(lat, "gfcp", 1, lat.partition.blocks[0].intent.bits)
+
+
+def _edge_dropped(monkeypatch, lat):
+    return type(lat)(
+        lat.context,
+        lat.partition,
+        lat.nodes,
+        tuple(lat.hasse_edges)[1:],
+        lat.zero_rho,
+        lat.one_eta,
+    )
+
+
+def _intent_not_antitone(monkeypatch, lat):
+    real = oracle.intent_of
+
+    def intent_of(ctx, xs):
+        # the empty set should derive all of M
+        return BitSet(0, ctx.n_attributes) if not xs.bits else real(ctx, xs)
+
+    monkeypatch.setattr(oracle, "intent_of", intent_of)
+    return lat
+
+
+def _scan_misses_a_member(monkeypatch, lat):
+    real = oracle._class_scan
+
+    def class_scan(ctx, mode):
+        classes = dict(real(ctx, mode))
+        ext = max(classes)
+        classes[ext] = classes[ext][:-1]
+        return classes
+
+    monkeypatch.setattr(oracle, "_class_scan", class_scan)
+    return lat
+
+
+@pytest.mark.parametrize(
+    "corrupt, laws",
+    [
+        (_intent_not_antitone, {"operator-monotonicity"}),
+        (
+            _grsp_gains_a_row,
+            {"order-criterion-agreement", "bound-recursion", "conjugation-involution"},
+        ),
+        (
+            _gfcp_loses_its_row,
+            {"order-criterion-agreement", "bound-recursion", "conjugation-involution"},
+        ),
+        (_edge_dropped, {"extent-family-closure"}),
+        (_scan_misses_a_member, {"negation-swap"}),
+    ],
+)
+def test_each_sweep_law_catches_its_fault(t1, monkeypatch, corrupt, laws):
+    assert blocks(t1).n_f == 3
+    rep = verify_laws(t1, corrupt(monkeypatch, build_gcl(t1)))
+    witnesses = {r.law: r.witness for r in rep.failures()}
+    assert laws <= set(witnesses)
+    assert all(witnesses[law] for law in laws)
+
+
+_WIDE_BITS = (0, 1, 5, 1 << 19, (1 << 20) - 1)
+# a 2^20-bit table with every bit set except those the keys choose from
+_WIDE_FILL = ((1 << (1 << 20)) - 1) ^ sum(1 << b for b in _WIDE_BITS)
+
+
+@given(st.lists(st.frozensets(st.sampled_from(_WIDE_BITS)), max_size=10), st.booleans())
+@example([], False)
+@example([frozenset()], False)
+@example([frozenset({5})], True)
+@example([frozenset(), frozenset({1, 5}), frozenset(), frozenset({1, 5})], False)
+@example([frozenset({(1 << 20) - 1}), frozenset(), frozenset(_WIDE_BITS)], True)
+@settings(max_examples=60, deadline=None)
+def test_up_sets_match_the_pairwise_order(picks, wide):
+    keys = [(_WIDE_FILL if wide else 0) | sum(1 << b for b in bits) for bits in picks]
+    expected = [sum(1 << j for j, b in enumerate(keys) if a & ~b == 0) for a in keys]
+    assert _up_sets(keys) == expected
+
+
+def test_class_scan_at_its_cap_is_one_sweep():
+    # the scan used to refold each of the 4^8 signed sets: 1.1 s
+    ctx = random_context(1, 10, _CLASS_SCAN_CAP, 0.5)
+    _class_scan.cache_clear()
+    start = time.process_time()
+    for mode in ("conjunction", "disjunction"):
+        _class_scan(ctx, mode)
+    assert time.process_time() - start < 0.5
+
+
+def test_laws_at_the_family_cap_stay_cheap():
+    # n_F 10, m 8: the pairwise laws and the class scan took 2.0 s
+    ctx = random_context(1, 10, 8, 0.5)
+    assert blocks(ctx).n_f == 10
+    _class_scan.cache_clear()
+    _all_classes.cache_clear()
+    start = time.process_time()
+    rep = verify_laws(ctx)
+    assert time.process_time() - start < 1.0
+    assert len(rep.laws) == 17
+    assert rep.all_passed
 
 
 def test_report_as_dict_round_trips(t1):

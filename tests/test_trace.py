@@ -26,7 +26,7 @@ def test_traced_commands_exit_0(tmp_path):
     plain = ROOT / "tests" / "golden" / "export_plain.csv"
     names = set()
     for argv in (
-        ["verify", str(ctx)],
+        ["verify", str(ctx), "--json"],
         ["build", str(ctx), "--format", "json"],
         ["build", str(plain), "--format", "json"],
     ):
@@ -34,7 +34,15 @@ def test_traced_commands_exit_0(tmp_path):
             [*traced, repr(time.monotonic()), *argv], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        names |= {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+        spans = [span[0] for span in json.loads(spans_file.read_text())["spans"]]
+        names |= set(spans)
+        if argv[0] == "verify":
+            # perfbench times each law by rewrapping oracle.LAWS' run functions
+            laws = [law["law"] for law in json.loads(proc.stdout)["laws"]]
+            assert len(laws) == 19
+            assert sorted(s for s in spans if s.startswith("oracle.law.")) == sorted(
+                f"oracle.law.{law}" for law in laws
+            )
     assert {
         "cli.main",
         "cli.export_lattice",
