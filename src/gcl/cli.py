@@ -181,24 +181,25 @@ def _property(lat: ClassicalLattice, attributes, intent: int) -> str:
     return " | ".join(_picked(attributes, intent)) or "0"
 
 
-def _node_bounds(lat: GclLattice, escape):
+def _node_bounds(lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT):
     """bound(ks, rows, which): node ks's grsp or gfcp text, as escaped runs.
 
     rows is the node's row table.  A plain bound's runs come from the
-    literal-term tables, escaped here once per export; a reduced bound
-    (see _fancy) is rendered and escaped whole.
+    literal-term tables, escaped here once per export, and are rendered
+    as they are read; a reduced bound (see _fancy) is rendered and
+    escaped whole by the call, so its invariant check comes first.
     """
     ctx, part = lat.context, lat.partition
     m = ctx.n_attributes
     empty = lat.zero_rho.table
-    if _fancy(lat, _PRETTY_BLOCK_LIMIT):
+    if _fancy(lat, block_limit):
 
         def bound(ks, rows, which):
             if which == "grsp":
                 rows |= empty
             extent = BitSet(part.union(ks), ctx.n_objects)
             cf = CanonicalForm(m, rows)
-            yield escape(_bound_pretty(ctx, extent, cf, which, True))
+            return (escape(_bound_pretty(ctx, extent, cf, which, True)),)
 
         return bound
     full = empty | lat.one_eta.table
@@ -602,12 +603,15 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    """Describe one node.  Everything that may refuse or fail runs before
+    the first byte is written; the bounds and their minterm ids are then
+    written run by run, as the exporters write them."""
     ctx, lat = _load_gcl(args)
     lines = []
     if args.query is not None:
         expr = parse_expr(args.query, ctx.attributes)
         xs = eval_contextual(ctx, expr)
-        lines.append(f"query: {expr_to_str(expr, ctx.attributes)}")
+        lines.append(f"query: {expr_to_str(expr, ctx.attributes)}\n")
     else:
         names = [t.strip() for t in args.objects.split(",") if t.strip()]
         try:
@@ -622,14 +626,18 @@ def _cmd_inspect(args) -> int:
             f"{_INSPECT_ATTRIBUTE_LIMIT} attributes"
         )
     node = lat.node_of(xs)
+    ks = node.block_set
 
-    lines.append(f"extent: {_braced(ctx.object_names(node.extent))}")
-    in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if node.block_set >> k & 1]
-    lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)"))
-    fancy = _fancy(lat, _INSPECT_BLOCK_LIMIT)
-    for which, cf in (("grsp", node.grsp), ("gfcp", node.gfcp)):
-        pretty = _bound_pretty(ctx, node.extent, cf, which, fancy)
-        lines.append(f"{which}: {pretty}  (minterms {cf.ids()})")
+    lines.append(f"extent: {_braced(ctx.object_names(node.extent))}\n")
+    in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
+    lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
+    rows = node.gfcp.table
+    bound = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT)
+    bounds = [
+        (which, table, bound(ks, rows, which))
+        for which, table in (("grsp", node.grsp.table), ("gfcp", rows))
+    ]
+    classes = []
     if args.irreducibles:
         cc = irreducible_conjunctions(ctx, xs)
         dd = irreducible_disjunctions(ctx, xs)
@@ -638,8 +646,15 @@ def _cmd_inspect(args) -> int:
                 body = ", ".join(s.describe(ctx.attributes) for s in cls.members)
             else:
                 body = "(empty)"
-            lines.append(f"{label} class: {body}")
-    _emit("\n".join(lines) + "\n", None)
+            classes.append(f"{label} class: {body}\n")
+    write = sys.stdout.write
+    write("".join(lines))
+    ids = _id_strings(ctx.n_attributes)
+    for which, table, runs in bounds:
+        write(f"{which}: ")
+        for run in chain(runs, ["  (minterms ["], _id_runs(table, ids, ", "), ["])\n"]):
+            write(run)
+    write("".join(classes))
     return EXIT_OK
 
 

@@ -12,12 +12,13 @@ block of row-identical objects.  Consequences used throughout:
 * meet and join are intersection and union of extents, and the cover
   relation is "differs in exactly one block".
 
-Each node therefore stores its block subset as an int id; node ids
-double as indices into the lattice's node sequence.  Nodes are built on
-demand: ``build_gcl`` only partitions the context and computes the two
-minterm tables, a node costs O(n_F) int operations when it is first
-read, at any n_F, and the cover pairs are generated as they are
-iterated.  Only walking all 2^n_F nodes or covers is refused past the
+Each node therefore stores its block subset as an int id and no 2^m-bit
+table: its bounds are computed from the block rows each time they are
+read.  Node ids double as indices into the lattice's node sequence.
+Nodes are built on demand: ``build_gcl`` only partitions the context and
+computes the two minterm tables, a node costs O(n_F) int operations when
+it is first read, at any n_F, and the cover pairs are generated as they
+are iterated.  Only walking all 2^n_F nodes or covers is refused past the
 node cap of 20 blocks.  Block sets are mapped to extents and back only
 through ``BlockPartition.union`` and ``block_set_of`` in ``context``,
 and to their gfcp tables only through ``BlockPartition.row_table``.
@@ -48,13 +49,26 @@ class GeneralConcept(Value):
 
     grsp is the largest composite attribute whose extent is exactly the
     node's extent, gfcp the smallest; every composite attribute with this
-    extent sits between them.
+    extent sits between them.  Neither is stored: gfcp is the table of the
+    rows of the node's blocks, grsp the complement of the rows of all
+    other blocks (the gfcp rows plus the extent-free minterms of
+    zero_rho), each computed from the partition when read.
     """
 
     block_set: int
     extent: BitSet
-    grsp: CanonicalForm
-    gfcp: CanonicalForm
+    partition: BlockPartition
+    n_attributes: int
+
+    @property
+    def gfcp(self) -> CanonicalForm:
+        return CanonicalForm(self.n_attributes, self.partition.row_table(self.block_set))
+
+    @property
+    def grsp(self) -> CanonicalForm:
+        part, m = self.partition, self.n_attributes
+        others = part.row_table(self.block_set ^ ((1 << part.n_f) - 1))
+        return CanonicalForm(m, others ^ ((1 << (1 << m)) - 1))
 
 
 class _View(Collection):
@@ -96,13 +110,12 @@ class _Nodes(_View, Sequence):
     dagger return the very node objects the sequence hands out.
     """
 
-    __slots__ = ("_ctx", "_part", "_empty", "_built")
+    __slots__ = ("_ctx", "_part", "_built")
 
-    def __init__(self, ctx: FormalContext, part: BlockPartition, empty_table: int):
+    def __init__(self, ctx: FormalContext, part: BlockPartition):
         self._nf, self._n = part.n_f, 1 << part.n_f
         self._ctx = ctx
         self._part = part
-        self._empty = empty_table
         self._built: dict[int, GeneralConcept] = {}
 
     def __getitem__(self, i) -> GeneralConcept:
@@ -114,7 +127,7 @@ class _Nodes(_View, Sequence):
             raise IndexError(f"index {i} out of range for {n} items")
         node = self._built.get(i)
         if node is None:
-            node = self._built[i] = _concept(self._ctx, self._part, i, self._empty)
+            node = self._built[i] = _concept(self._ctx, self._part, i)
         return node
 
     def _walk(self):
@@ -191,17 +204,9 @@ def extent_family(ctx: FormalContext) -> list[BitSet]:
     return [BitSet(part.union(ks), ctx.n_objects) for ks in range(1 << part.n_f)]
 
 
-def _concept(
-    ctx: FormalContext, part: BlockPartition, block_set: int, empty_table: int
-) -> GeneralConcept:
-    gfcp = part.row_table(block_set)
-    m = ctx.n_attributes
-    return GeneralConcept(
-        block_set,
-        BitSet(part.union(block_set), ctx.n_objects),
-        CanonicalForm(m, gfcp | empty_table),
-        CanonicalForm(m, gfcp),
-    )
+def _concept(ctx: FormalContext, part: BlockPartition, block_set: int) -> GeneralConcept:
+    extent = BitSet(part.union(block_set), ctx.n_objects)
+    return GeneralConcept(block_set, extent, part, ctx.n_attributes)
 
 
 def general_concept(ctx: FormalContext, xs: BitSet) -> GeneralConcept:
@@ -225,7 +230,7 @@ def build_gcl(
     return GclLattice(
         ctx,
         part,
-        _Nodes(ctx, part, empty),
+        _Nodes(ctx, part),
         _Edges(part.n_f),
         CanonicalForm(m, empty),
         CanonicalForm(m, realized),

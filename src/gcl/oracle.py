@@ -130,9 +130,21 @@ class OracleReport(Value):
 
 
 def context_digest(ctx: FormalContext) -> str:
-    import hashlib  # imported here: its C module costs every command's start-up
+    """The SHA-256 hex digest of ctx's cxt serialisation.
 
-    return hashlib.sha256(context_to_cxt(ctx).encode()).hexdigest()
+    It comes from the interpreter's own SHA-256 module: hashlib would load
+    OpenSSL's libcrypto for this one small digest, which raised a verify's
+    peak memory by about 4 MB (Python 3.11 on x86-64 Linux).  hashlib is
+    only the fallback for an interpreter built without that module.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(context_to_cxt(ctx).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +166,16 @@ class _Env:
         for i, row in enumerate(self.ctx.rows):
             ae[row] |= 1 << i
         return ae
+
+    @cached_property
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """(grsp tables, gfcp tables) of the nodes, by position.
+
+        A node computes its bounds when read, so the node laws read each
+        one once here.
+        """
+        nodes = self.lat.nodes
+        return [a.grsp.table for a in nodes], [a.gfcp.table for a in nodes]
 
     def eval_table(self, table: int) -> int:
         # a minterm that is no row has an empty extent, so only rows are read
@@ -363,10 +385,10 @@ def _law_concept_reconstruction(env: _Env):
 
 
 def _law_extent_fixpoint(env: _Env):
-    for node in env.lat.nodes:
-        if env.eval_table(node.grsp.table) != node.extent.bits:
+    for node, grsp, gfcp in zip(env.lat.nodes, *env.bounds):
+        if env.eval_table(grsp) != node.extent.bits:
             return f"X={env.names(node.extent.bits)}: grsp does not evaluate back"
-        if env.eval_table(node.gfcp.table) != node.extent.bits:
+        if env.eval_table(gfcp) != node.extent.bits:
             return f"X={env.names(node.extent.bits)}: gfcp does not evaluate back"
     return None
 
@@ -435,18 +457,39 @@ def _law_intrinsic_order(env: _Env):
     return None
 
 
+def _stray_block_set(env: _Env):
+    """A witness naming the first block set outside the blocks, if any.
+
+    The laws that index nodes by block set check this first, so such a
+    node fails them instead of raising IndexError (or, if negative,
+    looping over its submasks).
+    """
+    n_f = env.lat.partition.n_f
+    for node in env.lat.nodes:
+        if node.block_set < 0 or node.block_set >> n_f:
+            return f"block set 0x{node.block_set:x} lies outside the {n_f} blocks"
+    return None
+
+
 def _law_dagger(env: _Env):
+    stray = _stray_block_set(env)
+    if stray:
+        return stray
     lat = env.lat
     nodes = lat.nodes
-    for a in nodes:
+    grsp, gfcp = env.bounds
+    # an image's bounds are read from the lists at its position
+    at = {id(a): i for i, a in enumerate(nodes)}
+    for a, ga, fa in zip(nodes, grsp, gfcp):
         image = dagger(lat, a)
-        if dagger(lat, image) is not a:
+        j = at.get(id(image))
+        if j is None or dagger(lat, image) is not a:
             return f"X={env.names(a.extent.bits)}: conjugation is not an involution"
         if image.extent.bits != env.full_g ^ a.extent.bits:
             return f"X={env.names(a.extent.bits)}: conjugate extent is not the complement"
-        if image.grsp.table != env.full_t ^ a.gfcp.table:
+        if grsp[j] != env.full_t ^ fa:
             return f"X={env.names(a.extent.bits)}: conjugate grsp is not the negated gfcp"
-        if image.gfcp.table != env.full_t ^ a.grsp.table:
+        if gfcp[j] != env.full_t ^ ga:
             return f"X={env.names(a.extent.bits)}: conjugate gfcp is not the negated grsp"
     full = len(nodes) - 1
     sets = [a.block_set for a in nodes]
@@ -469,48 +512,50 @@ def _law_dagger(env: _Env):
 
 
 def _law_bound_recursion(env: _Env):
-    nodes = list(env.lat.nodes)
-    grsp = [node.grsp.table for node in nodes]
-    gfcp = [node.gfcp.table for node in nodes]
+    stray = _stray_block_set(env)
+    if stray:
+        return stray
+    grsp, gfcp = env.bounds
     full = (1 << env.lat.partition.n_f) - 1
-    for node in nodes:
+    for i, node in enumerate(env.lat.nodes):
         ks = node.block_set
         if ks.bit_count() >= 2:
             union = 0
             for sub in _submasks(ks):
                 if sub != ks:
                     union |= grsp[sub]
-            if union != node.grsp.table:
+            if union != grsp[i]:
                 return f"X={env.names(node.extent.bits)}: grsp is not the union below"
         if (full ^ ks).bit_count() >= 2:
             inter = env.full_t
             for sub in _submasks(full ^ ks):
                 if sub != 0:
                     inter &= gfcp[ks | sub]
-            if inter != node.gfcp.table:
+            if inter != gfcp[i]:
                 return f"X={env.names(node.extent.bits)}: gfcp is not the intersection above"
     return None
 
 
 def _law_block_cover(env: _Env):
     lat = env.lat
+    grsp, gfcp = env.bounds
     nf = lat.partition.n_f
     full = (1 << nf) - 1
-    for node in lat.nodes:
+    for i, node in enumerate(lat.nodes):
         ks = node.block_set
         if ks:
             union = 0
             for k in range(nf):
                 if ks & (1 << k):
-                    union |= lat.nodes[1 << k].grsp.table
-            if union != node.grsp.table:
+                    union |= grsp[1 << k]
+            if union != grsp[i]:
                 return f"X={env.names(node.extent.bits)}: grsp is not the union of its blocks"
         if ks != full:
             inter = env.full_t
             for k in range(nf):
                 if not ks & (1 << k):
-                    inter &= lat.nodes[full ^ (1 << k)].gfcp.table
-            if inter != node.gfcp.table:
+                    inter &= gfcp[full ^ (1 << k)]
+            if inter != gfcp[i]:
                 return (
                     f"X={env.names(node.extent.bits)}: "
                     "gfcp is not the intersection of its co-blocks"
@@ -522,15 +567,14 @@ def _law_single_block(env: _Env):
     lat = env.lat
     nf = lat.partition.n_f
     full = (1 << nf) - 1
+    grsp, gfcp = env.bounds
     rows = [b.intent.bits for b in lat.partition.blocks]
     if len(set(rows)) != nf:
         return "block rows are not distinct"
     for k in range(nf):
-        node = lat.nodes[1 << k]
-        if node.gfcp.table != 1 << rows[k]:
+        if gfcp[1 << k] != 1 << rows[k]:
             return f"block {k}: gfcp is not its single row minterm"
-        other = lat.nodes[full ^ (1 << k)]
-        if other.grsp.table != env.full_t ^ (1 << rows[k]):
+        if grsp[full ^ (1 << k)] != env.full_t ^ (1 << rows[k]):
             return f"block {k}: complement grsp keeps the row minterm"
     return None
 
@@ -552,27 +596,28 @@ def _law_constants_decomposition(env: _Env):
     if one.table != lat.one_eta.table:
         return "the full-extent disjunction class does not multiply to one_eta"
 
+    grsp, gfcp = env.bounds
     nf = lat.partition.n_f
     full = (1 << nf) - 1
     for k in range(nf):
         block = lat.nodes[1 << k]
         base = irreducible_conjunctions(ctx, block.extent).members
         rho0 = to_canonical(disj(s.conjunction() for s in base), m)
-        if rho0.table | lat.zero_rho.table != block.grsp.table:
+        if rho0.table | lat.zero_rho.table != grsp[1 << k]:
             return f"block {k}: reduced sum plus zero_rho misses grsp"
         conode = lat.nodes[full ^ (1 << k)]
         cobase = irreducible_disjunctions(ctx, conode.extent).members
         eta0 = to_canonical(conj(s.disjunction() for s in cobase), m)
-        if eta0.table & lat.one_eta.table != conode.gfcp.table:
+        if eta0.table & lat.one_eta.table != gfcp[full ^ (1 << k)]:
             return f"block {k}: reduced product times one_eta misses gfcp"
     return None
 
 
 def _law_order_agreement(env: _Env):
-    nodes = list(env.lat.nodes)
-    exts = [node.extent.bits for node in nodes]
-    by_grsp = _up_sets([node.grsp.table for node in nodes])
-    by_gfcp = _up_sets([node.gfcp.table for node in nodes])
+    grsp, gfcp = env.bounds
+    exts = [node.extent.bits for node in env.lat.nodes]
+    by_grsp = _up_sets(grsp)
+    by_gfcp = _up_sets(gfcp)
     for ea, up, r, f in zip(exts, _up_sets(exts), by_grsp, by_gfcp):
         bad = (up ^ r) | (up ^ f)
         if bad:

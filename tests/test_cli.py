@@ -8,7 +8,22 @@ import sys
 
 import pytest
 
-from gcl import TOP, LawResult, OracleReport
+from gcl import (
+    TOP,
+    BitSet,
+    FormalContext,
+    LawResult,
+    OracleReport,
+    blocks,
+    build_fcl,
+    build_gcl,
+    build_rsl,
+    context_to_cxt,
+    irreducible_conjunctions,
+    irreducible_disjunctions,
+    random_context,
+    recover_classical,
+)
 from gcl import cli
 from gcl.cli import main
 
@@ -245,6 +260,29 @@ def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
     ]
 
 
+def test_compare_agrees_on_duplicate_rows(capsys, tmp_path):
+    # 240 objects over 12 distinct rows: every node is a union of blocks of
+    # 20 objects, and the recovered extents must still be whole blocks
+    distinct = (0, 1, 3, 6, 12, 24, 48, 63, 21, 42, 17, 34)
+    ctx = FormalContext(
+        tuple(f"g{i}" for i in range(240)),
+        tuple(f"m{j}" for j in range(6)),
+        distinct * 20,
+    )
+    assert blocks(ctx).n_f == 12
+    p = tmp_path / "dup.cxt"
+    p.write_text(context_to_cxt(ctx))
+    code, out, _ = run(capsys, "compare", str(p))
+    assert code == 0
+    assert out.splitlines() == [
+        f"fcl: routes agree on {len(build_fcl(ctx).concepts)} concepts",
+        f"rsl: routes agree on {len(build_rsl(ctx).concepts)} concepts",
+    ]
+    lat = build_gcl(ctx)
+    assert recover_classical(lat, "fcl") == build_fcl(ctx)
+    assert recover_classical(lat, "rsl") == build_rsl(ctx)
+
+
 def test_build_refuses_names_with_line_breaks(capsys, tmp_path):
     # quoted csv fields may hold a line break, which no cxt name can
     p = tmp_path / "broken.csv"
@@ -348,10 +386,110 @@ def test_inspect_empty_class_is_marked(capsys, t1_path):
     assert "disjunction class: (empty)" in out.splitlines()
 
 
+def _inspect_reference(ctx, xs, irreducibles):
+    """inspect's output as it was built before it was streamed: whole lines
+    joined at the end, each bound from _bound_pretty, its ids from ids()."""
+    lat = build_gcl(ctx)
+    node = lat.node_of(xs)
+    lines = ["extent: {" + ", ".join(ctx.object_names(node.extent)) + "}"]
+    in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if node.block_set >> k & 1]
+    lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)"))
+    fancy = cli._fancy(lat, cli._INSPECT_BLOCK_LIMIT)
+    for which, cf in (("grsp", node.grsp), ("gfcp", node.gfcp)):
+        pretty = cli._bound_pretty(ctx, node.extent, cf, which, fancy)
+        lines.append(f"{which}: {pretty}  (minterms {cf.ids()})")
+    if irreducibles:
+        for label, find in (
+            ("conjunction", irreducible_conjunctions),
+            ("disjunction", irreducible_disjunctions),
+        ):
+            members = find(ctx, xs).members
+            body = ", ".join(s.describe(ctx.attributes) for s in members)
+            lines.append(f"{label} class: {body or '(empty)'}")
+    return "\n".join(lines) + "\n"
+
+
+# (objects, attributes, fancy): reduced bounds at n_F <= 12 and m <= 10,
+# plain ones past either limit, and m above _TERM_SPLIT, where a bound and
+# its id list are written in several runs
+INSPECT_SHAPES = [
+    (5, 0, True),
+    (4, 1, True),
+    (6, 3, True),
+    (12, 8, True),
+    (40, 6, False),
+    (16, 10, False),
+    (6, 11, False),
+    (30, 13, False),
+    (5, 16, False),
+]
+
+
+@pytest.mark.parametrize(
+    "n, m, fancy", INSPECT_SHAPES, ids=[f"{n}x{m}" for n, m, _ in INSPECT_SHAPES]
+)
+def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy):
+    assert m <= cli._TERM_SPLIT or not fancy
+    ctx = random_context(n + 100 * m, n, m, 0.5)
+    assert cli._fancy(build_gcl(ctx), cli._INSPECT_BLOCK_LIMIT) == fancy
+    p = tmp_path / "ctx.cxt"
+    p.write_text(context_to_cxt(ctx))
+    exts = [b.extent.bits for b in blocks(ctx).blocks]
+    # the empty extent (an empty gfcp), every object (a full grsp) and
+    # every other block
+    for bits in sorted({0, (1 << n) - 1, sum(exts[::2])}):
+        xs = BitSet(bits, n)
+        flags = ["--irreducibles"] if m <= 10 else []
+        code, out, err = run(
+            capsys, "inspect", str(p), "--objects", ",".join(ctx.object_names(xs)), *flags
+        )
+        assert (code, err) == (0, "")
+        assert out == _inspect_reference(ctx, xs, bool(flags))
+
+
+def test_wide_inspect_is_written_in_runs(tmp_path, monkeypatch):
+    # m 16: a bound of the empty extent lists nearly 2^16 minterms, written
+    # a slice of 2^_TERM_SPLIT at a time, never as one string
+    ctx = random_context(7, 5, 16, 0.5)
+    p = tmp_path / "wide.cxt"
+    p.write_text(context_to_cxt(ctx))
+    sizes = []
+
+    class Out:
+        def write(self, text):
+            sizes.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["inspect", str(p), "--objects", ""]) == 0
+    assert sum(sizes) > 4 * 10**6
+    assert max(sizes) < sum(sizes) / 50
+
+
+def test_inspect_cap_refusals_write_nothing(capsys, t1_path, tmp_path):
+    code, out, err = run(capsys, "inspect", t1_path, "--objects", "g1", "--max-m", "1")
+    assert (code, out) == (3, "")
+    assert "2 attributes exceed the canonical-form cap of 1" in err
+    # 11 attributes: the irreducible classes are refused after the bounds
+    # are rendered, but before they are written
+    p = tmp_path / "m11.cxt"
+    names = ["g1", "g2"] + [f"m{j}" for j in range(11)]
+    p.write_text("B\n\n2\n11\n\n" + "\n".join(names + ["X" * 11, "." * 11]) + "\n")
+    code, out, err = run(capsys, "inspect", str(p), "--objects", "g1", "--irreducibles")
+    assert (code, out) == (3, "")
+    assert "11 attributes exceed the irreducibles cap of 10" in err
+
+
+def test_inspect_broken_reduced_bound_writes_nothing(capsys, t1_path, monkeypatch):
+    monkeypatch.setattr("gcl.cli.simplified_intent", lambda *args: TOP)
+    code, out, err = run(capsys, "inspect", t1_path, "--objects", "g1")
+    assert (code, out) == (4, "")
+    assert "does not match its canonical bound" in err
+
+
 def test_inspect_unknown_name(capsys, t1_path):
     for names in ("g9", "g1, g9"):
-        code, _, err = run(capsys, "inspect", t1_path, "--objects", names)
-        assert code == 2
+        code, out, err = run(capsys, "inspect", t1_path, "--objects", names)
+        assert (code, out) == (2, "")
         assert "unknown name 'g9'" in err
 
 
@@ -367,14 +505,14 @@ def test_internal_key_error_is_not_an_unknown_name(capsys, t1_path, monkeypatch)
 def test_inspect_non_block_union(capsys, tmp_path):
     p = tmp_path / "dup.cxt"
     p.write_text("B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nX.\n.X\n")
-    code, _, err = run(capsys, "inspect", str(p), "--objects", "g1")
-    assert code == 2
+    code, out, err = run(capsys, "inspect", str(p), "--objects", "g1")
+    assert (code, out) == (2, "")
     assert "not a union of blocks" in err
 
 
 def test_inspect_bad_query(capsys, t1_path):
-    code, _, err = run(capsys, "inspect", t1_path, "--query", "a &")
-    assert code == 2
+    code, out, err = run(capsys, "inspect", t1_path, "--query", "a &")
+    assert (code, out) == (2, "")
     assert "column" in err
 
 

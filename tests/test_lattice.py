@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from strategies import contexts, wide_contexts
 from gcl import (
     BitSet,
+    CanonicalForm,
     CapExceeded,
     FormalContext,
     NotAGeneralExtent,
@@ -21,6 +22,7 @@ from gcl import (
     leq,
     meet,
     parse_expr,
+    random_context,
 )
 from gcl.context import block_set_of, blocks
 from gcl.oracle import _hasse
@@ -200,6 +202,36 @@ def test_no_attributes():
     assert len(lat.nodes) == 2  # one block: everything or nothing
     assert lat.sup.grsp.ids() == [0]
     assert lat.inf.grsp.ids() == []
+
+
+def test_built_node_holds_no_table(t1):
+    # a node is its block set: the bounds are computed when read, so 2^n_F
+    # cached nodes hold no 2^m-bit table each
+    lat = build_gcl(t1)
+    for n in lat.nodes:
+        assert set(vars(n)) == {"block_set", "extent", "partition", "n_attributes"}
+        assert not any(isinstance(v, CanonicalForm) for v in vars(n).values())
+        assert n.partition is lat.partition
+
+
+def _bounds_match_the_block_rows(ctx):
+    lat = build_gcl(ctx)
+    part, m = lat.partition, ctx.n_attributes
+    for ks, n in enumerate(lat.nodes):
+        rows = part.row_table(ks)
+        assert n.gfcp == CanonicalForm(m, rows)
+        assert n.grsp == CanonicalForm(m, rows | lat.zero_rho.table)
+
+
+@given(contexts(max_objects=8, max_attributes=5))
+def test_bounds_are_computed_from_the_block_rows(ctx):
+    _bounds_match_the_block_rows(ctx)
+
+
+def test_bounds_are_computed_from_the_block_rows_at_eight_blocks():
+    ctx = random_context(0, 8, 5, 0.5)
+    assert blocks(ctx).n_f == 8
+    _bounds_match_the_block_rows(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcl.oracle as oracle
-from strategies import contexts
+from strategies import contexts, hostile_contexts
 from gcl import (
     BitSet,
     CanonicalForm,
@@ -113,11 +114,17 @@ def test_order_law_is_skipped_past_its_size_gate():
     assert rep.all_passed
 
 
+def _forged(node, **fields):
+    """A stand-in for node that stores its bounds, with fields replaced: a
+    GeneralConcept computes its bounds, so it cannot carry a wrong one."""
+    kept = dict(block_set=node.block_set, extent=node.extent, grsp=node.grsp, gfcp=node.gfcp)
+    return SimpleNamespace(**{**kept, **fields})
+
+
 def test_corrupted_bound_is_caught(t1):
     lat = build_gcl(t1)
     nodes = list(lat.nodes)
-    node = nodes[1]
-    nodes[1] = type(node)(node.block_set, node.extent, CanonicalForm(2, 0b1111), node.gfcp)
+    nodes[1] = _forged(nodes[1], grsp=CanonicalForm(2, 0b1111))
     rep = verify_laws(
         t1,
         type(lat)(
@@ -149,9 +156,8 @@ def test_corrupted_edge_is_caught(t1):
 def _flip_minterm(lat, field, block_set, minterm):
     nodes = list(lat.nodes)
     node = nodes[block_set]
-    tables = {"grsp": node.grsp, "gfcp": node.gfcp}
-    tables[field] = CanonicalForm(lat.context.n_attributes, tables[field].table ^ 1 << minterm)
-    nodes[block_set] = type(node)(node.block_set, node.extent, tables["grsp"], tables["gfcp"])
+    table = getattr(node, field).table ^ 1 << minterm
+    nodes[block_set] = _forged(node, **{field: CanonicalForm(lat.context.n_attributes, table)})
     return type(lat)(
         lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
     )
@@ -337,6 +343,34 @@ def test_sweep_caps():
 def test_digest_is_sha256_of_serialization(t1):
     assert context_digest(t1) == hashlib.sha256(T1_CXT.encode()).hexdigest()
     assert context_to_cxt(t1) == T1_CXT
+
+
+@given(hostile_contexts())
+@settings(max_examples=60, deadline=None)
+def test_digest_is_sha256_for_any_names(ctx):
+    # built-in SHA-256, not hashlib's OpenSSL one, with the same digest
+    assert context_digest(ctx) == hashlib.sha256(context_to_cxt(ctx).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("stray", ["past n_F", "negative"])
+def test_block_set_outside_the_blocks_fails_conjugation(stray):
+    # dagger indexes the nodes by the complemented block set: one past n_F
+    # used to raise IndexError out of verify_laws, and bound-recursion
+    # indexes them by submask
+    ctx = random_context(3, 5, 3, 0.5)
+    lat = build_gcl(ctx)
+    n_f = lat.partition.n_f
+    nodes = list(lat.nodes)
+    bad = nodes[2].block_set | 1 << n_f if stray == "past n_F" else -1
+    nodes[2] = _forged(nodes[2], block_set=bad)
+    forged = type(lat)(
+        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
+    )
+    rep = verify_laws(ctx, forged)
+    witnesses = {r.law: r.witness for r in rep.failures()}
+    witness = f"block set 0x{bad:x} lies outside the {n_f} blocks"
+    assert witnesses["conjugation-involution"] == witness
+    assert witnesses["bound-recursion"] == witness
 
 
 def test_digest_distinguishes_contexts(t1):

@@ -74,6 +74,28 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
         check=True,
     )
     assert bare.stdout == "False\n"
+    # the context digest comes from the interpreter's own SHA-256 module:
+    # hashlib would load OpenSSL's libcrypto (_hashlib), about 4 MB of peak
+    # memory; checked without site, which may load hashlib on its own
+    openssl = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, gcl.cli\n"
+            "for argv in (['verify', 't1.cxt'], ['verify', 't1.cxt', '--sweep', '--json'],\n"
+            "             ['compare', 't1.cxt'], ['inspect', 't1.cxt', '--query', 'a'],\n"
+            "             ['build', 't1.cxt', '--format', 'json']):\n"
+            "    assert gcl.cli.main(argv) == 0\n"
+            "    print('_hashlib' in sys.modules, file=sys.stderr)\n",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
+    )
+    assert openssl.stderr.splitlines() == ["False"] * 5
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

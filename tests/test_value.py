@@ -53,8 +53,13 @@ CASES = [
     (Minterm, ("m_count", "id"), lambda: (2, 3)),
     (
         GeneralConcept,
-        ("block_set", "extent", "grsp", "gfcp"),
-        lambda: (1, BitSet(1, 2), CanonicalForm(1, 3), CanonicalForm(1, 2)),
+        ("block_set", "extent", "partition", "n_attributes"),
+        lambda: (
+            1,
+            BitSet(1, 2),
+            BlockPartition((Block(BitSet(1, 2), BitSet(1, 1)), Block(BitSet(2, 2), BitSet(0, 1)))),
+            1,
+        ),
     ),
     (
         GclLattice,
