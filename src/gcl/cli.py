@@ -10,8 +10,11 @@ reader closed stdout early.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
+from functools import cache
 from itertools import chain, compress, islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -896,7 +899,16 @@ def _help(command: str | None) -> str:
     return text
 
 
+@cache
+def _freeze_at_exit() -> None:
+    # at exit, move what is still alive to the permanent generation, which
+    # the interpreter's final collections skip; once per process, as
+    # atexit.unregister would leave an empty slot behind on each call
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Usage as exc:

@@ -398,20 +398,22 @@ def _law_family_closure(env: _Env):
     have = set(exts)
     if len(have) != len(exts):
         return "duplicate node extents"
-    if len(have) != 1 << env.lat.partition.n_f:
-        return f"{len(have)} extents for {env.lat.partition.n_f} blocks"
+    n_f = env.lat.partition.n_f
+    if len(have) != 1 << n_f:
+        return f"{len(have)} extents for {n_f} blocks"
     for a in exts:
         if env.full_g ^ a not in have:
             return f"family not closed under complement at {env.names(a)}"
-        for b in exts:
-            if a | b not in have or a & b not in have:
-                return f"family not closed at {env.names(a)}, {env.names(b)}"
-    fcl = {c.extent.bits for c in build_fcl(env.ctx).concepts}
-    rsl = {c.extent.bits for c in build_rsl(env.ctx).concepts}
-    if not fcl <= have:
-        return "an intersection-lattice extent escapes the family"
-    if not rsl <= have:
-        return "a union-lattice extent escapes the family"
+    # 2^n_F distinct extents are closed under union and intersection iff
+    # they split the objects into exactly n_F classes of equal membership
+    classes = [env.full_g] if env.full_g else []
+    for a in exts:
+        classes = [part for c in classes for part in (c & a, c & ~a) if part]
+    if len(classes) != n_f:
+        return f"family not closed: {len(classes)} object classes for {n_f} blocks"
+    for build, lattice in ((build_fcl, "an intersection-lattice"), (build_rsl, "a union-lattice")):
+        if not {c.extent.bits for c in build(env.ctx).concepts} <= have:
+            return f"{lattice} extent escapes the family"
     # transitive reduction of the inclusion order over node indices; the
     # extents are distinct, so dropping i itself leaves the strict order
     up = [u & ~(1 << i) for i, u in enumerate(_up_sets(exts))]
@@ -476,11 +478,10 @@ def _law_dagger(env: _Env):
     if stray:
         return stray
     lat = env.lat
-    nodes = lat.nodes
     grsp, gfcp = env.bounds
     # an image's bounds are read from the lists at its position
-    at = {id(a): i for i, a in enumerate(nodes)}
-    for a, ga, fa in zip(nodes, grsp, gfcp):
+    at = {id(a): i for i, a in enumerate(lat.nodes)}
+    for a, ga, fa in zip(lat.nodes, grsp, gfcp):
         image = dagger(lat, a)
         j = at.get(id(image))
         if j is None or dagger(lat, image) is not a:
@@ -491,23 +492,7 @@ def _law_dagger(env: _Env):
             return f"X={env.names(a.extent.bits)}: conjugate grsp is not the negated gfcp"
         if gfcp[j] != env.full_t ^ ga:
             return f"X={env.names(a.extent.bits)}: conjugate gfcp is not the negated grsp"
-    full = len(nodes) - 1
-    sets = [a.block_set for a in nodes]
-    co = [ks ^ full for ks in sets]
-    span = 0
-    for ks in co:
-        span |= ks
-    # fwd[a] bit b: ka <= kb; rev[a] bit b: ~kb <= ~ka, read as up-sets of
-    # the complements within span, which turn the order around
-    fwd = _up_sets(sets)
-    rev = _up_sets([span ^ ks for ks in co])
-    for ka, f, r in zip(sets, fwd, rev):
-        if f != r:
-            kb = sets[((f ^ r) & -(f ^ r)).bit_length() - 1]
-            return (
-                f"block sets 0x{ka:x} vs 0x{kb:x}: "
-                "conjugation does not reverse the order"
-            )
+    # node order is extent inclusion, so complemented extents reverse it
     return None
 
 

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line driver, in process."""
 
+import atexit
+import gc
 import json
 import os
 import pathlib
@@ -886,12 +888,17 @@ def test_valid_argv_reaches_the_command_with_argparse_values(monkeypatch, argv, 
     assert [vars(args) for args in seen] == [want]
 
 
-def test_closed_stdout_exits_141_quietly(tmp_path):
+def _big_cxt(tmp_path) -> pathlib.Path:
     # 12 distinct rows over 8 attributes: a text export of several MB
     rows = [format(i * 37 % 256, "08b").replace("1", "X").replace("0", ".") for i in range(12)]
     names = [f"g{i}" for i in range(12)] + [f"m{j}" for j in range(8)]
     p = tmp_path / "big.cxt"
     p.write_text("B\n\n12\n8\n\n" + "\n".join(names + rows) + "\n")
+    return p
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    p = _big_cxt(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "gcl.cli", "build", str(p)],
@@ -904,3 +911,76 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+# --- exit ---
+
+# registered before main, so it runs after main's exit hook (last in, first out)
+_EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "def record():\n"
+    "    with open(sys.argv[1], 'w') as fh:\n"
+    "        fh.write(str(gc.get_freeze_count() > 0))\n"
+    "atexit.register(record)\n"
+    "import gcl.cli\n"
+    "sys.exit(gcl.cli.main(sys.argv[2:]))\n"
+)
+
+
+def _exit_probe(tmp_path, *argv):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    flag = tmp_path / "frozen.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _EXIT_PROBE, str(flag), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=tmp_path,
+    )
+    return proc, flag
+
+
+def test_exit_freezes_the_heap_before_earlier_handlers(tmp_path, t1_path):
+    proc, flag = _exit_probe(tmp_path, "verify", t1_path)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.startswith(b"context sha256 ")
+    assert flag.read_text() == "True"
+
+
+def test_main_leaves_the_callers_gc_state(capsys, t1_path):
+    # the freeze waits for exit: an in-process caller still collects its
+    # own cycles, and two calls add at most one exit handler
+    frozen, enabled, handlers = gc.get_freeze_count(), gc.isenabled(), atexit._ncallbacks()
+    assert main(["build", t1_path]) == 0
+    assert main(["verify", t1_path, "--json"]) == 0
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    assert atexit._ncallbacks() - handlers <= 1
+
+
+def test_child_output_matches_in_process_output(capsys, tmp_path):
+    # n_F 10, m 6: several buffers of json, all flushed at exit
+    p = tmp_path / "c.cxt"
+    p.write_text(context_to_cxt(random_context(7, 10, 6, 0.5)))
+    code, want, _ = run(capsys, "build", str(p), "--format", "json")
+    assert code == 0 and len(want) > 1 << 16
+    proc, flag = _exit_probe(tmp_path, "build", str(p), "--format", "json")
+    piped, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err, piped) == (0, b"", want.encode())
+    proc, _ = _exit_probe(tmp_path, "build", str(p), "--format", "json", "--out", "o.json")
+    assert proc.communicate(timeout=120) == (b"", b"")
+    assert proc.returncode == 0
+    assert (tmp_path / "o.json").read_bytes() == want.encode()
+    assert flag.read_text() == "True"
+
+
+def test_closed_stdout_still_freezes_and_exits_141(tmp_path):
+    proc, flag = _exit_probe(tmp_path, "build", str(_big_cxt(tmp_path)))
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert flag.read_text() == "True"

@@ -373,6 +373,22 @@ def test_block_set_outside_the_blocks_fails_conjugation(stray):
     assert witnesses["bound-recursion"] == witness
 
 
+def test_family_closed_under_complement_only_fails_closure():
+    # eight distinct extents over g1..g4, closed under complement, but
+    # {g1} | {g2} is missing: four object classes for three blocks
+    ctx = FormalContext.from_table(("g1", "g2", "g3", "g4"), ("a", "b"), ("X.", ".X", "XX", "XX"))
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == 3
+    half = (0b0000, 0b0001, 0b0010, 0b0100)
+    family = half + tuple(0b1111 ^ bits for bits in half)
+    nodes = [_forged(node, extent=BitSet(bits, 4)) for node, bits in zip(lat.nodes, family)]
+    forged = type(lat)(
+        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
+    )
+    witnesses = {r.law: r.witness for r in verify_laws(ctx, forged).failures()}
+    assert witnesses["extent-family-closure"] == "family not closed: 4 object classes for 3 blocks"
+
+
 def test_digest_distinguishes_contexts(t1):
     other = FormalContext.from_table(("g1", "g2", "g3"), ("a", "b"), ("X.", "XX", "XX"))
     assert context_digest(other) != context_digest(t1)

@@ -98,6 +98,35 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert openssl.stderr.splitlines() == ["False"] * 5
 
 
+def test_gc_and_atexit_serve_only_the_exit_freeze():
+    # cli._freeze_at_exit is the one place that touches the collector or the
+    # exit handlers.  gc.disable() and gc.collect() save nothing at exit,
+    # and os._exit would skip stdout's flush and the caller's exit handlers.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found += [
+            f"{path.name}: {call}"
+            for call in re.findall(r"os\._exit\(|gc\.disable\(|gc\.collect\(", text)
+        ]
+        tree = ast.parse(text, str(path))
+        hooks = [
+            fn for fn in tree.body
+            if path.stem == "cli" and getattr(fn, "name", None) == "_freeze_at_exit"
+        ]
+        allowed = {id(node) for fn in hooks for node in ast.walk(fn)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed
+            and (
+                isinstance(node, ast.Name) and node.id in ("gc", "atexit")
+                or isinstance(node, ast.ImportFrom) and node.module in ("gc", "atexit")
+            )
+        ]
+    assert found == []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but neither reads nor lists in __all__."""
     imported = {}
