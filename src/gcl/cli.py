@@ -14,34 +14,34 @@ import atexit
 import gc
 import os
 import sys
-from functools import cache
+from functools import cache, partial, reduce
 from itertools import chain, compress, islice
+from operator import and_, or_
 from pathlib import Path
 from types import SimpleNamespace
 
-from .bitset import BitSet
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
 from .context import FormalContext, context_to_cxt, parse_context
 from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
 from .exprs import (
     DEFAULT_CANONICAL_CAP,
-    CanonicalForm,
     _selectors,
     _slice_runs,
+    _term_length,
     _term_runs,
     _term_tables,
     _TERM_SPLIT,
-    canonical_to_str,
     eval_contextual,
     expr_to_str,
     parse_expr,
-    to_canonical,
 )
 from .irreducibles import (
     DEFAULT_IRREDUCIBLES_CAP,
+    _keeps,
+    _members,
+    _selection,
     irreducible_conjunctions,
     irreducible_disjunctions,
-    simplified_intent,
 )
 from .lattice import GclLattice, build_gcl
 from .oracle import enumerate_mstar, random_context, verify_laws
@@ -76,25 +76,67 @@ _RANDOM_CELL_CAP = 10**7
 # ---------------------------------------------------------------------------
 # rendering
 
-def _bound_pretty(
-    ctx: FormalContext, extent, cf: CanonicalForm, which: str, fancy: bool
-) -> str:
-    """Short description of a canonical bound.
+def _bound_pretty(lat: GclLattice, which: str, escape, every_node: bool):
+    """pretty(ks, table, plain): the reduced grsp or gfcp of block set ks,
+    escaped, or None when it is not shorter than the plain rendering.
 
-    The plain rendering lists minterms (grsp) or maxterms (gfcp).  When
-    allowed, the reduced expression from the irreducible classes is used
-    instead if it comes out shorter; both describe the same attribute.
+    The reduced grsp is the sum of the conjunctions kept for ks (see
+    _keeps), the reduced gfcp the product of the disjunctions; the bound
+    G's grsp (the empty extent's gfcp) is the empty set alone, 1 (0).  The
+    members kept are read from the swept _selection when every node is
+    asked for, by one pass over the members (_keeps) otherwise.  Each
+    member's text, rendered once with the member table, is escaped once,
+    here.  table is the bound's canonical table, which the kept members'
+    tables must OR (AND) to; plain is the unescaped length of the plain
+    rendering, and lengths are compared unescaped, so a format's escaping
+    never picks the form.
     """
-    mode = "dnf" if which == "grsp" else "cnf"
-    base = canonical_to_str(cf, mode, ctx.attributes)
-    if fancy:
-        simp = simplified_intent(ctx, extent, "grsp_dnf" if which == "grsp" else "gfcp_cnf")
-        if to_canonical(simp, ctx.n_attributes).table != cf.table:
+    grsp = which == "grsp"
+    ctx = lat.context
+    mode = "conjunction" if grsp else "disjunction"
+    red = _members(ctx, mode)
+    if every_node:
+        kept = _selection(ctx, mode)
+
+        def pick(ks):
+            return _selectors(kept[ks])
+
+    else:
+        pick = partial(_keeps, red)
+    every = (1 << (1 << ctx.n_attributes)) - 1
+    whole = (1 << lat.partition.n_f) - 1
+    # (block set absorbed by the empty set, its table and text), the text
+    # and table of no term, the separator and the fold of the terms' tables
+    absorbed, lone, none, sep, fold = (
+        (whole, (every, "1"), (0, "0"), " | ", or_)
+        if grsp
+        else (0, (0, "0"), (every, "1"), " & ", and_)
+    )
+    texts = tuple(map(escape, red.texts))
+    # a part is its member's text, or that text in parentheses
+    parts = tuple(e if p == t else f"({e})" for p, t, e in zip(red.parts, red.texts, texts))
+    text_len, part_len = tuple(map(len, red.texts)), tuple(map(len, red.parts))
+
+    def pretty(ks, table, plain):
+        if ks == absorbed:
+            (got, text), size = lone, 1
+        else:
+            picked = pick(ks)
+            count = picked.count(1)
+            if not count:
+                (got, text), size = none, 1
+            elif count > 1:
+                got = reduce(fold, compress(red.tables, picked))
+                size = sum(compress(part_len, picked)) + len(sep) * (count - 1)
+                text = sep.join(compress(parts, picked))
+            else:
+                i = picked.index(1)
+                got, size, text = red.tables[i], text_len[i], texts[i]
+        if got != table:
             raise InvariantError(f"reduced {which} does not match its canonical bound")
-        text = expr_to_str(simp, ctx.attributes)
-        if len(text) < len(base):
-            return text
-    return base
+        return text if size < plain else None
+
+    return pretty
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +226,49 @@ def _property(lat: ClassicalLattice, attributes, intent: int) -> str:
     return " | ".join(_picked(attributes, intent)) or "0"
 
 
-def _node_bounds(lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT):
+def _node_bounds(
+    lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT, every_node: bool = True
+):
     """bound(ks, rows, which): node ks's grsp or gfcp text, as escaped runs.
 
     rows is the node's row table.  A plain bound's runs come from the
     literal-term tables, escaped here once per export, and are rendered
-    as they are read; a reduced bound (see _fancy) is rendered and
-    escaped whole by the call, so its invariant check comes first.
+    as they are read.  Where bounds may print reduced (see _fancy), the
+    reduced one (see _bound_pretty) is checked first, and it wins if it is
+    shorter than the plain one, whose length is read off the term tables.
+    every_node is False when only a few nodes are asked for.
     """
     ctx, part = lat.context, lat.partition
     m = ctx.n_attributes
     empty = lat.zero_rho.table
-    if _fancy(lat, block_limit):
-
-        def bound(ks, rows, which):
-            if which == "grsp":
-                rows |= empty
-            extent = BitSet(part.union(ks), ctx.n_objects)
-            cf = CanonicalForm(m, rows)
-            return (escape(_bound_pretty(ctx, extent, cf, which, True)),)
-
-        return bound
     full = empty | lat.one_eta.table
     dnf, cnf = (
         [tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)]
         for mode in ("dnf", "cnf")
     )
 
-    def bound(ks, rows, which):
+    def plain(ks, rows, which):
         if which == "grsp":
             return _term_runs(rows | empty, m, "dnf", *dnf)
         return _term_runs(full ^ rows, m, "cnf", *cnf)
+
+    if not _fancy(lat, block_limit):
+        return plain
+    # dot prints grsp only, so each side's members are read on first use
+    pretty = cache(partial(_bound_pretty, lat, escape=escape, every_node=every_node))
+    dnf_len, cnf_len = (
+        tuple(map(len, _term_tables(ctx.attributes, mode)[0])) for mode in ("dnf", "cnf")
+    )
+
+    def bound(ks, rows, which):
+        if which == "grsp":
+            table = rows | empty
+            size = _term_length(table, m, "dnf", dnf_len)
+        else:
+            table = rows
+            size = _term_length(full ^ rows, m, "cnf", cnf_len)
+        text = pretty(which)(ks, table, size)
+        return plain(ks, rows, which) if text is None else (text,)
 
     return bound
 
@@ -635,7 +689,7 @@ def _cmd_inspect(args) -> int:
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
     rows = node.gfcp.table
-    bound = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT)
+    bound = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT, every_node=False)
     bounds = [
         (which, table, bound(ks, rows, which))
         for which, table in (("grsp", node.grsp.table), ("gfcp", rows))

@@ -318,16 +318,10 @@ def _term_runs(table: int, m: int, mode: str, low, high):
     slice of selectors, led by the separator after the first.  The tables
     may come escaped for an output format; the separators need none.
     """
-    none, unit, outer = _MODE_TEXT[mode]
-    if not table:
-        return (none,)
-    if not m:
-        return (unit,)
+    whole, lead, outer, close = _term_frame(table, m, mode)
+    if whole is not None:
+        return (whole,)
     selectors = _selectors(table)
-    lead = close = ""
-    if mode == "cnf" and m > 1 and table & (table - 1):
-        # parenthesise every maxterm in the separators, not term by term
-        lead, close, outer = "(", ")", ") & ("
     if m <= _TERM_SPLIT:
         return (lead + outer.join(compress(low, selectors)) + close,)
 
@@ -335,6 +329,32 @@ def _term_runs(table: int, m: int, mode: str, low, high):
         return map(add, compress(low, chunk), repeat(high[h]))
 
     return chain(_slice_runs(selectors, pick, outer, lead), (close,))
+
+
+def _term_frame(table: int, m: int, mode: str):
+    """(whole, lead, sep, close) of the plain bound _term_runs renders:
+    whole is its text when it is a constant (no term, or m = 0), else
+    None, and the terms are then joined by sep between lead and close."""
+    none, unit, outer = _MODE_TEXT[mode]
+    if not table:
+        return none, "", "", ""
+    if not m:
+        return unit, "", "", ""
+    if mode == "cnf" and m > 1 and table & (table - 1):
+        # parenthesise every maxterm in the separators, not term by term
+        return None, "(", ") & (", ")"
+    return None, "", outer, ""
+
+
+def _term_length(table: int, m: int, mode: str, lengths) -> int:
+    """len of the text _term_runs(table, m, mode, low, ()) gives, for m up
+    to _TERM_SPLIT, summed from lengths[t] = len(low[t]) without joining
+    the terms."""
+    whole, lead, sep, close = _term_frame(table, m, mode)
+    if whole is not None:
+        return len(whole)
+    terms = sum(compress(lengths, _selectors(table)))
+    return len(lead) + terms + len(sep) * (table.bit_count() - 1) + len(close)
 
 
 def _slice_runs(selectors: bytes, pick, sep: str, lead: str = ""):

@@ -43,12 +43,14 @@ the sum (product), which it joins only at G (the empty extent), as 1 (0).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import and_, or_
 
 from .bitset import BitSet
-from .context import FormalContext, _want_objects, block_set_of
+from .context import FormalContext, _want_objects, block_set_of, blocks
 from .errors import CapExceeded
-from .exprs import BOTTOM, TOP, AttrExpr, conj, disj, literal
+from .exprs import BOTTOM, TOP, AttrExpr, _var_table, conj, disj, literal
 from .value import Value
 
 DEFAULT_IRREDUCIBLES_CAP = 10
@@ -206,25 +208,133 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, .
     }
 
 
+class _Members(Value):
+    """The members the reduced bounds of one class mode pick from, in the
+    order of _members.  blocks[i] is the block set of member i's extent,
+    loo[i] the block sets of its leave-one-out subsets, tables[i] its
+    minterm table, texts[i] its text alone, parts[i] its text as one term
+    among several (a disjunction of two or more literals parenthesised)."""
+
+    mode: str
+    sets: tuple[LiteralSet, ...]
+    blocks: tuple[int, ...]
+    loo: tuple[tuple[int, ...], ...]
+    tables: tuple[int, ...]
+    texts: tuple[str, ...]
+    parts: tuple[str, ...]
+
+
 @lru_cache(maxsize=32)
-def _quotient_terms(
-    ctx: FormalContext, mode: str
-) -> tuple[tuple[int, AttrExpr, tuple[int, ...]], ...]:
-    """(extent bits, expression, leave-one-out extents) of every member
-    that is neither empty nor inconsistent (those are constant; see the
-    module docstring), ordered by the block set of its extent (every extent is
-    a union of blocks), as an int, and in class order within one extent."""
+def _members(ctx: FormalContext, mode: str) -> _Members:
+    """The reduced-bound members of a class mode.
+
+    The members are those neither empty nor inconsistent (those are
+    constant; see the module docstring), ordered by the block set of
+    their extent (every extent is a union of blocks), as an int, and in
+    class order within one extent.  The leave-one-out subsets of a member
+    are members themselves (down-closure), so their block sets are looked
+    up, never folded; block_set_of runs once per distinct extent.
+    """
+    m = ctx.n_attributes
     classes = _all_classes(ctx, mode)
-    return tuple(
-        (
-            ext,
-            mu.conjunction() if mode == "conjunction" else mu.disjunction(),
-            tuple(_leave_one_out(ctx, mu, mode)),
-        )
-        for ext in sorted(classes, key=lambda e: block_set_of(ctx, BitSet(e, ctx.n_objects)))
-        for mu in classes[ext]
-        if mu.size and mu.is_consistent()
+    conjunction = mode == "conjunction"
+    block_of = {ext: block_set_of(ctx, BitSet(ext, ctx.n_objects)) for ext in classes}
+    where = {
+        mu.pos.bits | mu.neg.bits << m: block_of[ext]
+        for ext, members in classes.items()
+        for mu in members
+    }
+    every = (1 << (1 << m)) - 1
+    lit_table = [_var_table(j, m) for j in range(m)]
+    lit_table += [every ^ t for t in lit_table]
+    words = list(ctx.attributes) + ["!" + a for a in ctx.attributes]
+    sep, fold = (" & ", and_) if conjunction else (" | ", or_)
+
+    sets, block_sets, loo, tables, texts, parts = [], [], [], [], [], []
+    for ext in sorted(classes, key=block_of.__getitem__):
+        for mu in classes[ext]:
+            pos, neg = mu.pos.bits, mu.neg.bits
+            if not pos | neg or pos & neg:
+                continue  # empty or inconsistent
+            key = pos | neg << m
+            # literal indices by attribute: a consistent set has one sign each
+            lits = [j + m * (neg >> j & 1) for j in range(m) if (pos | neg) >> j & 1]
+            text = sep.join(map(words.__getitem__, lits))
+            sets.append(mu)
+            block_sets.append(block_of[ext])
+            loo.append(tuple(where[key ^ 1 << i] for i in lits) if len(lits) > 1 else ())
+            tables.append(reduce(fold, map(lit_table.__getitem__, lits)))
+            texts.append(text)
+            parts.append(f"({text})" if len(lits) > 1 and not conjunction else text)
+    return _Members(
+        mode, tuple(sets), tuple(block_sets), tuple(loo), tuple(tables), tuple(texts), tuple(parts)
     )
+
+
+def _keeps(table: _Members, ks: int) -> bytes:
+    """Byte i is 1 iff the bound of the block set ks keeps member i, else 0.
+
+    A conjunction is kept iff its block set lies inside ks and none of its
+    leave-one-out block sets does; a disjunction iff its block set contains
+    ks and none of its leave-one-out block sets does.  One pass over the
+    members, for one block set; _selection sweeps them all at once.
+    """
+    if table.mode == "conjunction":
+        return bytes(
+            not b & ~ks and all(e & ~ks for e in loo) for b, loo in zip(table.blocks, table.loo)
+        )
+    return bytes(
+        not ks & ~b and all(ks & ~e for e in loo) for b, loo in zip(table.blocks, table.loo)
+    )
+
+
+@lru_cache(maxsize=32)
+def _selection(ctx: FormalContext, mode: str) -> tuple[int, ...]:
+    """Entry ks has bit i set iff the bound of the block set ks keeps
+    member i of _members(ctx, mode), for all 2^n_F block sets.
+
+    The entry is _keeps as a mask, sub[ks] & ~bad[ks] for two OR-sweeps
+    over the block bits: sub of the members by their own block set, bad
+    of the members by their leave-one-out block sets.  Its size is 2^n_F,
+    so it is for callers that read the bounds of many nodes.
+    """
+    table = _members(ctx, mode)
+    size = 1 << blocks(ctx).n_f
+    sub, bad = [0] * size, [0] * size
+    for i, (b, loo) in enumerate(zip(table.blocks, table.loo)):
+        bit = 1 << i
+        sub[b] |= bit
+        for e in loo:
+            bad[e] |= bit
+    up = mode == "disjunction"
+    _or_sweep(sub, up)
+    _or_sweep(bad, up)
+    return tuple(s & ~b for s, b in zip(sub, bad))
+
+
+def _or_sweep(table: list[int], up: bool) -> None:
+    """table[ks] |= table[js] for every js inside ks (containing ks if up),
+    in place, for a table indexed by every block set.
+
+    One pass per block bit ORs the entries with the bit clear into their
+    partners with it set (or back): a slice at a time, over whichever are
+    fewer, the runs of consecutive pairs or the strides through them.
+    """
+    size = len(table)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if step < size // span:
+            pairs = [(slice(o, None, span), slice(o + step, None, span)) for o in range(step)]
+        else:
+            pairs = [
+                (slice(base, base + step), slice(base + step, base + span))
+                for base in range(0, size, span)
+            ]
+        for low, high in pairs:
+            src, dst = (high, low) if up else (low, high)
+            table[dst] = list(map(or_, table[dst], table[src]))
+        step = span
 
 
 def irreducible_conjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
@@ -269,33 +379,26 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     strictly between X0 and xs.  mode "gfcp_cnf" is the mirror image:
     product over the block-unions X0 containing xs of the quotiented
     disjunction classes.  Each quotient is the leave-one-out test of the
-    module docstring, so the work is one pass over the members: keep one
-    iff its extent lies inside xs (contains xs) and none of its
-    leave-one-out extents does, in the block-set order of the extents.
-    The result always evaluates to xs and its canonical form equals the
-    corresponding bound.  No term (factor) is a constant: the member
-    table holds none, and the bounds the empty set would absorb, grsp_dnf
-    of G and gfcp_cnf of the empty extent, are TOP and BOTTOM.
+    module docstring, so the terms are the members _keeps picks for the
+    block set of xs, in the order of _members; the work is one pass over
+    the members, whatever n_F.  The result always evaluates to xs and
+    its canonical form equals the corresponding bound.  No term (factor)
+    is a constant: the member table holds none, and the bounds the empty
+    set would absorb, grsp_dnf of G and gfcp_cnf of the empty extent, are
+    TOP and BOTTOM.
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")
     _want_objects(ctx, xs)  # a wrong width is reported before the cap
     _guard_cap(ctx)
-    block_set_of(ctx, xs)  # refuses an extent that is not a union of blocks
-    x = xs.bits
-
+    ks = block_set_of(ctx, xs)  # refuses an extent that is not a union of blocks
     if mode == "grsp_dnf":
-        if x == (1 << ctx.n_objects) - 1:
+        if xs.bits == (1 << ctx.n_objects) - 1:
             return TOP
-        return disj(
-            term
-            for ext, term, loo in _quotient_terms(ctx, "conjunction")
-            if ext & ~x == 0 and not any(e & ~x == 0 for e in loo)
-        )
-    if not x:
+        table = _members(ctx, "conjunction")
+        return disj(map(LiteralSet.conjunction, compress(table.sets, _keeps(table, ks))))
+    if not xs.bits:
         return BOTTOM
-    return conj(
-        term
-        for ext, term, loo in _quotient_terms(ctx, "disjunction")
-        if x & ~ext == 0 and not any(x & ~e == 0 for e in loo)
-    )
+    table = _members(ctx, "disjunction")
+    return conj(map(LiteralSet.disjunction, compress(table.sets, _keeps(table, ks))))
+

@@ -10,8 +10,8 @@ import sys
 
 import pytest
 
+from reference import reference_bound
 from gcl import (
-    TOP,
     BitSet,
     FormalContext,
     LawResult,
@@ -295,11 +295,29 @@ def test_build_refuses_names_with_line_breaks(capsys, tmp_path):
         assert err == "gcl: object name 'g\\n1' contains a line break\n"
 
 
+def _swap_selections(monkeypatch):
+    """Make the cli read, for block set 1 (the first block alone), the
+    members kept for block set 2, and the other way, on both routes: the
+    swept selection of an export and the one-node pass of inspect."""
+    real_selection, real_keeps = cli._selection, cli._keeps
+    swap = {1: 2, 2: 1}
+
+    def selection(ctx, mode):
+        kept = list(real_selection(ctx, mode))
+        kept[1], kept[2] = kept[2], kept[1]
+        return tuple(kept)
+
+    monkeypatch.setattr("gcl.cli._selection", selection)
+    monkeypatch.setattr("gcl.cli._keeps", lambda table, ks: real_keeps(table, swap.get(ks, ks)))
+
+
 def test_build_broken_reduced_bound_exits_4(capsys, t1_path, monkeypatch):
-    monkeypatch.setattr("gcl.cli.simplified_intent", lambda *args: TOP)
-    code, _, err = run(capsys, "build", t1_path)
-    assert code == 4
-    assert "does not match its canonical bound" in err
+    _swap_selections(monkeypatch)
+    for fmt in ("text", "json", "dot"):
+        code, _, err = run(capsys, "build", t1_path, "--format", fmt)
+        assert code == 4
+        which = "gfcp" if fmt == "json" else "grsp"  # json writes a node's gfcp first
+        assert err == f"gcl: reduced {which} does not match its canonical bound\n"
 
 
 # --- random ---
@@ -390,7 +408,8 @@ def test_inspect_empty_class_is_marked(capsys, t1_path):
 
 def _inspect_reference(ctx, xs, irreducibles):
     """inspect's output as it was built before it was streamed: whole lines
-    joined at the end, each bound from _bound_pretty, its ids from ids()."""
+    joined at the end, each bound from the oracle's walk (reference.py), its
+    ids from ids()."""
     lat = build_gcl(ctx)
     node = lat.node_of(xs)
     lines = ["extent: {" + ", ".join(ctx.object_names(node.extent)) + "}"]
@@ -398,7 +417,7 @@ def _inspect_reference(ctx, xs, irreducibles):
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)"))
     fancy = cli._fancy(lat, cli._INSPECT_BLOCK_LIMIT)
     for which, cf in (("grsp", node.grsp), ("gfcp", node.gfcp)):
-        pretty = cli._bound_pretty(ctx, node.extent, cf, which, fancy)
+        pretty = reference_bound(ctx, node.extent, cf, which, fancy)
         lines.append(f"{which}: {pretty}  (minterms {cf.ids()})")
     if irreducibles:
         for label, find in (
@@ -482,7 +501,7 @@ def test_inspect_cap_refusals_write_nothing(capsys, t1_path, tmp_path):
 
 
 def test_inspect_broken_reduced_bound_writes_nothing(capsys, t1_path, monkeypatch):
-    monkeypatch.setattr("gcl.cli.simplified_intent", lambda *args: TOP)
+    _swap_selections(monkeypatch)
     code, out, err = run(capsys, "inspect", t1_path, "--objects", "g1")
     assert (code, out) == (4, "")
     assert "does not match its canonical bound" in err
@@ -908,7 +927,8 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
 

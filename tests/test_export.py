@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_bound
 from strategies import hostile_contexts
-from gcl import FormalContext, build_fcl, build_gcl, build_rsl
-from gcl.cli import _PRETTY_BLOCK_LIMIT, _bound_pretty, _fancy, _json_escape, export_lattice, main
+from gcl import FormalContext, build_fcl, build_gcl, build_rsl, cli, exprs, irreducibles, lattice
+from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
@@ -113,17 +114,18 @@ def test_plain_export_builds_no_node(monkeypatch, capsysbinary, fmt):
 # differential check against the node-by-node rendering
 #
 # The reference renders node by node from the lattice's nodes, with
-# canonical_to_str (or the reduced bound, on a lattice small enough for it)
-# and json.dumps: no name, id or term tables and no runs.  It shares
-# _term_runs with the export through canonical_to_str, so the golden files
-# and test_exprs check the runs themselves.
+# canonical_to_str (or the oracle's reduced bound, on a lattice small enough
+# for it; see reference.py) and json.dumps: no name, id, term or member
+# tables and no runs.  It shares _term_runs with the export through
+# canonical_to_str, so the golden files and test_exprs check the runs
+# themselves.
 
 def _reference(lat, fmt: str) -> str:
     ctx, part = lat.context, lat.partition
     fancy = _fancy(lat, _PRETTY_BLOCK_LIMIT)
 
     def pretty(node, which):
-        return _bound_pretty(ctx, node.extent, getattr(node, which), which, fancy)
+        return reference_bound(ctx, node.extent, getattr(node, which), which, fancy)
 
     def braced(names):
         return "{" + ", ".join(names) + "}"
@@ -207,6 +209,25 @@ def test_export_matches_the_node_rendering_across_the_term_split(fmt, ctx):
     assert _exported(lat, fmt) == _reference(lat, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@settings(max_examples=30, deadline=None)
+@given(ctx=hostile_contexts())
+@example(
+    ctx=FormalContext(
+        ('o"1', "o\\2", "\u00f63", "\U0001f6424"),
+        ('"', "\\\\", "\u00e9", "\U0001f642"),
+        (0b0011, 0b1010, 0b0101, 0b1111),
+    )
+)
+def test_fancy_export_matches_the_oracle_rendering_under_hostile_names(fmt, ctx):
+    # quotes, backslashes and non-ASCII names at n_F <= 8: the reduced and
+    # the plain bound are compared by their unescaped lengths, whatever
+    # escaping the format then applies
+    lat = build_gcl(ctx)
+    assert _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    assert _exported(lat, fmt) == _reference(lat, fmt)
+
+
 class _CountingSink:
     """A text stream that keeps nothing but the number of characters written."""
 
@@ -254,3 +275,72 @@ def test_export_memory_stays_far_below_one_wide_bound(fmt):
     peak, size = _export_peak(1, 16, fmt)
     assert size > 2 * 10**6
     assert peak < size / 4, f"peak {peak} B for {size} B written"
+
+
+# ---------------------------------------------------------------------------
+# the reduced path's structure: per node, a selection and a join
+#
+# A reduced bound is picked from one member table per context and mode, whose
+# members are rendered when it is built.  No expression is built, folded or
+# rendered per node, and the table is built once per mode and export.
+
+_EXPR_ROUTES = ("expr_to_str", "to_canonical", "canonical_to_str", "canonical_to_expr")
+
+
+def _eight_blocks():
+    rows = (0b000001, 0b010110, 0b100011, 0b111000, 0b001101, 0b110101, 0b011011, 0b101110)
+    rows += rows[:3]
+    names = [f"g{i}" for i in range(len(rows))]
+    return FormalContext(tuple(names), ("a", 'b"', "c\\", "d", "é", "f"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_fancy_export_builds_no_expression_per_node(monkeypatch, fmt):
+    ctx = _eight_blocks()
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == 8 and _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for home, name in [(exprs, name) for name in _EXPR_ROUTES] + [
+        (irreducibles, "simplified_intent")
+    ]:
+        original = getattr(home, name)
+        for module in (exprs, cli, irreducibles, lattice):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    for name in ("literals", "conjunction", "disjunction", "describe"):
+        method = getattr(irreducibles.LiteralSet, name)
+        monkeypatch.setattr(irreducibles.LiteralSet, name, counted(name, method))
+    classes = irreducibles._all_classes
+    monkeypatch.setattr(irreducibles, "_all_classes", counted("_all_classes", classes))
+    irreducibles._members.cache_clear()
+    irreducibles._selection.cache_clear()
+    escape = {"text": None, "json": "_json_escape", "dot": "_dot_escape"}[fmt]
+    escaped = []
+    if escape:
+        original = getattr(cli, escape)
+        monkeypatch.setattr(cli, escape, lambda text: escaped.append(text) or original(text))
+    try:
+        _exported(lat, fmt)
+    finally:
+        irreducibles._members.cache_clear()
+        irreducibles._selection.cache_clear()
+
+    # one member table per mode the format prints (dot prints grsp only)
+    sides = ("conjunction",) if fmt == "dot" else ("conjunction", "disjunction")
+    assert calls == ["_all_classes"] * len(sides)
+    if escape:
+        # one escape per name, per plain term string and per member, and
+        # none per node; the kind "gcl" is escaped by json alone
+        members = sum(len(irreducibles._members(ctx, side).texts) for side in sides)
+        names = ctx.n_objects + (ctx.n_attributes + 1 if fmt == "json" else 0)
+        tables = [t for mode in ("dnf", "cnf") for t in exprs._term_tables(ctx.attributes, mode)]
+        terms = sum(map(len, tables))
+        assert len(escaped) <= names + terms + members

@@ -254,6 +254,20 @@ def test_canonical_to_str_matches_the_expression_route(cf):
                 assert canonical_to_str(cf, mode, attrs) == expected
 
 
+@given(bound_forms().filter(lambda cf: cf.m_count <= exprs._TERM_SPLIT))
+@example(CanonicalForm(0, 1))
+@example(CanonicalForm(1, 0b01))
+@example(CanonicalForm(10, (1 << 1024) - 1))
+def test_term_length_is_the_length_of_the_plain_text(cf):
+    # the reduced-bound path compares lengths without building the text
+    for mode in ("dnf", "cnf"):
+        table = cf.table if mode == "dnf" else (~cf).table
+        for names in NAME_SETS:
+            low = exprs._term_tables(names[:cf.m_count], mode)[0]
+            text = canonical_to_str(cf, mode, names)
+            assert exprs._term_length(table, cf.m_count, mode, list(map(len, low))) == len(text)
+
+
 def test_canonical_to_str_needs_a_name_per_attribute():
     with pytest.raises(IndexError, match="1 attribute names for 2 attributes"):
         canonical_to_str(CanonicalForm(2, 0b0110), "dnf", ["a"])

@@ -23,10 +23,13 @@ from gcl import (
     irreducible_disjunctions,
     is_member,
     quotient_class,
+    conj,
+    disj,
     simplified_intent,
     to_canonical,
 )
-from gcl.irreducibles import _all_classes
+from gcl.context import block_set_of, blocks
+from gcl.irreducibles import _all_classes, _leave_one_out
 from gcl.lattice import build_gcl
 from gcl.oracle import _class_scan, _reference_intent
 
@@ -393,3 +396,38 @@ def test_simplified_intent_matches_the_reference_walk_past_six_blocks(seed, n_f,
             fast = simplified_intent(ctx, xs, mode)
             slow = _reference_intent(ctx, xs, mode)
             assert expr_to_str(fast, ctx.attributes) == expr_to_str(slow, ctx.attributes)
+
+
+def test_simplified_intent_is_one_pass_over_the_members_at_thirty_blocks():
+    # the public call reads no table over all 2^n_F block sets: at 30
+    # blocks it is the members' leave-one-out test by extents, term for term
+    ctx = distinct_rows(13, 30, 5)
+    part = blocks(ctx)
+    assert part.n_f == 30
+    lat = build_gcl(ctx)
+    full = (1 << 30) - 1
+    for ks in (0, 1, full ^ 1, random.Random(13).getrandbits(30), full):
+        xs = BitSet(part.union(ks), ctx.n_objects)
+        x = xs.bits
+        node = lat.node_of(xs)
+        for mode, side, bound, absorbed, combine, term in (
+            ("grsp_dnf", "conjunction", node.grsp, full, disj, LiteralSet.conjunction),
+            ("gfcp_cnf", "disjunction", node.gfcp, 0, conj, LiteralSet.disjunction),
+        ):
+            expr = simplified_intent(ctx, xs, mode)
+            assert to_canonical(expr, ctx.n_attributes) == bound
+            if ks == absorbed:
+                assert expr == (TOP if side == "conjunction" else BOTTOM)
+                continue
+            inside = (lambda e: e & ~x == 0) if side == "conjunction" else (lambda e: x & ~e == 0)
+            classes = _all_classes(ctx, side)
+            order = sorted(classes, key=lambda e: block_set_of(ctx, BitSet(e, ctx.n_objects)))
+            expected = combine(
+                term(mu)
+                for e in order
+                if inside(e)
+                for mu in classes[e]
+                if mu.size and mu.is_consistent()
+                and not any(map(inside, _leave_one_out(ctx, mu, side)))
+            )
+            assert expr == expected

@@ -34,8 +34,12 @@ def test_traced_commands_exit_0(tmp_path):
             [*traced, repr(time.monotonic()), *argv], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        spans = [span[0] for span in json.loads(spans_file.read_text())["spans"]]
+        traced_run = json.loads(spans_file.read_text())
+        spans = [span[0] for span in traced_run["spans"]]
         names |= set(spans)
+        if argv[1] == str(ctx) and argv[0] == "build":
+            # t1's bounds print reduced, from members the class scan found
+            assert traced_run["counts"]["irreducibles.members"] > 0
         if argv[0] == "verify":
             # perfbench times each law by rewrapping oracle.LAWS' run functions
             laws = [law["law"] for law in json.loads(proc.stdout)["laws"]]
@@ -49,5 +53,4 @@ def test_traced_commands_exit_0(tmp_path):
         "lattice.build_gcl",
         "oracle.verify_laws",
         "classical.recover_classical",
-        "irreducibles.simplified_intent",
     } <= names
