@@ -27,7 +27,7 @@ from operator import and_, or_
 from .bitset import BitSet
 from .context import FormalContext, box_of, intent_of
 from .exprs import _var_table
-from .lattice import GclLattice
+from .lattice import GclLattice, _guard_nodes
 from .value import Value
 
 
@@ -123,7 +123,9 @@ def build_rsl(ctx: FormalContext) -> ClassicalLattice:
 
 
 def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
-    """Rebuild a classical lattice from general nodes alone.
+    """Rebuild a classical lattice from general nodes alone, read by block
+    set through the partition as the exporters read them: gfcp is the
+    blocks' row table and grsp adds zero_rho.
 
     Intents come from canonical-bound membership tests, extents are kept
     when they reproduce themselves from their own intent's columns.  The
@@ -132,8 +134,9 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
     """
     if kind not in ("fcl", "rsl"):
         raise ValueError(f"unknown lattice kind {kind!r}")
-    ctx = lat.context
-    m = ctx.n_attributes
+    ctx, part = lat.context, lat.partition
+    _guard_nodes(part.n_f)
+    m, n, empty = ctx.n_attributes, ctx.n_objects, lat.zero_rho.table
 
     # the blocks whose row has attribute j cover exactly column j
     col_bits = ctx.cols
@@ -143,21 +146,21 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
 
     concept = RslConcept if kind == "rsl" else FclConcept
     keep = []
-    for node in lat.nodes:
+    for ks in range(1 << part.n_f):
         if kind == "rsl":
-            grsp = node.grsp.table
+            grsp = part.row_table(ks) | empty
             ys = [j for j, t in enumerate(var_tables) if t & grsp == t]
             rebuilt = 0
             for j in ys:
                 rebuilt |= col_bits[j]
         else:
-            gfcp = node.gfcp.table
+            gfcp = part.row_table(ks)
             ys = [j for j, t in enumerate(var_tables) if gfcp & t == gfcp]
-            rebuilt = (1 << ctx.n_objects) - 1
+            rebuilt = (1 << n) - 1
             for j in ys:
                 rebuilt &= col_bits[j]
-        if rebuilt != node.extent.bits:
+        if rebuilt != part.union(ks):
             continue
-        keep.append(concept(node.extent, BitSet.of(ys, m)))
+        keep.append(concept(BitSet(rebuilt, n), BitSet.of(ys, m)))
 
     return _lattice(kind, ctx, keep)

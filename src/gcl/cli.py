@@ -623,7 +623,7 @@ def _cmd_compare(args) -> int:
     code = EXIT_OK
     lines = []
     for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
-        # recovery walks every node, so past the node cap it refuses first
+        # recovery walks every block set, so past the node cap it refuses first
         recovered = recover_classical(lat, kind)
         direct = builder(ctx)
         if (

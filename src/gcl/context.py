@@ -16,7 +16,8 @@ extents they cover live here and nowhere else in the builder:
 ``BlockPartition.union`` takes a block set to its extent, and
 ``block_set_of`` takes an extent back to its block set, refusing one that
 is not a union of blocks.  ``BlockPartition.row_table`` takes a block set
-to the minterm table of its blocks' rows.
+to the minterm table of its blocks' rows, set from the row ids on each
+call: the partition keeps no 2^m-bit table per block.
 
 Two file formats are understood: the ``cxt`` format (header line ``B``,
 dimensions, names, then an X/. matrix) and a csv layout with attribute
@@ -222,27 +223,28 @@ class BlockPartition(Value):
         return tuple(b.extent.bits for b in self.blocks)
 
     @cached_property
-    def _rows(self) -> tuple[int, ...]:
-        return tuple(1 << b.intent.bits for b in self.blocks)
+    def _row_ids(self) -> tuple[int, ...]:
+        return tuple(b.intent.bits for b in self.blocks)
 
     def union(self, block_set: int) -> int:
         """The extent bits of the union of the blocks in block_set."""
-        return _or_over(self._extents, block_set)
+        extents, bits = self._extents, 0
+        while block_set:
+            low = block_set & -block_set
+            bits |= extents[low.bit_length() - 1]
+            block_set ^= low
+        return bits
 
     def row_table(self, block_set: int) -> int:
         """The minterm table of the rows of the blocks in block_set: bit t
-        is set iff t is the row of one of them."""
-        return _or_over(self._rows, block_set)
-
-
-def _or_over(values: tuple[int, ...], block_set: int) -> int:
-    """The bitwise or of values[k] over the blocks k in block_set."""
-    bits = 0
-    while block_set:
-        low = block_set & -block_set
-        bits |= values[low.bit_length() - 1]
-        block_set ^= low
-    return bits
+        is set iff t is the row of one of them.  It is set from the row ids
+        on each call, so no block keeps a 2^m-bit int."""
+        rows, bits = self._row_ids, 0
+        while block_set:
+            low = block_set & -block_set
+            bits |= 1 << rows[low.bit_length() - 1]
+            block_set ^= low
+        return bits
 
 
 @lru_cache(maxsize=32)

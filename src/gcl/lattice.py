@@ -12,16 +12,17 @@ block of row-identical objects.  Consequences used throughout:
 * meet and join are intersection and union of extents, and the cover
   relation is "differs in exactly one block".
 
-Each node therefore stores its block subset as an int id and no 2^m-bit
-table: its bounds are computed from the block rows each time they are
-read.  Node ids double as indices into the lattice's node sequence.
-Nodes are built on demand: ``build_gcl`` only partitions the context and
-computes the two minterm tables, a node costs O(n_F) int operations when
-it is first read, at any n_F, and the cover pairs are generated as they
-are iterated.  Only walking all 2^n_F nodes or covers is refused past the
-node cap of 20 blocks.  Block sets are mapped to extents and back only
-through ``BlockPartition.union`` and ``block_set_of`` in ``context``,
-and to their gfcp tables only through ``BlockPartition.row_table``.
+A node is therefore its block subset, an int id, and no 2^m-bit table:
+its extent and bounds are computed from the partition.  Node ids double
+as indices into the lattice's node sequence.  Nodes are built when read
+and never kept: ``build_gcl`` only partitions the context and computes
+the two minterm tables, reading a node costs O(n_F) int operations at any
+n_F and builds a new node, equal to any other read of that id, and the
+cover pairs are generated as they are iterated.  Only walking all 2^n_F
+nodes or covers is refused past the node cap of 20 blocks.  Block sets
+are mapped to extents and back only through ``BlockPartition.union`` and
+``block_set_of`` in ``context``, and to their gfcp tables only through
+``BlockPartition.row_table``.
 """
 
 from __future__ import annotations
@@ -103,20 +104,20 @@ class _View(Collection):
 
 
 class _Nodes(_View, Sequence):
-    """The 2^n_F nodes by block-set id, each built once on first access.
+    """The 2^n_F nodes by block-set id, each built when it is read.
 
     Indexing reads ``_n``, not ``len`` (which stops at 2^63 - 1), so a
-    node is reached at any n_F.  Keeping built nodes makes meet, join and
-    dagger return the very node objects the sequence hands out.
+    node is reached at any n_F.  No node is kept: reading an id twice, or
+    reaching it through meet, join or dagger, gives equal nodes, not the
+    same object.
     """
 
-    __slots__ = ("_ctx", "_part", "_built")
+    __slots__ = ("_ctx", "_part")
 
     def __init__(self, ctx: FormalContext, part: BlockPartition):
         self._nf, self._n = part.n_f, 1 << part.n_f
         self._ctx = ctx
         self._part = part
-        self._built: dict[int, GeneralConcept] = {}
 
     def __getitem__(self, i) -> GeneralConcept:
         n = self._n
@@ -125,10 +126,7 @@ class _Nodes(_View, Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for {n} items")
-        node = self._built.get(i)
-        if node is None:
-            node = self._built[i] = _concept(self._ctx, self._part, i)
-        return node
+        return _concept(self._ctx, self._part, i)
 
     def _walk(self):
         return map(self.__getitem__, range(self._n))
@@ -180,13 +178,6 @@ def _guard_nodes(n_f: int) -> None:
         )
 
 
-def _tables(ctx: FormalContext, part: BlockPartition) -> tuple[int, int]:
-    """(realized, empty) minterm tables: block rows vs extent-free minterms."""
-    realized = part.row_table((1 << part.n_f) - 1)
-    full = (1 << (1 << ctx.n_attributes)) - 1
-    return realized, full ^ realized
-
-
 def contextual_constants(ctx: FormalContext) -> tuple[CanonicalForm, CanonicalForm]:
     """(zero_rho, one_eta): the grsp of the empty extent and the gfcp of G.
 
@@ -217,24 +208,20 @@ def general_concept(ctx: FormalContext, xs: BitSet) -> GeneralConcept:
 def build_gcl(
     ctx: FormalContext, canonical_cap: int = DEFAULT_CANONICAL_CAP
 ) -> GclLattice:
-    """The lattice: one node per union of blocks, built when first read.
+    """The lattice: one node per union of blocks, built when read.
 
     Node ids are block-set ints, so node i & node j indexes the meet and
     node i | node j the join.  Hasse edges connect nodes differing in
     exactly one block, listed as (lower, upper) pairs in ascending order.
     """
     part = blocks(ctx)
-    _guard_cap(ctx.n_attributes, canonical_cap)
-    realized, empty = _tables(ctx, part)
     m = ctx.n_attributes
-    return GclLattice(
-        ctx,
-        part,
-        _Nodes(ctx, part),
-        _Edges(part.n_f),
-        CanonicalForm(m, empty),
-        CanonicalForm(m, realized),
-    )
+    _guard_cap(m, canonical_cap)
+    # the block rows, and the extent-free minterms that complement them
+    realized = part.row_table((1 << part.n_f) - 1)
+    empty = realized ^ ((1 << (1 << m)) - 1)
+    nodes, edges = _Nodes(ctx, part), _Edges(part.n_f)
+    return GclLattice(ctx, part, nodes, edges, CanonicalForm(m, empty), CanonicalForm(m, realized))
 
 
 # ---------------------------------------------------------------------------

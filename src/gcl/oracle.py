@@ -168,13 +168,18 @@ class _Env:
         return ae
 
     @cached_property
+    def nodes(self) -> list:
+        """The nodes by position, read once: ``lat.nodes`` builds them anew."""
+        return list(self.lat.nodes)
+
+    @cached_property
     def bounds(self) -> tuple[list[int], list[int]]:
         """(grsp tables, gfcp tables) of the nodes, by position.
 
         A node computes its bounds when read, so the node laws read each
         one once here.
         """
-        nodes = self.lat.nodes
+        nodes = self.nodes
         return [a.grsp.table for a in nodes], [a.gfcp.table for a in nodes]
 
     def eval_table(self, table: int) -> int:
@@ -385,7 +390,7 @@ def _law_concept_reconstruction(env: _Env):
 
 
 def _law_extent_fixpoint(env: _Env):
-    for node, grsp, gfcp in zip(env.lat.nodes, *env.bounds):
+    for node, grsp, gfcp in zip(env.nodes, *env.bounds):
         if env.eval_table(grsp) != node.extent.bits:
             return f"X={env.names(node.extent.bits)}: grsp does not evaluate back"
         if env.eval_table(gfcp) != node.extent.bits:
@@ -394,7 +399,7 @@ def _law_extent_fixpoint(env: _Env):
 
 
 def _law_family_closure(env: _Env):
-    exts = [node.extent.bits for node in env.lat.nodes]
+    exts = [node.extent.bits for node in env.nodes]
     have = set(exts)
     if len(have) != len(exts):
         return "duplicate node extents"
@@ -437,7 +442,7 @@ def _law_canonical_census(env: _Env):
     total = sum(acc[0] for acc in grouped.values())
     if total != 1 << (1 << env.m):
         return f"class sizes sum to {total}"
-    by_extent = {node.extent.bits: node for node in env.lat.nodes}
+    by_extent = {node.extent.bits: node for node in env.nodes}
     if set(grouped) != set(by_extent):
         return "realized extents differ from the node extents"
     for ext, (size, low, high) in grouped.items():
@@ -467,7 +472,7 @@ def _stray_block_set(env: _Env):
     looping over its submasks).
     """
     n_f = env.lat.partition.n_f
-    for node in env.lat.nodes:
+    for node in env.nodes:
         if node.block_set < 0 or node.block_set >> n_f:
             return f"block set 0x{node.block_set:x} lies outside the {n_f} blocks"
     return None
@@ -477,14 +482,15 @@ def _law_dagger(env: _Env):
     stray = _stray_block_set(env)
     if stray:
         return stray
-    lat = env.lat
+    nodes = env.nodes
     grsp, gfcp = env.bounds
-    # an image's bounds are read from the lists at its position
-    at = {id(a): i for i, a in enumerate(lat.nodes)}
-    for a, ga, fa in zip(lat.nodes, grsp, gfcp):
-        image = dagger(lat, a)
-        j = at.get(id(image))
-        if j is None or dagger(lat, image) is not a:
+    images = [dagger(env.lat, a) for a in nodes]
+    # a node is its block set: an image is found, and its own image and
+    # bounds are read, at the position of its block set
+    at = {a.block_set: i for i, a in enumerate(nodes)}
+    for a, image, ga, fa in zip(nodes, images, grsp, gfcp):
+        j = at.get(image.block_set)
+        if j is None or nodes[j] != image or images[j] != a:
             return f"X={env.names(a.extent.bits)}: conjugation is not an involution"
         if image.extent.bits != env.full_g ^ a.extent.bits:
             return f"X={env.names(a.extent.bits)}: conjugate extent is not the complement"
@@ -502,7 +508,7 @@ def _law_bound_recursion(env: _Env):
         return stray
     grsp, gfcp = env.bounds
     full = (1 << env.lat.partition.n_f) - 1
-    for i, node in enumerate(env.lat.nodes):
+    for i, node in enumerate(env.nodes):
         ks = node.block_set
         if ks.bit_count() >= 2:
             union = 0
@@ -526,7 +532,7 @@ def _law_block_cover(env: _Env):
     grsp, gfcp = env.bounds
     nf = lat.partition.n_f
     full = (1 << nf) - 1
-    for i, node in enumerate(lat.nodes):
+    for i, node in enumerate(env.nodes):
         ks = node.block_set
         if ks:
             union = 0
@@ -585,12 +591,12 @@ def _law_constants_decomposition(env: _Env):
     nf = lat.partition.n_f
     full = (1 << nf) - 1
     for k in range(nf):
-        block = lat.nodes[1 << k]
+        block = env.nodes[1 << k]
         base = irreducible_conjunctions(ctx, block.extent).members
         rho0 = to_canonical(disj(s.conjunction() for s in base), m)
         if rho0.table | lat.zero_rho.table != grsp[1 << k]:
             return f"block {k}: reduced sum plus zero_rho misses grsp"
-        conode = lat.nodes[full ^ (1 << k)]
+        conode = env.nodes[full ^ (1 << k)]
         cobase = irreducible_disjunctions(ctx, conode.extent).members
         eta0 = to_canonical(conj(s.disjunction() for s in cobase), m)
         if eta0.table & lat.one_eta.table != gfcp[full ^ (1 << k)]:
@@ -600,7 +606,7 @@ def _law_constants_decomposition(env: _Env):
 
 def _law_order_agreement(env: _Env):
     grsp, gfcp = env.bounds
-    exts = [node.extent.bits for node in env.lat.nodes]
+    exts = [node.extent.bits for node in env.nodes]
     by_grsp = _up_sets(grsp)
     by_gfcp = _up_sets(gfcp)
     for ea, up, r, f in zip(exts, _up_sets(exts), by_grsp, by_gfcp):
@@ -897,7 +903,7 @@ def enumerate_mstar(ctx: FormalContext) -> OracleReport:
             None if total == 1 << (1 << m) else f"class sizes sum to {total}",
         )
     )
-    node_exts = {node.extent.bits for node in lat.nodes}
+    node_exts = {node.extent.bits for node in env.nodes}
     same = set(grouped) == node_exts
     laws.append(
         LawResult(

@@ -17,8 +17,10 @@ from gcl import (
     build_rsl,
     extent_of,
     intent_of,
+    random_context,
     recover_classical,
 )
+from gcl.context import blocks
 from gcl.oracle import _hasse
 
 
@@ -135,6 +137,39 @@ def test_recover_agrees_everywhere(ctx):
     lat = build_gcl(ctx)
     assert recover_classical(lat, "fcl").concepts == build_fcl(ctx).concepts
     assert recover_classical(lat, "rsl").concepts == build_rsl(ctx).concepts
+
+
+def _repeated(ctx, times):
+    """ctx with every object repeated: the same blocks, each times as large."""
+    return FormalContext(
+        tuple(f"{name}.{k}" for k in range(times) for name in ctx.objects),
+        ctx.attributes,
+        ctx.rows * times,
+    )
+
+
+@pytest.mark.parametrize(
+    "ctx, n_f",
+    [
+        (random_context(3, 12, 8, 0.5), 12),
+        (random_context(1, 14, 10, 0.5), 14),
+        (random_context(1, 16, 12, 0.5), 16),
+        # duplicate rows: 48 objects over 13 blocks, and 40 over all 16 rows of 4
+        (_repeated(random_context(1, 16, 6, 0.5), 3), 13),
+        (random_context(1, 40, 4, 0.5), 16),
+        # no attributes: every object has the empty row
+        (random_context(1, 5, 0, 0.5), 1),
+    ],
+    ids=["nf12", "nf14", "nf16", "nf13-dup", "nf16-dup", "m0"],
+)
+def test_recover_agrees_past_the_oracle_gate(ctx, n_f):
+    # the oracle's classical-route-equality stops at 10 blocks; recovery
+    # reads every block set through the partition at any size the node
+    # cap admits, and must give the direct lattices, covers included
+    assert blocks(ctx).n_f == n_f
+    lat = build_gcl(ctx)
+    assert recover_classical(lat, "fcl") == build_fcl(ctx)
+    assert recover_classical(lat, "rsl") == build_rsl(ctx)
 
 
 def swept_extents(ctx, kind):

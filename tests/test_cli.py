@@ -285,6 +285,23 @@ def test_compare_agrees_on_duplicate_rows(capsys, tmp_path):
     assert recover_classical(lat, "rsl") == build_rsl(ctx)
 
 
+def test_compare_builds_no_node(capsys, tmp_path, monkeypatch):
+    # recovery reads every block set's extent and bounds from the partition
+    def never(*args):
+        raise AssertionError("a node was built")
+
+    ctx = random_context(1, 12, 6, 0.5)
+    p = tmp_path / "c.cxt"
+    p.write_text(context_to_cxt(ctx))
+    monkeypatch.setattr("gcl.lattice._concept", never)
+    code, out, err = run(capsys, "compare", str(p))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"fcl: routes agree on {len(build_fcl(ctx).concepts)} concepts",
+        f"rsl: routes agree on {len(build_rsl(ctx).concepts)} concepts",
+    ]
+
+
 def test_build_refuses_names_with_line_breaks(capsys, tmp_path):
     # quoted csv fields may hold a line break, which no cxt name can
     p = tmp_path / "broken.csv"
@@ -1004,3 +1021,58 @@ def test_closed_stdout_still_freezes_and_exits_141(tmp_path):
     assert proc.wait(timeout=120) == 141
     assert err == b""
     assert flag.read_text() == "True"
+
+
+# --- peak memory ---
+
+# The command's own peak: VmHWM counts only the address space exec gave
+# this process, so it is read in the child, when the command returns.
+_PEAK_PROBE = (
+    "import sys\n"
+    "import gcl.cli\n"
+    "try:\n"
+    "    code = gcl.cli.main(sys.argv[2:])\n"
+    "finally:\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        peak = [line.split()[1] for line in fh if line.startswith('VmHWM:')]\n"
+    "    with open(sys.argv[1], 'w') as out:\n"
+    "        out.write(peak[0])\n"
+    "sys.exit(code)\n"
+)
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize(
+    "shape, argv, code, bound_mb",
+    [
+        # 4,986 blocks over 20 attributes: a 2^20-bit row table kept per
+        # block took about 350 MB, to print 1.5 KB or to refuse
+        ((5000, 20), ["verify"], 0, 30),
+        ((5000, 20), ["inspect", "--objects", "g1"], 3, 30),
+        # 16 blocks: recovery reads 2^16 block sets, and keeping every node
+        # read took 36 MB
+        ((16, 12), ["compare"], 0, 25),
+    ],
+    ids=["verify-5000x20", "inspect-refused-5000x20", "compare-16x12"],
+)
+def test_peak_memory_follows_the_output(tmp_path, shape, argv, code, bound_mb):
+    p = tmp_path / "r.cxt"
+    p.write_text(context_to_cxt(random_context(1, *shape, 0.5)))
+    peak = tmp_path / "peak.txt"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, str(peak), argv[0], str(p), *argv[1:]],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert int(peak.read_text()) < bound_mb * 1024

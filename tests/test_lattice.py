@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,9 @@ from gcl import (
     meet,
     parse_expr,
     random_context,
+    recover_classical,
 )
+from gcl.classical import build_fcl
 from gcl.context import block_set_of, blocks
 from gcl.oracle import _hasse
 
@@ -39,8 +42,9 @@ def test_shape(t1):
     lat = build_gcl(t1)
     assert len(lat.nodes) == 8
     assert len(lat.hasse_edges) == 12
-    assert lat.inf is lat.nodes[0]
-    assert lat.sup is lat.nodes[-1]
+    # nodes are built when read: equal by value, not the same object
+    assert lat.inf == lat.nodes[0] and lat.inf.block_set == 0
+    assert lat.sup == lat.nodes[-1] and lat.sup.block_set == 0b111
     assert lat.inf.extent == BitSet.empty(3)
     assert lat.sup.extent == BitSet.full(3)
 
@@ -120,12 +124,13 @@ def test_non_general_extent_rejected():
 def test_meet_join(t1):
     lat = build_gcl(t1)
     a, b = node(lat, "g1"), node(lat, "g2")
-    assert meet(lat, a, b) is lat.inf
-    assert join(lat, a, b) is node(lat, "g1", "g2")
+    assert meet(lat, a, b) == lat.inf
+    assert join(lat, a, b) == node(lat, "g1", "g2")
     ab = node(lat, "g1", "g2")
     bc = node(lat, "g2", "g3")
-    assert meet(lat, ab, bc) is node(lat, "g2")
-    assert join(lat, ab, bc) is lat.sup
+    assert meet(lat, ab, bc) == node(lat, "g2")
+    assert join(lat, ab, bc) == lat.sup
+    assert (meet(lat, ab, bc).block_set, join(lat, ab, bc).block_set) == (0b010, 0b111)
 
 
 def test_leq_matches_extent_inclusion(t1):
@@ -148,8 +153,9 @@ def test_dagger(t1):
     assert img.extent == t1.object_set(["g2", "g3"])
     assert img.grsp == ~a.gfcp
     assert img.gfcp == ~a.grsp
-    assert dagger(lat, img) is a
-    assert dagger(lat, lat.inf) is lat.sup
+    assert dagger(lat, img) == a
+    assert dagger(lat, lat.inf) == lat.sup
+    assert (img.block_set, dagger(lat, img).block_set) == (0b110, 0b001)
 
 
 def test_class_membership(t1):
@@ -192,7 +198,7 @@ def test_empty_context():
     lat = build_gcl(FormalContext((), (), ()))
     assert len(lat.nodes) == 1
     assert lat.hasse_edges == ()
-    assert lat.sup is lat.inf
+    assert lat.sup == lat.inf and lat.sup.block_set == 0
     assert lat.zero_rho.ids() == [0]
     assert lat.one_eta.ids() == []
 
@@ -205,8 +211,8 @@ def test_no_attributes():
 
 
 def test_built_node_holds_no_table(t1):
-    # a node is its block set: the bounds are computed when read, so 2^n_F
-    # cached nodes hold no 2^m-bit table each
+    # a node is its block set: the bounds are computed when read, so a
+    # node holds no 2^m-bit table, and all nodes share one partition
     lat = build_gcl(t1)
     for n in lat.nodes:
         assert set(vars(n)) == {"block_set", "extent", "partition", "n_attributes"}
@@ -276,11 +282,12 @@ def test_lazy_views_match_brute_force(ctx):
         assert part.union(ks) == xs.bits
         assert block_set_of(ctx, xs) == ks
         n = lat.node_of(xs)
-        assert n is lat.nodes[ks]
+        assert n == lat.nodes[ks]
         assert n.block_set == ks
         assert n == general_concept(ctx, xs)
     n_nodes = len(lat.nodes)
-    assert lat.nodes[-n_nodes] is lat.nodes[0]
+    assert lat.nodes[-n_nodes] == lat.nodes[0]
+    assert lat.nodes[-n_nodes].block_set == 0
     with pytest.raises(IndexError):
         lat.nodes[n_nodes]
     assert lat.hasse_edges == _hasse([n.extent.bits for n in lat.nodes])
@@ -304,6 +311,53 @@ def test_one_node_of_a_large_lattice_stays_small():
         tracemalloc.stop()
     assert n.gfcp.ids() == [1, 8, 20]
     assert peak < 100 * 2**20
+
+
+def _retained(work):
+    """Bytes still allocated after work() returns, of what it allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_building_at_two_thousand_blocks_keeps_no_table_per_block():
+    # 2,000 distinct rows over 20 attributes: the row tables are 2^20-bit
+    # ints, and a partition that kept one per block peaked at 74 MB here
+    rows = tuple((i * 524287 + 12345) % (1 << 20) for i in range(2000))
+    ctx = FormalContext(
+        tuple(f"g{i}" for i in range(2000)), tuple(f"m{j}" for j in range(20)), rows
+    )
+    tracemalloc.start()
+    try:
+        lat = build_gcl(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.partition.n_f == 2000
+    assert lat.one_eta.table == sum(1 << r for r in rows)
+    assert peak < 8 * 2**20
+
+
+def test_walking_the_cube_keeps_no_node():
+    # 14 blocks: 2^14 nodes, which a lattice that kept every node it
+    # handed out held at about 300 bytes each (about 5 MB)
+    ctx = FormalContext(
+        tuple(f"g{i}" for i in range(28)),
+        tuple(f"m{j}" for j in range(6)),
+        (0, 1, 3, 6, 12, 24, 48, 63, 21, 42, 17, 34, 9, 50) * 2,
+    )
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == 14
+    # the column masks are cached per context; fill them first
+    fcl = build_fcl(ctx)
+    assert _retained(lambda: deque(lat.nodes, maxlen=0)) < 64 * 2**10
+    fresh = build_gcl(ctx)
+    assert _retained(lambda: recover_classical(fresh, "fcl")) < 64 * 2**10
+    assert recover_classical(fresh, "fcl") == fcl
 
 
 @given(wide_contexts(), st.data())
@@ -334,8 +388,9 @@ def test_nodes_are_reached_by_block_set_at_any_size(ctx, data):
 
     r1, r2 = drawn_rows(), drawn_rows()
     a, b = at(r1), at(r2)
-    assert meet(lat, a, b) is at(r1 & r2)
-    assert join(lat, a, b) is at(r1 | r2)
-    assert dagger(lat, a) is at(set(distinct) - r1)
-    assert lat.sup is at(set(distinct))
-    assert lat.inf is at(set())
+    assert meet(lat, a, b) == at(r1 & r2)
+    assert join(lat, a, b) == at(r1 | r2)
+    assert dagger(lat, a) == at(set(distinct) - r1)
+    assert lat.sup == at(set(distinct))
+    assert lat.inf == at(set())
+    assert dagger(lat, a).block_set == a.block_set ^ ((1 << len(distinct)) - 1)

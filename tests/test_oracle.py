@@ -373,6 +373,33 @@ def test_block_set_outside_the_blocks_fails_conjugation(stray):
     assert witnesses["bound-recursion"] == witness
 
 
+def _always_bottom(lat, a):
+    return lat.inf
+
+
+def _swaps_two_images(lat, a):
+    # the bottom and {g1} trade conjugates: neither is then mapped back
+    real = lat.nodes[a.block_set ^ 0b111]
+    return {0b000: lat.nodes[0b110], 0b001: lat.sup}.get(a.block_set, real)
+
+
+@pytest.mark.parametrize(
+    "broken, witness",
+    [
+        # the bottom is its own image under this map, so it fails first on
+        # its extent
+        (_always_bottom, "X={}: conjugate extent is not the complement"),
+        (_swaps_two_images, "X={}: conjugation is not an involution"),
+    ],
+)
+def test_conjugation_catches_a_broken_dagger(t1, monkeypatch, broken, witness):
+    # nodes are built when read, so the law finds each image by its block
+    # set and compares nodes by value
+    monkeypatch.setattr(oracle, "dagger", broken)
+    witnesses = {r.law: r.witness for r in verify_laws(t1).failures()}
+    assert witnesses == {"conjugation-involution": witness}
+
+
 def test_family_closed_under_complement_only_fails_closure():
     # eight distinct extents over g1..g4, closed under complement, but
     # {g1} | {g2} is missing: four object classes for three blocks
