@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .value import Value
+from .value import Value, _set
 
 
 class BitSet(Value):
@@ -13,11 +13,15 @@ class BitSet(Value):
     bits: int
     width: int
 
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"negative width {self.width}")
-        if self.bits < 0 or self.bits.bit_length() > self.width:
-            raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
+    # the one record built per object or attribute set: set directly, at
+    # half the cost of Value's generic binding of fields
+    def __init__(self, bits: int, width: int):
+        if width < 0:
+            raise ValueError(f"negative width {width}")
+        if bits < 0 or bits.bit_length() > width:
+            raise ValueError(f"bits 0x{bits:x} out of range for width {width}")
+        _set(self, "bits", bits)
+        _set(self, "width", width)
 
     @classmethod
     def empty(cls, width: int) -> "BitSet":

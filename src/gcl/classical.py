@@ -11,21 +11,24 @@ disjunctive bound of X, and in the FCL intent iff the conjunctive bound
 of X is inside the minterm set of m.  recover_classical exploits exactly
 that, making it an independent route to the same lattices.
 
-Extents come from one worklist closure over the columns.  All three
-routes hand their concepts to one step that sorts them and takes the
-covers from Lindig's neighbour test ("Fast Concept Analysis", 2000),
-counted over the attributes outside each intent, never over objects: a
-lattice of C concepts costs O(C * m) big-int operations on top of its
-extents, whatever the number of objects.  The oracle keeps the
-brute-force cover search as an independent check.
+Extents and intents come from one worklist closure over the columns:
+an extent's intent is the set of columns that leave it unchanged.  All
+three routes hand (extent, intent) int pairs to one step that sorts them,
+takes the covers from Lindig's neighbour test ("Fast Concept Analysis",
+2000) counted over the attributes outside each intent, never over
+objects, and only then builds the concept records: a lattice of C
+concepts costs O(C * m) big-int operations on top of its extents,
+whatever the number of objects.  The oracle keeps the brute-force cover
+search as an independent check.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import and_, or_
 
 from .bitset import BitSet
-from .context import FormalContext, box_of, intent_of
+from .context import FormalContext
 from .exprs import _var_table
 from .lattice import GclLattice, _guard_nodes
 from .value import Value
@@ -64,62 +67,65 @@ class ClassicalLattice(Value):
         return self.concepts[0]
 
 
-def _closure(ctx: FormalContext, seed: int, op) -> set[int]:
-    # worklist closure of {seed} under combining with single columns
-    found = {seed}
+def _closure(ctx: FormalContext, seed: int, op) -> dict[int, int]:
+    """{extent: intent} over the closure of {seed} under op with single
+    columns: x & col == x says x lies inside col (FCL), x | col == x that
+    col lies inside x (RSL)."""
+    cols = tuple(zip(ctx.cols, [1 << j for j in range(ctx.n_attributes)]))
+    found = {seed: 0}
     todo = [seed]
     while todo:
-        cur = todo.pop()
-        for col in ctx.cols:
-            new = op(cur, col)
-            if new not in found:
-                found.add(new)
-                todo.append(new)
+        x = todo.pop()
+        intent = 0
+        for col, bit in cols:
+            y = op(x, col)
+            if y == x:
+                intent |= bit
+            elif y not in found:
+                found[y] = 0
+                todo.append(y)
+        found[x] = intent
     return found
 
 
-def _lattice(kind: str, ctx: FormalContext, concepts) -> ClassicalLattice:
-    """The classical lattice of concepts, ascending by (object count, bits).
+def _lattice(kind: str, ctx: FormalContext, pairs) -> ClassicalLattice:
+    """The classical lattice of (extent, intent) int pairs, ascending by
+    (object count, extent bits).
 
-    Covers come from Lindig's counting test over the attributes outside
-    each intent: attribute j sends FCL extent x to x & col_j below it and
-    RSL extent x to x | col_j above it, and such a candidate y is a cover
-    of x exactly when |intent(y) - intent(x)| attributes send x to it.  A
-    candidate missing from concepts gives no edge.
+    Attribute j sends FCL extent x to x & col_j below it and RSL extent x
+    to x | col_j above it, or leaves x as it is when j is in x's intent;
+    such a candidate y is a cover of x exactly when |intent(y) - intent(x)|
+    attributes send x to it.  A candidate missing from pairs gives no edge.
     """
-    concepts = sorted(concepts, key=lambda c: (len(c.extent), c.extent.bits))
-    index = {c.extent.bits: i for i, c in enumerate(concepts)}
+    pairs = sorted(pairs, key=lambda p: (p[0].bit_count(), p[0]))
+    index = {x: i for i, (x, _) in enumerate(pairs)}
     op = and_ if kind == "fcl" else or_
     cols = ctx.cols
     edges = []
-    for i, c in enumerate(concepts):
-        x, ix = c.extent.bits, c.intent.bits
+    for i, (x, ix) in enumerate(pairs):
         hits: dict[int, int] = {}
-        for j, col in enumerate(cols):
-            if not ix >> j & 1:
-                y = op(x, col)
+        for col in cols:
+            y = op(x, col)
+            if y != x:
                 hits[y] = hits.get(y, 0) + 1
         for y, count in hits.items():
             k = index.get(y)
-            if k is not None and count == (concepts[k].intent.bits ^ ix).bit_count():
+            if k is not None and count == (pairs[k][1] ^ ix).bit_count():
                 edges.append((k, i) if kind == "fcl" else (i, k))
-    return ClassicalLattice(kind, ctx, tuple(concepts), tuple(sorted(edges)))
+    concept = FclConcept if kind == "fcl" else RslConcept
+    n, m = ctx.n_objects, ctx.n_attributes
+    concepts = tuple(concept(BitSet(x, n), BitSet(y, m)) for x, y in pairs)
+    return ClassicalLattice(kind, ctx, concepts, tuple(sorted(edges)))
 
 
 def build_fcl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X^I) over all intersections of columns, G included."""
-    return _lattice("fcl", ctx, (
-        FclConcept(ext := BitSet(bits, ctx.n_objects), intent_of(ctx, ext))
-        for bits in _closure(ctx, (1 << ctx.n_objects) - 1, and_)
-    ))
+    return _lattice("fcl", ctx, _closure(ctx, (1 << ctx.n_objects) - 1, and_).items())
 
 
 def build_rsl(ctx: FormalContext) -> ClassicalLattice:
     """Concepts (X, X-box) over all unions of columns, the empty set included."""
-    return _lattice("rsl", ctx, (
-        RslConcept(ext := BitSet(bits, ctx.n_objects), box_of(ctx, ext))
-        for bits in _closure(ctx, 0, or_)
-    ))
+    return _lattice("rsl", ctx, _closure(ctx, 0, or_).items())
 
 
 def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
@@ -136,31 +142,21 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
         raise ValueError(f"unknown lattice kind {kind!r}")
     ctx, part = lat.context, lat.partition
     _guard_nodes(part.n_f)
-    m, n, empty = ctx.n_attributes, ctx.n_objects, lat.zero_rho.table
-
-    # the blocks whose row has attribute j cover exactly column j
-    col_bits = ctx.cols
+    m, empty = ctx.n_attributes, lat.zero_rho.table
+    op, start = (or_, 0) if kind == "rsl" else (and_, (1 << ctx.n_objects) - 1)
     # a is inside b iff a & b == a: a negated operand of & (a & ~b) would
     # cost two more passes over a 2^m-bit table per test
     var_tables = [_var_table(j, m) for j in range(m)]
-
-    concept = RslConcept if kind == "rsl" else FclConcept
     keep = []
     for ks in range(1 << part.n_f):
+        rows = part.row_table(ks)
         if kind == "rsl":
-            grsp = part.row_table(ks) | empty
+            grsp = rows | empty
             ys = [j for j, t in enumerate(var_tables) if t & grsp == t]
-            rebuilt = 0
-            for j in ys:
-                rebuilt |= col_bits[j]
         else:
-            gfcp = part.row_table(ks)
-            ys = [j for j, t in enumerate(var_tables) if gfcp & t == gfcp]
-            rebuilt = (1 << n) - 1
-            for j in ys:
-                rebuilt &= col_bits[j]
-        if rebuilt != part.union(ks):
-            continue
-        keep.append(concept(BitSet(rebuilt, n), BitSet.of(ys, m)))
-
+            ys = [j for j, t in enumerate(var_tables) if rows & t == rows]
+        # the blocks whose row has attribute j cover exactly column j
+        rebuilt = reduce(op, [ctx.cols[j] for j in ys], start)
+        if rebuilt == part.union(ks):
+            keep.append((rebuilt, sum(1 << j for j in ys)))
     return _lattice(kind, ctx, keep)

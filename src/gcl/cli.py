@@ -17,7 +17,6 @@ import sys
 from functools import cache, partial, reduce
 from itertools import chain, compress, islice
 from operator import and_, or_
-from pathlib import Path
 from types import SimpleNamespace
 
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
@@ -219,11 +218,12 @@ def _braced(names) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def _property(lat: ClassicalLattice, attributes, intent: int) -> str:
-    """The conjunction (fcl) or disjunction (rsl) of an intent's names."""
+def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
+    """The conjunction (fcl) or disjunction (rsl) of the names an intent's
+    selectors pick."""
     if lat.kind == "fcl":
-        return " & ".join(_picked(attributes, intent)) or "1"
-    return " | ".join(_picked(attributes, intent)) or "0"
+        return " & ".join(compress(attributes, picks)) or "1"
+    return " | ".join(compress(attributes, picks)) or "0"
 
 
 def _node_bounds(
@@ -351,10 +351,11 @@ def _text(lat: GclLattice | ClassicalLattice):
     else:
         yield head + f"{len(lat.concepts)} concepts\n"
         for i, c in enumerate(lat.concepts):
+            picks = _selectors(c.intent.bits)
             yield (
                 f"concept [{i}] {_braced(_picked(objects, c.extent.bits))} "
-                f"with intent {_braced(_picked(attributes, c.intent.bits))}\n"
-                f"  property: {_property(lat, attributes, c.intent.bits)}\n"
+                f"with intent {_braced(compress(attributes, picks))}\n"
+                f"  property: {_property(lat, attributes, picks)}\n"
             )
     if not lat.hasse_edges:
         yield "covers: (none)\n"
@@ -383,7 +384,7 @@ def _dot(lat: GclLattice | ClassicalLattice):
         attributes = tuple(map(_dot_escape, ctx.attributes))
         for i, c in enumerate(lat.concepts):
             names = _braced(_picked(objects, c.extent.bits))
-            desc = _property(lat, attributes, c.intent.bits)
+            desc = _property(lat, attributes, _selectors(c.intent.bits))
             yield f'  n{i} [label="{names} | {desc}"];\n'
     yield from _joined(
         (f"  n{lo} -> n{hi};\n" for lo, hi in lat.hasse_edges), "", _EDGE_BATCH
@@ -403,11 +404,11 @@ def _json_block(items, level: int, brackets: str = "[]") -> str:
     return ("," + pad).join(items)
 
 
-def _json_object(fields: dict, level: int) -> str:
-    """Encoded values as a json object at depth level, keys sorted."""
-    return _json_block(
-        (f'"{key}": {value}' for key, value in sorted(fields.items())), level, "{}"
-    )
+def _json_names(names, picks: bytes) -> str:
+    """The encoded names picks selects, as a json array at depth 3, in one
+    join (an encoded name is quoted, so never empty)."""
+    text = ",\n        ".join(compress(names, picks))
+    return f"[\n        {text}\n      ]" if text else "[]"
 
 
 def _json_ids(table: int, ids: tuple[str, ...], level: int):
@@ -441,7 +442,7 @@ def _json(lat: GclLattice | ClassicalLattice):
 
         def node(ks):
             rows = part.row_table(ks)
-            extent = _json_block(_picked(objects, part.union(ks)), 3)
+            extent = _json_names(objects, _selectors(part.union(ks)))
             lead = ",\n    " if ks else ""
             yield f'{lead}{{\n      "block_set": {ks},\n      "extent": {extent}'
             yield ',\n      "gfcp_minterms": '
@@ -455,14 +456,12 @@ def _json(lat: GclLattice | ClassicalLattice):
             yield '"\n    }'
 
         blocks = (
-            {
-                "extent": _json_block(_picked(objects, b.extent.bits), 3),
-                "row": _json_block(_picked(attributes, b.intent.bits), 3),
-            }
+            f'{{\n      "extent": {_json_names(objects, _selectors(b.extent.bits))},'
+            f'\n      "row": {_json_names(attributes, _selectors(b.intent.bits))}\n    }}'
             for b in part.blocks
         )
         fields = {
-            "blocks": _json_block((_json_object(b, 2) for b in blocks), 1),
+            "blocks": _json_block(blocks, 1),
             "constants": chain(
                 ['{\n    "one_eta": '],
                 _json_ids(lat.one_eta.table, ids, 2),
@@ -473,20 +472,24 @@ def _json(lat: GclLattice | ClassicalLattice):
             "nodes": chain(["[\n    "], _gcl_nodes(lat, node), ["\n  ]"]),
         }
     else:
+        # one template per concept, its keys in sorted order, written as one
+        # chunk; the intent's selectors pick its names and its property
         unquoted = tuple(map(_json_escape, ctx.attributes))
-        nodes = (
-            {
-                "extent": _json_block(_picked(objects, c.extent.bits), 3),
-                "intent": _json_block(_picked(attributes, c.intent.bits), 3),
-                "property": f'"{_property(lat, unquoted, c.intent.bits)}"',
-            }
-            for c in lat.concepts
-        )
-        fields = {
-            "nodes": _json_stream(
-                (_json_object(node, 2) for node in nodes), len(lat.concepts), 1
-            )
-        }
+
+        def nodes():
+            lead = "[\n    "
+            for c in lat.concepts:
+                extent = _json_names(objects, _selectors(c.extent.bits))
+                picks = _selectors(c.intent.bits)
+                yield (
+                    f'{lead}{{\n      "extent": {extent},'
+                    f'\n      "intent": {_json_names(attributes, picks)},'
+                    f'\n      "property": "{_property(lat, unquoted, picks)}"\n    }}'
+                )
+                lead = ",\n    "
+            yield "\n  ]" if lat.concepts else "[]"
+
+        fields = {"nodes": nodes()}
     fields["kind"] = f'"{_json_escape(_kind(lat))}"'
     fields["objects"] = _json_block(objects, 1)
     fields["attributes"] = _json_block(attributes, 1)
@@ -530,13 +533,25 @@ def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _path(path: str) -> str:
+    """path as pathlib writes it, so messages name files as they always did:
+    empty and "." parts dropped, "." for none, a leading "//" kept."""
+    names = [name for name in path.split("/") if name not in ("", ".")]
+    lead = len(path) - len(path.lstrip("/"))
+    return ("//" if lead == 2 else "/" if lead else "") + "/".join(names) or "."
+
+
 def _load(args) -> FormalContext:
-    path = Path(args.context)
+    path = _path(args.context)
     fmt = args.input_format
     if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "cxt"
+        # pathlib's suffix: a name's last dot, neither its first character
+        # nor its last
+        name = path.rpartition("/")[2]
+        fmt = "csv" if len(name) > 4 and name[-4:].lower() == ".csv" else "cxt"
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(
@@ -553,7 +568,8 @@ def _load_gcl(args) -> tuple[FormalContext, GclLattice]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(_path(out), "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 

@@ -172,6 +172,10 @@ class _Env:
         """The nodes by position, read once: ``lat.nodes`` builds them anew."""
         return list(self.lat.nodes)
 
+    # the direct classical lattices, built once for the laws that read them
+    fcl = cached_property(lambda self: build_fcl(self.ctx))
+    rsl = cached_property(lambda self: build_rsl(self.ctx))
+
     @cached_property
     def bounds(self) -> tuple[list[int], list[int]]:
         """(grsp tables, gfcp tables) of the nodes, by position.
@@ -350,7 +354,7 @@ def _law_complement_duality(env: _Env):
 def _law_rough_conjugates(env: _Env):
     ctx = env.ctx
     full_m = (1 << env.m) - 1
-    for c in build_rsl(ctx).concepts:
+    for c in env.rsl.concepts:
         xc = BitSet(env.full_g ^ c.extent.bits, env.n)
         yc = BitSet(full_m ^ c.intent.bits, env.m)
         if diamond_of(ctx, xc) != yc:
@@ -362,8 +366,8 @@ def _law_rough_conjugates(env: _Env):
 
 def _law_column_in_both(env: _Env):
     ctx = env.ctx
-    fcl = {c.extent.bits for c in build_fcl(ctx).concepts}
-    rsl = {c.extent.bits for c in build_rsl(ctx).concepts}
+    fcl = {c.extent.bits for c in env.fcl.concepts}
+    rsl = {c.extent.bits for c in env.rsl.concepts}
     for j in range(env.m):
         if ctx.cols[j] not in fcl:
             return f"column {ctx.attributes[j]} missing from the intersection lattice"
@@ -374,13 +378,13 @@ def _law_column_in_both(env: _Env):
 
 def _law_concept_reconstruction(env: _Env):
     ctx = env.ctx
-    for c in build_fcl(ctx).concepts:
+    for c in env.fcl.concepts:
         product = conj(Var(j) for j in c.intent)
         if eval_contextual(ctx, product).bits != c.extent.bits:
             return f"X={env.names(c.extent.bits)}: intent product misses the extent"
         if extent_of(ctx, c.intent) != c.extent:
             return f"X={env.names(c.extent.bits)}: intent does not derive the extent"
-    for c in build_rsl(ctx).concepts:
+    for c in env.rsl.concepts:
         total = disj(Var(j) for j in c.intent)
         if eval_contextual(ctx, total).bits != c.extent.bits:
             return f"X={env.names(c.extent.bits)}: intent sum misses the extent"
@@ -416,8 +420,8 @@ def _law_family_closure(env: _Env):
         classes = [part for c in classes for part in (c & a, c & ~a) if part]
     if len(classes) != n_f:
         return f"family not closed: {len(classes)} object classes for {n_f} blocks"
-    for build, lattice in ((build_fcl, "an intersection-lattice"), (build_rsl, "a union-lattice")):
-        if not {c.extent.bits for c in build(env.ctx).concepts} <= have:
+    for direct, lattice in ((env.fcl, "an intersection-lattice"), (env.rsl, "a union-lattice")):
+        if not {c.extent.bits for c in direct.concepts} <= have:
             return f"{lattice} extent escapes the family"
     # transitive reduction of the inclusion order over node indices; the
     # extents are distinct, so dropping i itself leaves the strict order
@@ -639,8 +643,7 @@ def _hasse(extent_bits: list[int]) -> tuple[tuple[int, int], ...]:
 
 
 def _law_route_equality(env: _Env):
-    for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
-        direct = builder(env.ctx)
+    for kind, direct in (("fcl", env.fcl), ("rsl", env.rsl)):
         if direct.hasse_edges != _hasse([c.extent.bits for c in direct.concepts]):
             return f"{kind}: direct cover relation differs from the brute-force covers"
         recovered = recover_classical(env.lat, kind)

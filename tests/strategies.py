@@ -12,10 +12,16 @@ def contexts(
     max_attributes: int = 4,
     min_objects: int = 0,
     min_attributes: int = 0,
+    max_rows: int | None = None,
 ):
+    """Contexts of random rows; with max_rows, the rows are drawn from a
+    pool of at most that many, so most objects repeat a row."""
     n = draw(st.integers(min_objects, max_objects))
     m = draw(st.integers(min_attributes, max_attributes))
-    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+    row = st.integers(0, (1 << m) - 1)
+    if max_rows is not None:
+        row = st.sampled_from(draw(st.lists(row, min_size=1, max_size=max_rows)))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
     return FormalContext(
         tuple(f"g{i + 1}" for i in range(n)),
         tuple(f"m{j + 1}" for j in range(m)),

@@ -208,3 +208,27 @@ def test_closure_and_covers_match_brute_force(ctx):
         assert direct.hasse_edges == _hasse(ext)
         recovered = recover_classical(lat, kind)
         assert recovered.hasse_edges == _hasse([c.extent.bits for c in recovered.concepts])
+
+
+@given(contexts(max_objects=30, max_attributes=16, max_rows=12))
+@example(FormalContext((), (), ()))
+@example(FormalContext(("g1", "g2"), (), (0, 0)))
+@example(FormalContext((), tuple(f"m{j}" for j in range(16)), ()))
+@example(FormalContext(tuple(f"g{i}" for i in range(30)), ("a", "b", "c"), (5, 3, 5) * 10))
+@settings(max_examples=60, deadline=None)
+def test_int_path_matches_the_operators_and_the_other_routes(ctx):
+    # past the oracle's gates: up to 30 objects, 16 attributes and 12 blocks.
+    # Intents come from the closure step and covers from counts over ints;
+    # both must agree with the derivation operators, the brute-force covers
+    # and the recovery from the general lattice, which reads its intents off
+    # the nodes' bounds
+    lat = build_gcl(ctx)
+    for kind, build, derive in (("fcl", build_fcl, intent_of), ("rsl", build_rsl, box_of)):
+        direct = build(ctx)
+        assert [c.intent for c in direct.concepts] == [
+            derive(ctx, c.extent) for c in direct.concepts
+        ]
+        assert direct.hasse_edges == _hasse([c.extent.bits for c in direct.concepts])
+        recovered = recover_classical(lat, kind)
+        assert recovered.concepts == direct.concepts
+        assert recovered.hasse_edges == direct.hasse_edges

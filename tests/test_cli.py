@@ -563,6 +563,17 @@ def test_missing_file(capsys, tmp_path):
     assert "nope.cxt" in err
 
 
+def test_missing_file_is_named_as_pathlib_names_it(capsys, tmp_path, monkeypatch):
+    # "." parts and repeated slashes are dropped, ".." kept, as Path printed
+    # them when the CLI read files through it; so is an --out path
+    monkeypatch.chdir(tmp_path)
+    for given, named in (("./nope.cxt", "nope.cxt"), ("a//b/../m.csv", "a/b/../m.csv")):
+        code, out, err = run(capsys, "build", given)
+        assert (code, out, err) == (2, "", f"gcl: [Errno 2] No such file or directory: '{named}'\n")
+    code, _, err = run(capsys, "random", "1", "2", "2", "0.5", "--out", ".//gone/./x.cxt")
+    assert (code, err) == (2, "gcl: [Errno 2] No such file or directory: 'gone/x.cxt'\n")
+
+
 def test_malformed_context(capsys, tmp_path):
     p = tmp_path / "bad.cxt"
     p.write_text("B\n\n2\n1\n\ng1\ng2\na\nX\nXX\n")

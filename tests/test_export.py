@@ -14,6 +14,7 @@ from reference import reference_bound
 from strategies import hostile_contexts
 from gcl import FormalContext, build_fcl, build_gcl, build_rsl, cli, exprs, irreducibles, lattice
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
+from gcl.oracle import random_context
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
@@ -228,17 +229,6 @@ def test_fancy_export_matches_the_oracle_rendering_under_hostile_names(fmt, ctx)
     assert _exported(lat, fmt) == _reference(lat, fmt)
 
 
-class _CountingSink:
-    """A text stream that keeps nothing but the number of characters written."""
-
-    def __init__(self):
-        self.size = 0
-
-    def write(self, text: str) -> int:
-        self.size += len(text)
-        return len(text)
-
-
 def _export_peak(n_f: int, m: int, fmt: str) -> tuple[int, int]:
     """(tracemalloc peak, characters written) of a plain export of n_f
     blocks over m attributes, all ASCII, so characters are bytes."""
@@ -275,6 +265,26 @@ def test_export_memory_stays_far_below_one_wide_bound(fmt):
     peak, size = _export_peak(1, 16, fmt)
     assert size > 2 * 10**6
     assert peak < size / 4, f"peak {peak} B for {size} B written"
+
+
+# 1.5 times the 3.3 MB peak of the renderer that built one dict per concept
+# and joined its fields; a batch of 1,024 concepts holds the whole output
+_CLASSICAL_EXPORT_PEAK = 5 * 10**6
+
+
+def test_classical_export_streams_one_concept_at_a_time():
+    # RSL of 20,000 objects over 10 attributes: 1,024 concepts and 337 MB
+    # of json, the largest concept about 340 KB of names
+    lat = build_rsl(random_context(1, 20_000, 10, 0.5))
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        export_lattice(lat, "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat.concepts) == 1024 and sink.size > 300 * 10**6
+    assert peak < _CLASSICAL_EXPORT_PEAK, f"peak {peak} B for {sink.size} B written"
 
 
 # ---------------------------------------------------------------------------

@@ -64,16 +64,27 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert proc.stderr.splitlines() == [
         "[]", "[]", "[]", "[]", "[]", "[]", "['csv']", "['csv', 'json']"
     ]
-    # typing (which loads re) is checked without site: a site .pth file may
-    # import it before gcl does
+    # typing (which loads re) and pathlib (fnmatch, re and urllib.parse) are
+    # checked without site: a site .pth file may import them before gcl does
     bare = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, gcl.cli; print('typing' in sys.modules)"],
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, gcl.cli\n"
+            "def loaded():\n"
+            "    print(sorted({'typing', 'pathlib'} & set(sys.modules)), file=sys.stderr)\n"
+            "loaded()\n"
+            "assert gcl.cli.main(['build', 't1.cxt']) == 0\n"
+            "loaded()\n",
+        ],
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
         check=True,
     )
-    assert bare.stdout == "False\n"
+    assert bare.stderr.splitlines() == ["[]", "[]"]
     # the context digest comes from the interpreter's own SHA-256 module:
     # hashlib would load OpenSSL's libcrypto (_hashlib), about 4 MB of peak
     # memory; checked without site, which may load hashlib on its own
