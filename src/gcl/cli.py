@@ -325,11 +325,10 @@ def _text(lat: GclLattice | ClassicalLattice):
     if isinstance(lat, GclLattice):
         part = lat.partition
         lines = [head + f"{part.n_f} blocks, {1 << part.n_f} nodes"]
-        for k, b in enumerate(part.blocks):
-            row = " & ".join(_picked(attributes, b.intent.bits)) or "(no attributes)"
+        for k, (extent, row) in enumerate(zip(part.extents, part.rows)):
+            row = " & ".join(_picked(attributes, row)) or "(no attributes)"
             lines.append(
-                f"block D{k + 1}: {_braced(_picked(objects, b.extent.bits))} "
-                f"with row {row}"
+                f"block D{k + 1}: {_braced(_picked(objects, extent))} with row {row}"
             )
         yield "\n".join(lines) + "\n"
         ids = _id_strings(ctx.n_attributes)
@@ -456,9 +455,9 @@ def _json(lat: GclLattice | ClassicalLattice):
             yield '"\n    }'
 
         blocks = (
-            f'{{\n      "extent": {_json_names(objects, _selectors(b.extent.bits))},'
-            f'\n      "row": {_json_names(attributes, _selectors(b.intent.bits))}\n    }}'
-            for b in part.blocks
+            f'{{\n      "extent": {_json_names(objects, _selectors(extent))},'
+            f'\n      "row": {_json_names(attributes, _selectors(row))}\n    }}'
+            for extent, row in zip(part.extents, part.rows)
         )
         fields = {
             "blocks": _json_block(blocks, 1),

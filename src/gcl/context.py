@@ -198,37 +198,23 @@ def approx_diamond(ctx: FormalContext, ys: BitSet) -> BitSet:
 # ---------------------------------------------------------------------------
 # blocks
 
-class Block(Value):
-    """A maximal set of row-identical objects, with their common row."""
-
-    extent: BitSet
-    intent: BitSet
-
-
 class BlockPartition(Value):
-    """The blocks of a context, ordered by first occurrence of a member."""
+    """The blocks of a context, ordered by first occurrence of a member:
+    ``extents[k]`` is block k's object mask and ``rows[k]`` its common
+    row, an attribute mask."""
 
-    blocks: tuple[Block, ...]
+    extents: tuple[int, ...]
+    rows: tuple[int, ...]
+    n_objects: int
+    n_attributes: int
 
     @property
     def n_f(self) -> int:
-        return len(self.blocks)
-
-    def intent_ids(self) -> list[int]:
-        """The common row of each block, as an int attribute mask."""
-        return [b.intent.bits for b in self.blocks]
-
-    @cached_property
-    def _extents(self) -> tuple[int, ...]:
-        return tuple(b.extent.bits for b in self.blocks)
-
-    @cached_property
-    def _row_ids(self) -> tuple[int, ...]:
-        return tuple(b.intent.bits for b in self.blocks)
+        return len(self.extents)
 
     def union(self, block_set: int) -> int:
         """The extent bits of the union of the blocks in block_set."""
-        extents, bits = self._extents, 0
+        extents, bits = self.extents, 0
         while block_set:
             low = block_set & -block_set
             bits |= extents[low.bit_length() - 1]
@@ -239,7 +225,7 @@ class BlockPartition(Value):
         """The minterm table of the rows of the blocks in block_set: bit t
         is set iff t is the row of one of them.  It is set from the row ids
         on each call, so no block keeps a 2^m-bit int."""
-        rows, bits = self._row_ids, 0
+        rows, bits = self.rows, 0
         while block_set:
             low = block_set & -block_set
             bits |= 1 << rows[low.bit_length() - 1]
@@ -262,11 +248,7 @@ def blocks(ctx: FormalContext) -> BlockPartition:
             extents.append(1 << i)
         else:
             extents[k] |= 1 << i
-    made = tuple(
-        Block(BitSet(ext, ctx.n_objects), BitSet(row, ctx.n_attributes))
-        for row, ext in zip(order, extents)
-    )
-    return BlockPartition(made)
+    return BlockPartition(tuple(extents), tuple(order), ctx.n_objects, ctx.n_attributes)
 
 
 def block_set_of(ctx: FormalContext, xs: BitSet) -> int:
@@ -274,7 +256,7 @@ def block_set_of(ctx: FormalContext, xs: BitSet) -> int:
     _want_objects(ctx, xs)
     block_set = 0
     covered = 0
-    for k, bits in enumerate(blocks(ctx)._extents):
+    for k, bits in enumerate(blocks(ctx).extents):
         if bits & ~xs.bits == 0:
             block_set |= 1 << k
             covered |= bits

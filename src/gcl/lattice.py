@@ -46,28 +46,32 @@ DEFAULT_NODE_CAP = 20
 
 
 class GeneralConcept(Value):
-    """A lattice node: an extent with its two canonical attribute bounds.
+    """A lattice node: a block set, its extent and two canonical bounds.
 
     grsp is the largest composite attribute whose extent is exactly the
     node's extent, gfcp the smallest; every composite attribute with this
-    extent sits between them.  Neither is stored: gfcp is the table of the
-    rows of the node's blocks, grsp the complement of the rows of all
-    other blocks (the gfcp rows plus the extent-free minterms of
-    zero_rho), each computed from the partition when read.
+    extent sits between them.  None of the three is stored: the extent is
+    the union of the node's blocks, gfcp the table of their rows, grsp
+    the complement of the rows of all other blocks (the gfcp rows plus the
+    extent-free minterms of zero_rho), each computed from the partition
+    when read.
     """
 
     block_set: int
-    extent: BitSet
     partition: BlockPartition
-    n_attributes: int
+
+    @property
+    def extent(self) -> BitSet:
+        return BitSet(self.partition.union(self.block_set), self.partition.n_objects)
 
     @property
     def gfcp(self) -> CanonicalForm:
-        return CanonicalForm(self.n_attributes, self.partition.row_table(self.block_set))
+        part = self.partition
+        return CanonicalForm(part.n_attributes, part.row_table(self.block_set))
 
     @property
     def grsp(self) -> CanonicalForm:
-        part, m = self.partition, self.n_attributes
+        part, m = self.partition, self.partition.n_attributes
         others = part.row_table(self.block_set ^ ((1 << part.n_f) - 1))
         return CanonicalForm(m, others ^ ((1 << (1 << m)) - 1))
 
@@ -112,11 +116,10 @@ class _Nodes(_View, Sequence):
     same object.
     """
 
-    __slots__ = ("_ctx", "_part")
+    __slots__ = ("_part",)
 
-    def __init__(self, ctx: FormalContext, part: BlockPartition):
+    def __init__(self, part: BlockPartition):
         self._nf, self._n = part.n_f, 1 << part.n_f
-        self._ctx = ctx
         self._part = part
 
     def __getitem__(self, i) -> GeneralConcept:
@@ -126,7 +129,7 @@ class _Nodes(_View, Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for {n} items")
-        return _concept(self._ctx, self._part, i)
+        return GeneralConcept(i, self._part)
 
     def _walk(self):
         return map(self.__getitem__, range(self._n))
@@ -195,11 +198,6 @@ def extent_family(ctx: FormalContext) -> list[BitSet]:
     return [BitSet(part.union(ks), ctx.n_objects) for ks in range(1 << part.n_f)]
 
 
-def _concept(ctx: FormalContext, part: BlockPartition, block_set: int) -> GeneralConcept:
-    extent = BitSet(part.union(block_set), ctx.n_objects)
-    return GeneralConcept(block_set, extent, part, ctx.n_attributes)
-
-
 def general_concept(ctx: FormalContext, xs: BitSet) -> GeneralConcept:
     """The concept at extent xs; xs must be a union of blocks."""
     return build_gcl(ctx).node_of(xs)
@@ -220,7 +218,7 @@ def build_gcl(
     # the block rows, and the extent-free minterms that complement them
     realized = part.row_table((1 << part.n_f) - 1)
     empty = realized ^ ((1 << (1 << m)) - 1)
-    nodes, edges = _Nodes(ctx, part), _Edges(part.n_f)
+    nodes, edges = _Nodes(part), _Edges(part.n_f)
     return GclLattice(ctx, part, nodes, edges, CanonicalForm(m, empty), CanonicalForm(m, realized))
 
 
@@ -229,7 +227,7 @@ def build_gcl(
 
 def leq(a: GeneralConcept, b: GeneralConcept) -> bool:
     """Order by extent inclusion (equivalently by either canonical bound)."""
-    if a.extent.width != b.extent.width:
+    if a.partition.n_objects != b.partition.n_objects:
         raise ValueError("concepts come from different contexts")
     return a.block_set & ~b.block_set == 0
 

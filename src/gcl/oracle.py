@@ -563,7 +563,7 @@ def _law_single_block(env: _Env):
     nf = lat.partition.n_f
     full = (1 << nf) - 1
     grsp, gfcp = env.bounds
-    rows = [b.intent.bits for b in lat.partition.blocks]
+    rows = lat.partition.rows
     if len(set(rows)) != nf:
         return "block rows are not distinct"
     for k in range(nf):
@@ -724,7 +724,7 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     Inconsistent survivors are left out, and a surviving empty set makes
     the bound TOP ("grsp_dnf") or BOTTOM ("gfcp_cnf").
     """
-    block_bits = [b.extent.bits for b in blocks(ctx).blocks]
+    block_bits = blocks(ctx).extents
     ks = sum(1 << k for k, bits in enumerate(block_bits) if bits & ~xs.bits == 0)
 
     def union_of(sub: int) -> int:

@@ -293,7 +293,7 @@ def test_compare_builds_no_node(capsys, tmp_path, monkeypatch):
     ctx = random_context(1, 12, 6, 0.5)
     p = tmp_path / "c.cxt"
     p.write_text(context_to_cxt(ctx))
-    monkeypatch.setattr("gcl.lattice._concept", never)
+    monkeypatch.setattr("gcl.lattice.GeneralConcept", never)
     code, out, err = run(capsys, "compare", str(p))
     assert (code, err) == (0, "")
     assert out.splitlines() == [
@@ -472,7 +472,7 @@ def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy
     assert cli._fancy(build_gcl(ctx), cli._INSPECT_BLOCK_LIMIT) == fancy
     p = tmp_path / "ctx.cxt"
     p.write_text(context_to_cxt(ctx))
-    exts = [b.extent.bits for b in blocks(ctx).blocks]
+    exts = blocks(ctx).extents
     # the empty extent (an empty gfcp), every object (a full grsp) and
     # every other block
     for bits in sorted({0, (1 << n) - 1, sum(exts[::2])}):
@@ -673,7 +673,7 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
         raise AssertionError("a node was built or rendered")
 
     # everything a node's text is computed from, on either rendering path
-    monkeypatch.setattr("gcl.lattice._concept", never)
+    monkeypatch.setattr("gcl.lattice.GeneralConcept", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
     monkeypatch.setattr("gcl.cli._term_runs", never)
     monkeypatch.setattr("gcl.cli._id_runs", never)

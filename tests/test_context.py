@@ -19,6 +19,7 @@ from gcl import (
     extent_of,
     intent_of,
     parse_context,
+    random_context,
 )
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
@@ -279,12 +280,9 @@ def test_box_diamond_complement(pair):
 def test_blocks_worked_example(t1):
     part = blocks(t1)
     assert part.n_f == 3
-    assert [b.extent for b in part.blocks] == [
-        obj(t1, "g1"),
-        obj(t1, "g2"),
-        obj(t1, "g3"),
-    ]
-    assert part.intent_ids() == [0b01, 0b11, 0b10]
+    assert part.extents == (0b001, 0b010, 0b100)
+    assert part.rows == (0b01, 0b11, 0b10)
+    assert (part.n_objects, part.n_attributes) == (3, 2)
 
 
 def test_blocks_group_equal_rows_in_first_seen_order():
@@ -293,20 +291,38 @@ def test_blocks_group_equal_rows_in_first_seen_order():
     )
     part = blocks(ctx)
     assert part.n_f == 2
-    assert part.blocks[0].extent == ctx.object_set(["g1", "g3", "g4"])
-    assert part.blocks[1].extent == ctx.object_set(["g2"])
-    assert part.intent_ids() == [0b01, 0b10]
+    assert part.extents[0] == ctx.object_set(["g1", "g3", "g4"]).bits
+    assert part.extents[1] == ctx.object_set(["g2"]).bits
+    assert part.rows == (0b01, 0b10)
 
 
-@given(contexts())
+@given(st.one_of(contexts(), contexts(max_objects=12, max_attributes=5, max_rows=3)))
+@example(FormalContext((), ("m1", "m2"), ()))
+@example(FormalContext(("g1", "g2", "g3"), (), (0, 0, 0)))
 def test_blocks_partition_objects(ctx):
     part = blocks(ctx)
-    seen = BitSet.empty(ctx.n_objects)
-    for b in part.blocks:
-        assert b.extent
-        assert seen.isdisjoint(b.extent)
-        seen = seen | b.extent
-        for i in b.extent:
-            assert ctx.rows[i] == b.intent.bits
-    assert seen.is_full()
+    assert (part.n_objects, part.n_attributes) == (ctx.n_objects, ctx.n_attributes)
+    assert len(part.extents) == len(part.rows) == part.n_f
+    seen = 0
+    for extent in part.extents:
+        assert extent
+        assert not seen & extent
+        seen |= extent
+    assert seen == (1 << ctx.n_objects) - 1
+    # distinct rows, in the order their first objects come
+    assert list(part.rows) == list(dict.fromkeys(ctx.rows))
+    for i, row in enumerate(ctx.rows):
+        assert part.extents[part.rows.index(row)] >> i & 1
     assert part.n_f <= min(ctx.n_objects, 1 << ctx.n_attributes)
+
+
+def test_blocks_builds_no_bitset(monkeypatch):
+    # the partition is two int tuples: no record or BitSet per block
+    ctx = random_context(1, 5000, 20, 0.5)
+
+    def refuse(*args):
+        raise AssertionError("blocks() built a BitSet")
+
+    monkeypatch.setattr("gcl.context.BitSet", refuse)
+    part = blocks.__wrapped__(ctx)  # past the cache, so it partitions here
+    assert part.n_f == len(set(ctx.rows))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from reference import reference_bound
 from strategies import hostile_contexts
-from gcl import FormalContext, build_fcl, build_gcl, build_rsl, cli, exprs, irreducibles, lattice
+from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, exprs, irreducibles, lattice
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
 from gcl.oracle import random_context
 
@@ -105,7 +105,7 @@ def test_plain_export_builds_no_node(monkeypatch, capsysbinary, fmt):
     def never(*args):
         raise AssertionError("a node was built")
 
-    monkeypatch.setattr("gcl.lattice._concept", never)
+    monkeypatch.setattr("gcl.lattice.GeneralConcept", never)
     argv = ["build", str(GOLDEN / "export_plain.csv"), "--format", fmt]
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == _golden("export_plain_gcl", fmt)
@@ -133,14 +133,18 @@ def _reference(lat, fmt: str) -> str:
 
     nodes = list(lat.nodes)
     edges = list(lat.hasse_edges)
+    blocks = [
+        (BitSet(extent, ctx.n_objects), BitSet(row, ctx.n_attributes))
+        for extent, row in zip(part.extents, part.rows)
+    ]
     if fmt == "json":
         data = {
             "kind": "gcl",
             "objects": list(ctx.objects),
             "attributes": list(ctx.attributes),
             "blocks": [
-                {"extent": ctx.object_names(b.extent), "row": ctx.attribute_names(b.intent)}
-                for b in part.blocks
+                {"extent": ctx.object_names(extent), "row": ctx.attribute_names(row)}
+                for extent, row in blocks
             ],
             "constants": {"zero_rho": lat.zero_rho.ids(), "one_eta": lat.one_eta.ids()},
             "nodes": [
@@ -169,9 +173,9 @@ def _reference(lat, fmt: str) -> str:
         f"gcl lattice: {ctx.n_objects} objects, {ctx.n_attributes} attributes, "
         f"{part.n_f} blocks, {len(nodes)} nodes"
     ]
-    for k, b in enumerate(part.blocks):
-        row = " & ".join(ctx.attribute_names(b.intent)) or "(no attributes)"
-        lines.append(f"block D{k + 1}: {braced(ctx.object_names(b.extent))} with row {row}")
+    for k, (extent, row) in enumerate(blocks):
+        row = " & ".join(ctx.attribute_names(row)) or "(no attributes)"
+        lines.append(f"block D{k + 1}: {braced(ctx.object_names(extent))} with row {row}")
     lines.append(f"zero_rho: minterms {lat.zero_rho.ids()}")
     lines.append(f"one_eta: minterms {lat.one_eta.ids()}")
     for i, n in enumerate(nodes):

@@ -211,12 +211,12 @@ def test_no_attributes():
 
 
 def test_built_node_holds_no_table(t1):
-    # a node is its block set: the bounds are computed when read, so a
-    # node holds no 2^m-bit table, and all nodes share one partition
+    # a node is its block set: the extent and bounds are computed when
+    # read, so a node holds no extent or 2^m-bit table, and all nodes
+    # share one partition
     lat = build_gcl(t1)
     for n in lat.nodes:
-        assert set(vars(n)) == {"block_set", "extent", "partition", "n_attributes"}
-        assert not any(isinstance(v, CanonicalForm) for v in vars(n).values())
+        assert set(vars(n)) == {"block_set", "partition"}
         assert n.partition is lat.partition
 
 
@@ -268,7 +268,7 @@ def test_extents_are_block_unions(ctx):
         bits = 0
         for k in range(lat.partition.n_f):
             if n.block_set >> k & 1:
-                bits |= lat.partition.blocks[k].extent.bits
+                bits |= lat.partition.extents[k]
         assert n.extent.bits == bits
 
 
@@ -276,7 +276,7 @@ def test_extents_are_block_unions(ctx):
 def test_lazy_views_match_brute_force(ctx):
     lat = build_gcl(ctx)
     part = blocks(ctx)
-    exts = [b.extent.bits for b in lat.partition.blocks]
+    exts = lat.partition.extents
     for ks in range(1 << lat.partition.n_f):
         xs = BitSet(sum(e for k, e in enumerate(exts) if ks >> k & 1), ctx.n_objects)
         assert part.union(ks) == xs.bits

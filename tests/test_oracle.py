@@ -166,13 +166,13 @@ def _flip_minterm(lat, field, block_set, minterm):
 def _grsp_gains_a_row(monkeypatch, lat):
     # the node of every block but block 0 takes block 0's row: its grsp
     # becomes the top's
-    row = lat.partition.blocks[0].intent.bits
+    row = lat.partition.rows[0]
     return _flip_minterm(lat, "grsp", len(lat.nodes) - 2, row)
 
 
 def _gfcp_loses_its_row(monkeypatch, lat):
     # block 0's own node drops its row: its gfcp becomes the bottom's
-    return _flip_minterm(lat, "gfcp", 1, lat.partition.blocks[0].intent.bits)
+    return _flip_minterm(lat, "gfcp", 1, lat.partition.rows[0])
 
 
 def _edge_dropped(monkeypatch, lat):
