@@ -228,6 +228,7 @@ class _Env:
             ext_of[f] = ext_of[f ^ low] | ae[low.bit_length() - 1]
         return ext_of
 
+    @cached_property
     def sweep_classes(self) -> dict[int, list[int]]:
         """extent bits -> [size, min table, max table] over all 2^(2^m) tables."""
         grouped: dict[int, list[int]] = {}
@@ -441,21 +442,29 @@ def _law_family_closure(env: _Env):
     return None
 
 
-def _law_canonical_census(env: _Env):
-    grouped = env.sweep_classes()
+def _census(env: _Env) -> tuple[str | None, str | None, str | None]:
+    """The witnesses of the three census checks on the class sweep, None
+    where one holds: the class sizes sum to 2^(2^m), the realized extents
+    are the node extents, and each class's least and greatest tables are
+    its node's gfcp and grsp."""
+    grouped = env.sweep_classes
     total = sum(acc[0] for acc in grouped.values())
-    if total != 1 << (1 << env.m):
-        return f"class sizes sum to {total}"
+    sizes = None if total == 1 << (1 << env.m) else f"class sizes sum to {total}"
     by_extent = {node.extent.bits: node for node in env.nodes}
+    family = None
     if set(grouped) != set(by_extent):
-        return "realized extents differ from the node extents"
-    for ext, (size, low, high) in grouped.items():
-        node = by_extent[ext]
-        if low != node.gfcp.table:
-            return f"X={env.names(ext)}: class minimum differs from gfcp"
-        if high != node.grsp.table:
-            return f"X={env.names(ext)}: class maximum differs from grsp"
-    return None
+        family = "realized extents differ from the node extents"
+    for ext, (_, low, high) in grouped.items():
+        node = by_extent.get(ext)
+        if node is not None and low != node.gfcp.table:
+            return sizes, family, f"X={env.names(ext)}: class minimum differs from gfcp"
+        if node is not None and high != node.grsp.table:
+            return sizes, family, f"X={env.names(ext)}: class maximum differs from grsp"
+    return sizes, family, None
+
+
+def _law_canonical_census(env: _Env):
+    return next(filter(None, _census(env)), None)
 
 
 def _law_intrinsic_order(env: _Env):
@@ -846,19 +855,13 @@ LAWS: tuple[tuple, ...] = (
     ("negation-swap", _needs_classes, _law_negation_swap),
 )
 
-_POOL_NOTE = (
-    "classical intents are checked for membership in the irreducible pools "
-    "by inclusion; proper containment of the pools is reported, not asserted"
-)
-
-
 def verify_laws(ctx: FormalContext, lat: GclLattice | None = None) -> OracleReport:
     """Run every applicable law; skipped laws are listed in the notes."""
     if lat is None:
         lat = build_gcl(ctx)
     env = _Env(ctx, lat)
     results = []
-    notes = [_POOL_NOTE]
+    notes = []
     for name, needs, run in LAWS:
         reason = needs(env) if needs else None
         if reason is not None:
@@ -894,35 +897,9 @@ def enumerate_mstar(ctx: FormalContext) -> OracleReport:
         )
     lat = build_gcl(ctx)
     env = _Env(ctx, lat)
-    grouped = env.sweep_classes()
-    m = env.m
-
-    laws = []
-    total = sum(acc[0] for acc in grouped.values())
-    laws.append(
-        LawResult(
-            "census-partition",
-            total == 1 << (1 << m),
-            None if total == 1 << (1 << m) else f"class sizes sum to {total}",
-        )
-    )
-    node_exts = {node.extent.bits for node in env.nodes}
-    same = set(grouped) == node_exts
-    laws.append(
-        LawResult(
-            "census-extent-family",
-            same,
-            None if same else "realized extents differ from the node extents",
-        )
-    )
-    witness = None
-    for ext, (size, low, high) in grouped.items():
-        node = lat.node_of(BitSet(ext, env.n))
-        if node.gfcp.table != low or node.grsp.table != high:
-            witness = f"X={env.names(ext)}: class extremes differ from the bounds"
-            break
-    laws.append(LawResult("census-class-extremes", witness is None, witness))
-
+    grouped, m = env.sweep_classes, env.m
+    names = ("census-partition", "census-extent-family", "census-class-extremes")
+    laws = tuple(LawResult(name, w is None, w) for name, w in zip(names, _census(env)))
     classes = tuple(
         ClassSummary(
             BitSet(ext, env.n),
@@ -936,7 +913,7 @@ def enumerate_mstar(ctx: FormalContext) -> OracleReport:
         context_digest(ctx),
         env.n,
         env.m,
-        tuple(laws),
+        laws,
         classes,
         (),
     )

@@ -16,6 +16,7 @@ from gcl import (
     CanonicalForm,
     CapExceeded,
     FormalContext,
+    GeneralConcept,
     LawResult,
     OracleReport,
     blocks,
@@ -64,9 +65,15 @@ def test_all_laws_run_and_pass(t1):
     assert rep.failures() == []
     assert all(r.witness is None for r in rep.laws)
     assert rep.n_objects == 3 and rep.n_attributes == 2
-    # the standing caveat about pool containment is always the first note
-    assert len(rep.notes) == 1
-    assert "by inclusion" in rep.notes[0]
+    _assert_notes_are_the_skips(rep)
+
+
+def _assert_notes_are_the_skips(rep):
+    # a note says why a law did not run, and nothing else
+    ran = {r.law for r in rep.laws}
+    assert [note.partition(":")[0] for note in rep.notes] == [
+        f"skipped {law}" for law in ALL_LAWS if law not in ran
+    ]
 
 
 def test_big_context_skips_census():
@@ -77,6 +84,7 @@ def test_big_context_skips_census():
     assert "intrinsic-order-soundness" not in names
     assert names == set(ALL_LAWS) - {"canonical-census", "intrinsic-order-soundness"}
     assert any(n.startswith("skipped canonical-census") for n in rep.notes)
+    _assert_notes_are_the_skips(rep)
     assert rep.all_passed
 
 
@@ -318,6 +326,24 @@ def test_sweep_worked(t1):
         "min": [1],
         "max": [0, 1],
     }
+
+
+def test_both_census_routes_name_the_same_witness(t1, monkeypatch):
+    # one node's gfcp gains minterm 0, which no row realizes: the census
+    # law of verify and the sweep's class-extremes check share one check
+    real = GeneralConcept.gfcp
+
+    def gfcp(node):
+        form = real.fget(node)
+        return CanonicalForm(form.m_count, form.table ^ 1) if node.block_set == 1 else form
+
+    monkeypatch.setattr(GeneralConcept, "gfcp", property(gfcp))
+    census = {r.law: r for r in verify_laws(t1).laws}["canonical-census"]
+    sweep = {r.law: r for r in enumerate_mstar(t1).laws}
+    assert not census.passed and not sweep["census-class-extremes"].passed
+    assert census.witness == sweep["census-class-extremes"].witness
+    assert census.witness == "X={g1}: class minimum differs from gfcp"
+    assert sweep["census-partition"].passed and sweep["census-extent-family"].passed
 
 
 def test_sweep_class_count_matches_nodes():
