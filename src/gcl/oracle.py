@@ -855,6 +855,7 @@ LAWS: tuple[tuple, ...] = (
     ("negation-swap", _needs_classes, _law_negation_swap),
 )
 
+
 def verify_laws(ctx: FormalContext, lat: GclLattice | None = None) -> OracleReport:
     """Run every applicable law; skipped laws are listed in the notes."""
     if lat is None:
