@@ -13,6 +13,8 @@ attributes.
     python tests/corpus.py --full     check every command
     python tests/corpus.py --write    regenerate the manifest
 
+Each run ends with its wall time and its five slowest commands.
+
 A change that alters any output regenerates the manifest in the same
 commit and names the changed commands and the reason.
 """
@@ -28,6 +30,7 @@ import random
 import shlex
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("golden") / "corpus.sha256"
@@ -42,7 +45,7 @@ _HOSTILE = [
 # command on them runs, plus the refusals
 SLICE = (
     "r3-6x3", "r1-8x4", "r2-10x5", "r5-12x8", "dup-2", "hostile-1",
-    "hostile-2", "no-objects", "no-attributes", "empty", "csv-7x4",
+    "hostile-2", "no-objects", "no-attributes", "empty", "csv-7x4", "r1-3x11",
 )
 
 
@@ -96,6 +99,10 @@ def contexts() -> dict:
     out["no-attributes"] = (FormalContext(("g1", "g2", "g3", "g4"), (), (0, 0, 0, 0)), ".cxt")
     out["empty"] = (FormalContext((), (), ()), ".cxt")
     out["csv-7x4"] = (random_context(11, 7, 4, 0.4), ".csv")
+    # past _TERM_SPLIT attributes, so a gcl export writes each bound in runs;
+    # a node there prints up to megabytes, so the objects stay few
+    for seed, (n, m) in enumerate(((3, 11), (2, 12), (3, 12)), 1):
+        out[f"r{seed}-{n}x{m}"] = (random_context(seed, n, m, 0.5), ".cxt")
     # past the node cap (21 distinct rows), the export limit and the
     # inspect limit
     out["cap-21-blocks"] = (
@@ -223,11 +230,16 @@ def _workdir():
                 os.environ["GCL_MAX_M"] = old_cap
 
 
-def run(full: bool) -> list[tuple[str, str]]:
-    """(label, sha256) of every command, or of the slice's only."""
+def run(full: bool) -> list[tuple[str, str, float]]:
+    """(label, sha256, wall seconds) of every command, or of the slice's only."""
     picked = [argv for name, argv in commands() if full or name in SLICE]
+    results = []
     with _workdir():
-        return [(label(argv), digest(argv)) for argv in picked]
+        for argv in picked:
+            start = time.perf_counter()
+            sha = digest(argv)
+            results.append((label(argv), sha, time.perf_counter() - start))
+    return results
 
 
 def read_manifest() -> dict[str, str]:
@@ -238,23 +250,32 @@ def read_manifest() -> dict[str, str]:
     return out
 
 
-def mismatches(results: list[tuple[str, str]]) -> list[str]:
+def mismatches(results: list[tuple[str, str, float]]) -> list[str]:
     """The commands whose hash differs from (or is missing in) the manifest."""
     want = read_manifest()
-    return [command for command, sha in results if want.get(command) != sha]
+    return [command for command, sha, _ in results if want.get(command) != sha]
+
+
+def _timing(results: list[tuple[str, str, float]], wall: float) -> None:
+    print(f"wall time {wall:.1f} s; slowest commands:")
+    for command, _, seconds in sorted(results, key=lambda r: -r[2])[:5]:
+        print(f"  {seconds:7.3f} s  {command}")
 
 
 def _main(argv: list[str]) -> int:
+    start = time.perf_counter()
     if "--write" in argv:
         results = run(full=True)
-        MANIFEST.write_text("".join(f"{sha}  {cmd}\n" for cmd, sha in results), encoding="utf-8")
+        MANIFEST.write_text("".join(f"{sha}  {cmd}\n" for cmd, sha, _ in results), encoding="utf-8")
         print(f"wrote {len(results)} hashes to {MANIFEST.name}")
+        _timing(results, time.perf_counter() - start)
         return 0
     results = run(full="--full" in argv)
     bad = mismatches(results)
     for command in bad:
         print(f"differs: {command}")
     print(f"{len(results) - len(bad)} of {len(results)} commands match")
+    _timing(results, time.perf_counter() - start)
     return 1 if bad else 0
 
 
