@@ -129,9 +129,9 @@ def build_rsl(ctx: FormalContext) -> ClassicalLattice:
 
 
 def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
-    """Rebuild a classical lattice from general nodes alone, read by block
-    set through the partition as the exporters read them: gfcp is the
-    blocks' row table and grsp adds zero_rho.
+    """Rebuild a classical lattice from general nodes alone, read block
+    set by block set from the partition's walk as the exporters read
+    them: gfcp is the blocks' row table and grsp adds zero_rho.
 
     Intents come from canonical-bound membership tests, extents are kept
     when they reproduce themselves from their own intent's columns.  The
@@ -148,8 +148,7 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
     # cost two more passes over a 2^m-bit table per test
     var_tables = [_var_table(j, m) for j in range(m)]
     keep = []
-    for ks in range(1 << part.n_f):
-        rows = part.row_table(ks)
+    for extent, rows in part.walk():
         if kind == "rsl":
             grsp = rows | empty
             ys = [j for j, t in enumerate(var_tables) if t & grsp == t]
@@ -157,6 +156,6 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
             ys = [j for j, t in enumerate(var_tables) if rows & t == rows]
         # the blocks whose row has attribute j cover exactly column j
         rebuilt = reduce(op, [ctx.cols[j] for j in ys], start)
-        if rebuilt == part.union(ks):
+        if rebuilt == extent:
             keep.append((rebuilt, sum(1 << j for j in ys)))
     return _lattice(kind, ctx, keep)

@@ -15,8 +15,8 @@ import gc
 import os
 import sys
 from functools import cache, partial, reduce
-from itertools import chain, compress, islice
-from operator import and_, or_
+from itertools import chain, compress, groupby
+from operator import and_, itemgetter, or_
 from types import SimpleNamespace
 
 from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
@@ -29,6 +29,7 @@ from .exprs import (
     _term_length,
     _term_runs,
     _term_tables,
+    _term_text,
     _TERM_SPLIT,
     eval_contextual,
     expr_to_str,
@@ -42,7 +43,7 @@ from .irreducibles import (
     irreducible_conjunctions,
     irreducible_disjunctions,
 )
-from .lattice import GclLattice, build_gcl
+from .lattice import GclLattice, _Edges, build_gcl
 from .oracle import enumerate_mstar, random_context, verify_laws
 
 EXIT_OK = 0
@@ -144,17 +145,20 @@ def _bound_pretty(lat: GclLattice, which: str, escape, every_node: bool):
 # Each format is a generator of text chunks, written as they come: the
 # header and blocks, then the nodes, then the covers a batch at a time.  No
 # node list, edge list or whole-output string is ever held, and a gcl
-# export builds no node object.  Everything a node prints is picked from
+# export builds no node object: it reads each node's extent and row table
+# from the partition's walk.  Everything a node prints is picked from
 # tables encoded once per export for the format (json or dot escaping
 # applied): names by the bits of an extent or intent, minterm ids and bound
-# terms by the selector bytes of a minterm table (see exprs._term_runs).  A
-# bound or id list comes in runs of at most 2^_TERM_SPLIT items, so a node
-# over more attributes is written run by run.  The json generator lays out
-# what json.dumps(data, indent=2, sort_keys=True) would print for the same
-# data.
+# terms by the selector bytes of a minterm table (see exprs._term_runs),
+# one selector pass per table.  Up to _TERM_SPLIT attributes a node is one
+# string; above, a bound or id list comes in runs of at most 2^_TERM_SPLIT
+# items, and the node is written run by run.  The covers of each lower
+# node are one join over node id strings built once per export.  The json
+# generator lays out what json.dumps(data, indent=2, sort_keys=True) would
+# print for the same data.
 
-# cover pairs per written chunk
-_EDGE_BATCH = 1024
+# lower nodes whose covers are written in one chunk
+_COVER_BATCH = 128
 
 
 def _check_export(lat: GclLattice | ClassicalLattice) -> None:
@@ -229,48 +233,57 @@ def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
 def _node_bounds(
     lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT, every_node: bool = True
 ):
-    """bound(ks, rows, which): node ks's grsp or gfcp text, as escaped runs.
+    """(grsp, gfcp): grsp(ks, table, sel) and gfcp(ks, rows) give node ks's
+    bounds as escaped text, where rows is its gfcp table, table its grsp
+    table (rows | zero_rho) and sel the selectors of table.
 
-    rows is the node's row table.  A plain bound's runs come from the
-    literal-term tables, escaped here once per export, and are rendered
-    as they are read.  Where bounds may print reduced (see _fancy), the
+    Up to _TERM_SPLIT attributes a bound is one string, picked by one
+    selector pass per table from the literal-term tables, escaped here
+    once per export.  Where bounds may print reduced (see _fancy), the
     reduced one (see _bound_pretty) is checked first, and it wins if it is
-    shorter than the plain one, whose length is read off the term tables.
-    every_node is False when only a few nodes are asked for.
+    shorter than the plain one, whose length is read off the same
+    selectors.  Above _TERM_SPLIT, which is the irreducibles cap, no bound
+    prints reduced: a bound is then an iterable of runs, rendered as they
+    are read, and sel is not read.  every_node is False when only a few
+    nodes are asked for.
     """
-    ctx, part = lat.context, lat.partition
+    ctx = lat.context
     m = ctx.n_attributes
-    empty = lat.zero_rho.table
-    full = empty | lat.one_eta.table
+    full = lat.zero_rho.table | lat.one_eta.table
     dnf, cnf = (
         [tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)]
         for mode in ("dnf", "cnf")
     )
-
-    def plain(ks, rows, which):
-        if which == "grsp":
-            return _term_runs(rows | empty, m, "dnf", *dnf)
-        return _term_runs(full ^ rows, m, "cnf", *cnf)
-
+    if m > _TERM_SPLIT:
+        return (
+            lambda ks, table, sel: _term_runs(table, m, "dnf", *dnf),
+            lambda ks, rows: _term_runs(full ^ rows, m, "cnf", *cnf),
+        )
+    dnf_text, cnf_text = _term_text(m, "dnf", dnf[0]), _term_text(m, "cnf", cnf[0])
     if not _fancy(lat, block_limit):
-        return plain
+
+        def gfcp(ks, rows):
+            table = full ^ rows
+            return cnf_text(table, _selectors(table))
+
+        return (lambda ks, table, sel: dnf_text(table, sel)), gfcp
     # dot prints grsp only, so each side's members are read on first use
     pretty = cache(partial(_bound_pretty, lat, escape=escape, every_node=every_node))
     dnf_len, cnf_len = (
         tuple(map(len, _term_tables(ctx.attributes, mode)[0])) for mode in ("dnf", "cnf")
     )
 
-    def bound(ks, rows, which):
-        if which == "grsp":
-            table = rows | empty
-            size = _term_length(table, m, "dnf", dnf_len)
-        else:
-            table = rows
-            size = _term_length(full ^ rows, m, "cnf", cnf_len)
-        text = pretty(which)(ks, table, size)
-        return plain(ks, rows, which) if text is None else (text,)
+    def grsp(ks, table, sel):
+        text = pretty("grsp")(ks, table, _term_length(table, sel, m, "dnf", dnf_len))
+        return dnf_text(table, sel) if text is None else text
 
-    return bound
+    def gfcp(ks, rows):
+        table = full ^ rows
+        sel = _selectors(table)
+        text = pretty("gfcp")(ks, rows, _term_length(table, sel, m, "cnf", cnf_len))
+        return cnf_text(table, sel) if text is None else text
+
+    return grsp, gfcp
 
 
 def _id_strings(m: int) -> tuple[str, ...]:
@@ -297,22 +310,32 @@ def _id_runs(table: int, ids: tuple[str, ...], sep: str):
     return _slice_runs(selectors, pick, sep)
 
 
-def _gcl_nodes(lat: GclLattice, node):
-    """node(ks)'s chunks for every block set ks, in order.  While a bound
-    is one run, a node's chunks are joined and written at once."""
-    n = 1 << lat.partition.n_f
-    if lat.context.n_attributes <= _TERM_SPLIT:
-        return map("".join, map(node, range(n)))
-    return chain.from_iterable(map(node, range(n)))
+def _uppers(edges):
+    """(lower, its uppers ascending) for the lower nodes of the cover pairs
+    edges, ascending: a gcl lattice's per-lower form, or a tuple of sorted
+    pairs grouped by lower node."""
+    if isinstance(edges, _Edges):
+        return enumerate(edges.uppers())
+    return ((lo, [hi for _, hi in pairs]) for lo, pairs in groupby(edges, itemgetter(0)))
 
 
-def _joined(items, sep: str, size: int):
-    """sep.join(items), yielded size items at a time."""
-    items = iter(items)
-    lead = ""
-    while batch := list(islice(items, size)):
+def _covers(lat: GclLattice | ClassicalLattice, head: str, mid: str, tail: str, sep: str):
+    """Every cover pair as head + lower + mid + upper + tail, sep-joined
+    and ascending, in chunks of _COVER_BATCH lower nodes: each lower node's
+    pairs are one join over the uppers' id strings, built once."""
+    n = 1 << lat.partition.n_f if isinstance(lat, GclLattice) else len(lat.concepts)
+    ids = tuple(map(str, range(n)))
+    get, glue = ids.__getitem__, tail + sep
+    lead, batch = "", []
+    for lo, his in _uppers(lat.hasse_edges):
+        if his:
+            first = head + ids[lo] + mid
+            batch.append(first + (glue + first).join(map(get, his)) + tail)
+            if len(batch) == _COVER_BATCH:
+                yield lead + sep.join(batch)
+                lead, batch = sep, []
+    if batch:
         yield lead + sep.join(batch)
-        lead = sep
 
 
 def _text(lat: GclLattice | ClassicalLattice):
@@ -336,17 +359,22 @@ def _text(lat: GclLattice | ClassicalLattice):
             yield f"{name}: minterms ["
             yield from _id_runs(cf.table, ids, ", ")
             yield "]\n"
-        bound = _node_bounds(lat, str)
-
-        def node(ks):
-            rows = part.row_table(ks)
-            yield f"node [{ks}] {_braced(_picked(objects, part.union(ks)))}\n  grsp: "
-            yield from bound(ks, rows, "grsp")
-            yield "\n  gfcp: "
-            yield from bound(ks, rows, "gfcp")
-            yield "\n"
-
-        yield from _gcl_nodes(lat, node)
+        grsp, gfcp = _node_bounds(lat, str)
+        empty, join = lat.zero_rho.table, ", ".join
+        if ctx.n_attributes <= _TERM_SPLIT:
+            for ks, (extent, rows) in enumerate(part.walk()):
+                table = rows | empty
+                yield (
+                    f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n"
+                    f"  grsp: {grsp(ks, table, _selectors(table))}\n  gfcp: {gfcp(ks, rows)}\n"
+                )
+        else:
+            for ks, (extent, rows) in enumerate(part.walk()):
+                yield f"node [{ks}] {_braced(_picked(objects, extent))}\n  grsp: "
+                yield from grsp(ks, rows | empty, None)
+                yield "\n  gfcp: "
+                yield from gfcp(ks, rows)
+                yield "\n"
     else:
         yield head + f"{len(lat.concepts)} concepts\n"
         for i, c in enumerate(lat.concepts):
@@ -360,7 +388,7 @@ def _text(lat: GclLattice | ClassicalLattice):
         yield "covers: (none)\n"
         return
     yield "covers: "
-    yield from _joined((f"{lo}<{hi}" for lo, hi in lat.hasse_edges), ", ", _EDGE_BATCH)
+    yield from _covers(lat, "", "<", "", ", ")
     yield "\n"
 
 
@@ -369,25 +397,27 @@ def _dot(lat: GclLattice | ClassicalLattice):
     objects = tuple(map(_dot_escape, ctx.objects))
     yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
     if isinstance(lat, GclLattice):
-        part = lat.partition
-        bound = _node_bounds(lat, _dot_escape)
-
-        def node(ks):
-            names = _braced(_picked(objects, part.union(ks)))
-            yield f'  n{ks} [label="{names} | '
-            yield from bound(ks, part.row_table(ks), "grsp")
-            yield '"];\n'
-
-        yield from _gcl_nodes(lat, node)
+        grsp = _node_bounds(lat, _dot_escape)[0]
+        empty, join = lat.zero_rho.table, ", ".join
+        if ctx.n_attributes <= _TERM_SPLIT:
+            for ks, (extent, rows) in enumerate(lat.partition.walk()):
+                table = rows | empty
+                yield (
+                    f'  n{ks} [label="{{{join(compress(objects, _selectors(extent)))}}} | '
+                    f'{grsp(ks, table, _selectors(table))}"];\n'
+                )
+        else:
+            for ks, (extent, rows) in enumerate(lat.partition.walk()):
+                yield f'  n{ks} [label="{_braced(_picked(objects, extent))} | '
+                yield from grsp(ks, rows | empty, None)
+                yield '"];\n'
     else:
         attributes = tuple(map(_dot_escape, ctx.attributes))
         for i, c in enumerate(lat.concepts):
             names = _braced(_picked(objects, c.extent.bits))
             desc = _property(lat, attributes, _selectors(c.intent.bits))
             yield f'  n{i} [label="{names} | {desc}"];\n'
-    yield from _joined(
-        (f"  n{lo} -> n{hi};\n" for lo, hi in lat.hasse_edges), "", _EDGE_BATCH
-    )
+    yield from _covers(lat, "  n", " -> n", ";\n", "")
     yield "}\n"
 
 
@@ -404,8 +434,9 @@ def _json_block(items, level: int, brackets: str = "[]") -> str:
 
 
 def _json_names(names, picks: bytes) -> str:
-    """The encoded names picks selects, as a json array at depth 3, in one
-    join (an encoded name is quoted, so never empty)."""
+    """The encoded names or id strings picks selects, as a json array at
+    depth 3, in one join (an encoded name is quoted and an id a number, so
+    neither is empty)."""
     text = ",\n        ".join(compress(names, picks))
     return f"[\n        {text}\n      ]" if text else "[]"
 
@@ -419,16 +450,6 @@ def _json_ids(table: int, ids: tuple[str, ...], level: int):
     return chain(("[" + pad,), runs, ("\n" + "  " * level + "]",))
 
 
-def _json_stream(items, count: int, size: int):
-    """A top-level member's array of count encoded items, size at a time."""
-    if not count:
-        yield "[]"
-        return
-    yield "[\n    "
-    yield from _joined(items, ",\n    ", size)
-    yield "\n  ]"
-
-
 def _json(lat: GclLattice | ClassicalLattice):
     ctx = lat.context
     objects = tuple(f'"{_json_escape(name)}"' for name in ctx.objects)
@@ -436,23 +457,40 @@ def _json(lat: GclLattice | ClassicalLattice):
     if isinstance(lat, GclLattice):
         part = lat.partition
         ids = _id_strings(ctx.n_attributes)
-        bound = _node_bounds(lat, _json_escape)
+        grsp, gfcp = _node_bounds(lat, _json_escape)
         empty = lat.zero_rho.table
 
-        def node(ks):
-            rows = part.row_table(ks)
-            extent = _json_names(objects, _selectors(part.union(ks)))
-            lead = ",\n    " if ks else ""
-            yield f'{lead}{{\n      "block_set": {ks},\n      "extent": {extent}'
-            yield ',\n      "gfcp_minterms": '
-            yield from _json_ids(rows, ids, 3)
-            yield ',\n      "gfcp_pretty": "'
-            yield from bound(ks, rows, "gfcp")
-            yield '",\n      "grsp_minterms": '
-            yield from _json_ids(rows | empty, ids, 3)
-            yield ',\n      "grsp_pretty": "'
-            yield from bound(ks, rows, "grsp")
-            yield '"\n    }'
+        def nodes():
+            lead = "[\n    "
+            if ctx.n_attributes <= _TERM_SPLIT:
+                for ks, (extent, rows) in enumerate(part.walk()):
+                    table = rows | empty
+                    sel = _selectors(table)
+                    yield (
+                        f'{lead}{{\n      "block_set": {ks},'
+                        f'\n      "extent": {_json_names(objects, _selectors(extent))},'
+                        f'\n      "gfcp_minterms": {_json_names(ids, _selectors(rows))},'
+                        f'\n      "gfcp_pretty": "{gfcp(ks, rows)}",'
+                        f'\n      "grsp_minterms": {_json_names(ids, sel)},'
+                        f'\n      "grsp_pretty": "{grsp(ks, table, sel)}"\n    }}'
+                    )
+                    lead = ",\n    "
+            else:
+                for ks, (extent, rows) in enumerate(part.walk()):
+                    table = rows | empty
+                    yield f'{lead}{{\n      "block_set": {ks},\n      "extent": '
+                    yield _json_names(objects, _selectors(extent))
+                    yield ',\n      "gfcp_minterms": '
+                    yield from _json_ids(rows, ids, 3)
+                    yield ',\n      "gfcp_pretty": "'
+                    yield from gfcp(ks, rows)
+                    yield '",\n      "grsp_minterms": '
+                    yield from _json_ids(table, ids, 3)
+                    yield ',\n      "grsp_pretty": "'
+                    yield from grsp(ks, table, None)
+                    yield '"\n    }'
+                    lead = ",\n    "
+            yield "\n  ]"
 
         blocks = (
             f'{{\n      "extent": {_json_names(objects, _selectors(extent))},'
@@ -468,7 +506,7 @@ def _json(lat: GclLattice | ClassicalLattice):
                 _json_ids(empty, ids, 2),
                 ["\n  }"],
             ),
-            "nodes": chain(["[\n    "], _gcl_nodes(lat, node), ["\n  ]"]),
+            "nodes": nodes(),
         }
     else:
         # one template per concept, its keys in sorted order, written as one
@@ -492,10 +530,14 @@ def _json(lat: GclLattice | ClassicalLattice):
     fields["kind"] = f'"{_json_escape(_kind(lat))}"'
     fields["objects"] = _json_block(objects, 1)
     fields["attributes"] = _json_block(attributes, 1)
-    fields["edges"] = _json_stream(
-        (f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.hasse_edges),
-        len(lat.hasse_edges),
-        _EDGE_BATCH,
+    fields["edges"] = (
+        chain(
+            ["[\n    "],
+            _covers(lat, "[\n      ", ",\n      ", "\n    ]", ",\n    "),
+            ["\n  ]"],
+        )
+        if lat.hasse_edges
+        else "[]"
     )
     lead = "{\n"
     for key, value in sorted(fields.items()):
@@ -703,12 +745,9 @@ def _cmd_inspect(args) -> int:
     lines.append(f"extent: {_braced(ctx.object_names(node.extent))}\n")
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
-    rows = node.gfcp.table
-    bound = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT, every_node=False)
-    bounds = [
-        (which, table, bound(ks, rows, which))
-        for which, table in (("grsp", node.grsp.table), ("gfcp", rows))
-    ]
+    rows, table = node.gfcp.table, node.grsp.table
+    grsp, gfcp = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT, every_node=False)
+    bounds = [("grsp", table, grsp(ks, table, _selectors(table))), ("gfcp", rows, gfcp(ks, rows))]
     classes = []
     if args.irreducibles:
         cc = irreducible_conjunctions(ctx, xs)
@@ -722,8 +761,10 @@ def _cmd_inspect(args) -> int:
     write = sys.stdout.write
     write("".join(lines))
     ids = _id_strings(ctx.n_attributes)
-    for which, table, runs in bounds:
+    for which, table, text in bounds:
         write(f"{which}: ")
+        # one string up to _TERM_SPLIT attributes, runs above (see _node_bounds)
+        runs = [text] if isinstance(text, str) else text
         for run in chain(runs, ["  (minterms ["], _id_runs(table, ids, ", "), ["])\n"]):
             write(run)
     write("".join(classes))

@@ -17,7 +17,10 @@ extents they cover live here and nowhere else in the builder:
 ``block_set_of`` takes an extent back to its block set, refusing one that
 is not a union of blocks.  ``BlockPartition.row_table`` takes a block set
 to the minterm table of its blocks' rows, set from the row ids on each
-call: the partition keeps no 2^m-bit table per block.
+call: the partition keeps no 2^m-bit table per block.  Both maps are
+unions over the blocks, so ``BlockPartition.walk`` gives them for every
+block set in order from a few calls, each block set's pair the OR of its
+high and its low blocks' pairs.
 
 Two file formats are understood: the ``cxt`` format (header line ``B``,
 dimensions, names, then an X/. matrix) and a csv layout with attribute
@@ -198,6 +201,11 @@ def approx_diamond(ctx: FormalContext, ys: BitSet) -> BitSet:
 # ---------------------------------------------------------------------------
 # blocks
 
+# BlockPartition.walk maps the block sets over this many low blocks once:
+# it holds 2^_WALK_LOW row tables of 2^m bits, whatever n_F is
+_WALK_LOW = 4
+
+
 class BlockPartition(Value):
     """The blocks of a context, ordered by first occurrence of a member:
     ``extents[k]`` is block k's object mask and ``rows[k]`` its common
@@ -231,6 +239,22 @@ class BlockPartition(Value):
             bits |= 1 << rows[low.bit_length() - 1]
             block_set ^= low
         return bits
+
+    def walk(self):
+        """(union(ks), row_table(ks)) for every block set ks, ascending.
+
+        The pairs of the block sets over the lowest h = min(n_F,
+        _WALK_LOW) blocks are mapped once; each block set is then its high
+        part's pair ORed with a low entry, two int ORs a block set.  The
+        maps run 2^h + 2^(n_F - h) times each, and at most 2^h + 1 row
+        tables are held at once.
+        """
+        h = min(self.n_f, _WALK_LOW)
+        low = [(self.union(ks), self.row_table(ks)) for ks in range(1 << h)]
+        for high in range(0, 1 << self.n_f, 1 << h):
+            extent, rows = self.union(high), self.row_table(high)
+            for low_extent, low_rows in low:
+                yield extent | low_extent, rows | low_rows
 
 
 @lru_cache(maxsize=32)

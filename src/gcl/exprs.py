@@ -318,17 +318,35 @@ def _term_runs(table: int, m: int, mode: str, low, high):
     slice of selectors, led by the separator after the first.  The tables
     may come escaped for an output format; the separators need none.
     """
+    if m <= _TERM_SPLIT:
+        return (_term_text(m, mode, low)(table, _selectors(table)),)
     whole, lead, outer, close = _term_frame(table, m, mode)
     if whole is not None:
         return (whole,)
     selectors = _selectors(table)
-    if m <= _TERM_SPLIT:
-        return (lead + outer.join(compress(low, selectors)) + close,)
 
     def pick(h, chunk):
         return map(add, compress(low, chunk), repeat(high[h]))
 
     return chain(_slice_runs(selectors, pick, outer, lead), (close,))
+
+
+def _term_text(m: int, mode: str, low):
+    """text(table, selectors): the text _term_runs(table, m, mode, low, ())
+    gives, as one string, for m up to _TERM_SPLIT.  selectors are
+    _selectors(table), so a caller that reads them for more than the terms
+    reads the table once.  The frames of no term, one term and more are
+    set here, once per m and mode."""
+    # at m = 0 the table is 0 or 1, so the frame of two terms is never read
+    none, one, more = (_term_frame(table, m, mode) for table in (0, 1, 3))
+
+    def text(table: int, selectors: bytes) -> str:
+        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
+        if whole is not None:
+            return whole
+        return lead + sep.join(compress(low, selectors)) + close
+
+    return text
 
 
 def _term_frame(table: int, m: int, mode: str):
@@ -346,14 +364,13 @@ def _term_frame(table: int, m: int, mode: str):
     return None, "", outer, ""
 
 
-def _term_length(table: int, m: int, mode: str, lengths) -> int:
-    """len of the text _term_runs(table, m, mode, low, ()) gives, for m up
-    to _TERM_SPLIT, summed from lengths[t] = len(low[t]) without joining
-    the terms."""
+def _term_length(table: int, selectors: bytes, m: int, mode: str, lengths) -> int:
+    """len of the text _term_text(m, mode, low)(table, selectors) gives,
+    summed from lengths[t] = len(low[t]) without joining the terms."""
     whole, lead, sep, close = _term_frame(table, m, mode)
     if whole is not None:
         return len(whole)
-    terms = sum(compress(lengths, _selectors(table)))
+    terms = sum(compress(lengths, selectors))
     return len(lead) + terms + len(sep) * (table.bit_count() - 1) + len(close)
 
 

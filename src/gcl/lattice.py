@@ -22,7 +22,8 @@ cover pairs are generated as they are iterated.  Only walking all 2^n_F
 nodes or covers is refused past the node cap of 20 blocks.  Block sets
 are mapped to extents and back only through ``BlockPartition.union`` and
 ``block_set_of`` in ``context``, and to their gfcp tables only through
-``BlockPartition.row_table``.
+``BlockPartition.row_table``; a walk over every block set reads both
+from ``BlockPartition.walk``.
 """
 
 from __future__ import annotations
@@ -136,19 +137,24 @@ class _Nodes(_View, Sequence):
 
 
 class _Edges(_View):
-    """Cover pairs (ks, ks | 1 << k), ks then k ascending; never indexed."""
+    """Cover pairs (ks, ks | 1 << k), ks then k ascending; never indexed.
+    ``uppers`` lists them per lower node, and the pairs are read from it."""
 
     __slots__ = ()
 
     def __init__(self, n_f: int):
         self._nf, self._n = n_f, (n_f << n_f) >> 1
 
+    def uppers(self):
+        """The list of each block set's upper covers ks | 1 << k, k
+        ascending, for the block sets in ascending order; refused past
+        the node cap."""
+        _guard_nodes(self._nf)
+        singles = [1 << k for k in range(self._nf)]
+        return ([ks | b for b in singles if not ks & b] for ks in range(1 << self._nf))
+
     def _walk(self):
-        nf = self._nf
-        for ks in range(1 << nf):
-            for k in range(nf):
-                if not ks >> k & 1:
-                    yield ks, ks | 1 << k
+        return ((lo, hi) for lo, his in enumerate(self.uppers()) for hi in his)
 
 
 class GclLattice(Value):

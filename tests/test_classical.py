@@ -1,5 +1,7 @@
 """Formal-concept and rough-set lattices, built directly and recovered."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,30 @@ def test_recover_agrees_past_the_oracle_gate(ctx, n_f):
     lat = build_gcl(ctx)
     assert recover_classical(lat, "fcl") == build_fcl(ctx)
     assert recover_classical(lat, "rsl") == build_rsl(ctx)
+
+
+# the 37-46 KB that recovery peaked at when it mapped each block set on its
+# own, plus twice the walk's low table of 16 row tables of 8 KB; a walk split
+# into two halves of 6 blocks holds 64 such tables and peaks at 555 KB
+_RECOVER_PEAK = 46_000 + 2 * 16 * 8192
+
+
+@pytest.mark.parametrize("kind", ["fcl", "rsl"])
+def test_recovery_holds_few_row_tables(kind):
+    # 12 blocks over 16 attributes, each row near 2^16, so that every row
+    # table of a block set takes about 8 KB
+    rows = tuple((1 << 16) - 1 - 4099 * i for i in range(12))
+    ctx = FormalContext(tuple(f"g{i}" for i in range(12)), tuple(f"m{j}" for j in range(16)), rows)
+    lat = build_gcl(ctx)
+    recover_classical(lat, kind)  # the attribute tables are cached
+    tracemalloc.start()
+    try:
+        recovered = recover_classical(lat, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recovered == (build_fcl if kind == "fcl" else build_rsl)(ctx)
+    assert peak < _RECOVER_PEAK, f"peak {peak} B"
 
 
 def swept_extents(ctx, kind):

@@ -316,6 +316,26 @@ def test_blocks_partition_objects(ctx):
     assert part.n_f <= min(ctx.n_objects, 1 << ctx.n_attributes)
 
 
+@given(st.one_of(contexts(max_objects=9, max_attributes=5), contexts(max_objects=12, max_rows=3)))
+@example(FormalContext((), ("m1", "m2"), ()))
+@example(FormalContext(("g1", "g2", "g3"), (), (0, 0, 0)))
+@example(FormalContext(("g1", "g2"), ("m1", "m2"), (0b10, 0b10)))
+@example(
+    FormalContext.from_table(
+        [f"g{i}" for i in range(8)],
+        ["a", "b", "c"],
+        ["XX.", "X.X", ".XX", "...", "XXX", "X..", "XX.", "..."],
+    )
+)
+@example(random_context(12, 20, 4, 0.5))  # 15 blocks
+def test_walk_gives_the_union_and_row_table_of_every_block_set(ctx):
+    # no objects (n_F 0), no attributes and one block, duplicate rows, and
+    # n_F on both sides of the walk's low table
+    part = blocks(ctx)
+    want = [(part.union(ks), part.row_table(ks)) for ks in range(1 << part.n_f)]
+    assert list(part.walk()) == want
+
+
 def test_blocks_builds_no_bitset(monkeypatch):
     # the partition is two int tuples: no record or BitSet per block
     ctx = random_context(1, 5000, 20, 0.5)

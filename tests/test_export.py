@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from reference import reference_bound
 from strategies import hostile_contexts
-from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, exprs, irreducibles, lattice
+from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, context, exprs, irreducibles, lattice
+from gcl.context import BlockPartition, parse_context
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
 from gcl.oracle import random_context
 
@@ -109,6 +111,64 @@ def test_plain_export_builds_no_node(monkeypatch, capsysbinary, fmt):
     argv = ["build", str(GOLDEN / "export_plain.csv"), "--format", fmt]
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == _golden("export_plain_gcl", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_plain_export_maps_each_high_and_low_block_set_once(monkeypatch, fmt):
+    # 9 blocks: the walk maps the 2^4 low and the 2^5 high block sets, and
+    # ORs them into all 512 nodes
+    ctx = parse_context((GOLDEN / "export_plain.csv").read_text(encoding="utf-8"), "csv")
+    lat = build_gcl(ctx)
+    n_f, h = lat.partition.n_f, context._WALK_LOW
+    assert n_f == 9 and not _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    calls = Counter()
+    for name in ("union", "row_table"):
+        original = getattr(BlockPartition, name)
+
+        def counted(part, block_set, name=name, original=original):
+            calls[name] += 1
+            return original(part, block_set)
+
+        monkeypatch.setattr(BlockPartition, name, counted)
+    assert _exported(lat, fmt).encode() == _golden("export_plain_gcl", fmt)
+    assert 0 < calls["union"] <= (1 << h) + (1 << n_f - h)
+    assert 0 < calls["row_table"] <= (1 << h) + (1 << n_f - h)
+
+
+def _flat(uppers):
+    return [(lo, hi) for lo, his in uppers for hi in his]
+
+
+@pytest.mark.parametrize("n_f", range(11))
+def test_the_per_lower_covers_flatten_to_the_cover_pairs(n_f):
+    rows = tuple(range(n_f))
+    ctx = FormalContext(tuple(f"g{i}" for i in rows), ("a", "b", "c", "d"), rows)
+    edges = build_gcl(ctx).hasse_edges
+    uppers = list(edges.uppers())
+    assert len(uppers) == 1 << n_f
+    # the covers differ in one block, ascending by lower then upper
+    want = sorted((ks, ks | 1 << k) for ks in range(1 << n_f) for k in range(n_f) if not ks >> k & 1)
+    assert _flat(enumerate(uppers)) == want == list(edges) == _flat(cli._uppers(edges))
+
+
+@pytest.mark.parametrize("build", [build_fcl, build_rsl])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_classical_covers_grouped_by_lower_give_back_the_pairs(build, seed):
+    lat = build(random_context(seed, 12, 6, 0.5))
+    grouped = list(cli._uppers(lat.hasse_edges))
+    assert [lo for lo, _ in grouped] == sorted({lo for lo, _ in lat.hasse_edges})
+    assert _flat(grouped) == list(lat.hasse_edges)
+
+
+@pytest.mark.parametrize("kind", ["gcl", "fcl", "rsl"])
+def test_a_lattice_without_covers_prints_none(kind):
+    # no objects: the one gcl node, and one classical concept
+    lat = _BUILD[kind](FormalContext((), ("a", "b"), ()))
+    assert not lat.hasse_edges
+    assert _exported(lat, "text").endswith("\ncovers: (none)\n")
+    assert json.loads(_exported(lat, "json"))["edges"] == []
+    assert '"edges": []' in _exported(lat, "json")
+    assert "->" not in _exported(lat, "dot")
 
 
 # ---------------------------------------------------------------------------

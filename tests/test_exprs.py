@@ -265,7 +265,9 @@ def test_term_length_is_the_length_of_the_plain_text(cf):
         for names in NAME_SETS:
             low = exprs._term_tables(names[:cf.m_count], mode)[0]
             text = canonical_to_str(cf, mode, names)
-            assert exprs._term_length(table, cf.m_count, mode, list(map(len, low))) == len(text)
+            assert exprs._term_length(
+                table, exprs._selectors(table), cf.m_count, mode, list(map(len, low))
+            ) == len(text)
 
 
 def test_canonical_to_str_needs_a_name_per_attribute():
