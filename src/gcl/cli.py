@@ -24,13 +24,11 @@ from .context import FormalContext, context_to_cxt, parse_context
 from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
 from .exprs import (
     DEFAULT_CANONICAL_CAP,
+    _id_runs,
     _selectors,
-    _slice_runs,
     _term_length,
-    _term_runs,
     _term_tables,
     _term_text,
-    _TERM_SPLIT,
     eval_contextual,
     expr_to_str,
     parse_expr,
@@ -149,13 +147,15 @@ def _bound_pretty(lat: GclLattice, which: str, escape, every_node: bool):
 # from the partition's walk.  Everything a node prints is picked from
 # tables encoded once per export for the format (json or dot escaping
 # applied): names by the bits of an extent or intent, minterm ids and bound
-# terms by the selector bytes of a minterm table (see exprs._term_runs),
-# one selector pass per table.  Up to _TERM_SPLIT attributes a node is one
-# string; above, a bound or id list comes in runs of at most 2^_TERM_SPLIT
-# items, and the node is written run by run.  The covers of each lower
-# node are one join over node id strings built once per export.  The json
-# generator lays out what json.dumps(data, indent=2, sort_keys=True) would
-# print for the same data.
+# terms by the selector bytes of a minterm table (see exprs._term_text and
+# exprs._id_runs), one selector pass per table.  Each format has one node
+# loop, which yields a node as a tuple of parts.  A part is a string, or an
+# iterable of runs where exprs renders a bound or id list over too many
+# minterms for one string (of at most 2^10 items each).  A node whose parts
+# are all strings is written as one chunk, any other part by part and run
+# by run (see _write).  The covers of each lower node are one join over
+# node id strings built once per export.  The json generator lays out what
+# json.dumps(data, indent=2, sort_keys=True) would print for the same data.
 
 # lower nodes whose covers are written in one chunk
 _COVER_BATCH = 128
@@ -230,37 +230,26 @@ def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
     return " | ".join(compress(attributes, picks)) or "0"
 
 
-def _node_bounds(
-    lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT, every_node: bool = True
-):
+def _node_bounds(lat: GclLattice, escape, every_node: bool = True):
     """(grsp, gfcp): grsp(ks, table, sel) and gfcp(ks, rows) give node ks's
-    bounds as escaped text, where rows is its gfcp table, table its grsp
-    table (rows | zero_rho) and sel the selectors of table.
+    bounds as escaped text, a part (see _write), where rows is its gfcp
+    table, table its grsp table (rows | zero_rho) and sel its selectors.
 
-    Up to _TERM_SPLIT attributes a bound is one string, picked by one
-    selector pass per table from the literal-term tables, escaped here
-    once per export.  Where bounds may print reduced (see _fancy), the
-    reduced one (see _bound_pretty) is checked first, and it wins if it is
-    shorter than the plain one, whose length is read off the same
-    selectors.  Above _TERM_SPLIT, which is the irreducibles cap, no bound
-    prints reduced: a bound is then an iterable of runs, rendered as they
-    are read, and sel is not read.  every_node is False when only a few
-    nodes are asked for.
+    A plain bound is picked from the literal-term tables, escaped here once
+    per export (see exprs._term_text).  Where bounds may print reduced (see
+    _fancy), the reduced one (see _bound_pretty) wins if it is shorter than
+    the plain one, whose length is read off the same selectors.  every_node
+    is False for inspect, which asks for one node and allows reduced bounds
+    up to _INSPECT_BLOCK_LIMIT blocks, not _PRETTY_BLOCK_LIMIT.
     """
     ctx = lat.context
     m = ctx.n_attributes
-    full = lat.zero_rho.table | lat.one_eta.table
-    dnf, cnf = (
-        [tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)]
+    full = (1 << (1 << m)) - 1
+    dnf_text, cnf_text = (
+        _term_text(m, mode, *(tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)))
         for mode in ("dnf", "cnf")
     )
-    if m > _TERM_SPLIT:
-        return (
-            lambda ks, table, sel: _term_runs(table, m, "dnf", *dnf),
-            lambda ks, rows: _term_runs(full ^ rows, m, "cnf", *cnf),
-        )
-    dnf_text, cnf_text = _term_text(m, "dnf", dnf[0]), _term_text(m, "cnf", cnf[0])
-    if not _fancy(lat, block_limit):
+    if not _fancy(lat, _PRETTY_BLOCK_LIMIT if every_node else _INSPECT_BLOCK_LIMIT):
 
         def gfcp(ks, rows):
             table = full ^ rows
@@ -284,30 +273,6 @@ def _node_bounds(
         return cnf_text(table, sel) if text is None else text
 
     return grsp, gfcp
-
-
-def _id_strings(m: int) -> tuple[str, ...]:
-    """The id strings of the first 2^_TERM_SPLIT minterms over m attributes."""
-    return tuple(map(str, range(1 << min(m, _TERM_SPLIT))))
-
-
-def _id_runs(table: int, ids: tuple[str, ...], sep: str):
-    """The ids of table's set bits, sep-joined, as runs of one slice of
-    2^_TERM_SPLIT minterms each, every run after the first led by sep.
-
-    ids holds the first slice's id strings; later slices format theirs.
-    """
-    selectors = _selectors(table)
-    if len(selectors) <= len(ids):
-        return (sep.join(compress(ids, selectors)),)
-
-    def pick(h, chunk):
-        if not h:
-            return compress(ids, chunk)
-        base = h << _TERM_SPLIT
-        return map(str, compress(range(base, base + len(ids)), chunk))
-
-    return _slice_runs(selectors, pick, sep)
 
 
 def _uppers(edges):
@@ -353,28 +318,25 @@ def _text(lat: GclLattice | ClassicalLattice):
             lines.append(
                 f"block D{k + 1}: {_braced(_picked(objects, extent))} with row {row}"
             )
-        yield "\n".join(lines) + "\n"
-        ids = _id_strings(ctx.n_attributes)
-        for name, cf in (("zero_rho", lat.zero_rho), ("one_eta", lat.one_eta)):
-            yield f"{name}: minterms ["
-            yield from _id_runs(cf.table, ids, ", ")
-            yield "]\n"
-        grsp, gfcp = _node_bounds(lat, str)
+        ids = _id_runs(ctx.n_attributes, ", ")
         empty, join = lat.zero_rho.table, ", ".join
-        if ctx.n_attributes <= _TERM_SPLIT:
-            for ks, (extent, rows) in enumerate(part.walk()):
-                table = rows | empty
-                yield (
-                    f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n"
-                    f"  grsp: {grsp(ks, table, _selectors(table))}\n  gfcp: {gfcp(ks, rows)}\n"
-                )
-        else:
-            for ks, (extent, rows) in enumerate(part.walk()):
-                yield f"node [{ks}] {_braced(_picked(objects, extent))}\n  grsp: "
-                yield from grsp(ks, rows | empty, None)
-                yield "\n  gfcp: "
-                yield from gfcp(ks, rows)
-                yield "\n"
+        yield (
+            "\n".join(lines) + "\nzero_rho: minterms [",
+            ids(_selectors(empty)),
+            "]\none_eta: minterms [",
+            ids(_selectors(lat.one_eta.table)),
+            "]\n",
+        )
+        grsp, gfcp = _node_bounds(lat, str)
+        for ks, (extent, rows) in enumerate(part.walk()):
+            table = rows | empty
+            yield (
+                f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n  grsp: ",
+                grsp(ks, table, _selectors(table)),
+                "\n  gfcp: ",
+                gfcp(ks, rows),
+                "\n",
+            )
     else:
         yield head + f"{len(lat.concepts)} concepts\n"
         for i, c in enumerate(lat.concepts):
@@ -399,18 +361,13 @@ def _dot(lat: GclLattice | ClassicalLattice):
     if isinstance(lat, GclLattice):
         grsp = _node_bounds(lat, _dot_escape)[0]
         empty, join = lat.zero_rho.table, ", ".join
-        if ctx.n_attributes <= _TERM_SPLIT:
-            for ks, (extent, rows) in enumerate(lat.partition.walk()):
-                table = rows | empty
-                yield (
-                    f'  n{ks} [label="{{{join(compress(objects, _selectors(extent)))}}} | '
-                    f'{grsp(ks, table, _selectors(table))}"];\n'
-                )
-        else:
-            for ks, (extent, rows) in enumerate(lat.partition.walk()):
-                yield f'  n{ks} [label="{_braced(_picked(objects, extent))} | '
-                yield from grsp(ks, rows | empty, None)
-                yield '"];\n'
+        for ks, (extent, rows) in enumerate(lat.partition.walk()):
+            table = rows | empty
+            yield (
+                f'  n{ks} [label="{{{join(compress(objects, _selectors(extent)))}}} | ',
+                grsp(ks, table, _selectors(table)),
+                '"];\n',
+            )
     else:
         attributes = tuple(map(_dot_escape, ctx.attributes))
         for i, c in enumerate(lat.concepts):
@@ -421,33 +378,33 @@ def _dot(lat: GclLattice | ClassicalLattice):
     yield "}\n"
 
 
-def _json_block(items, level: int, brackets: str = "[]") -> str:
-    """Encoded items as a json array (or object) at nesting depth level."""
+def _json_block(items, level: int) -> str:
+    """Encoded items as a json array at nesting depth level."""
     items = list(items)
     if not items:
-        return brackets
+        return "[]"
     pad = "\n" + "  " * (level + 1)
     # the brackets go onto the end items, so the joined text is never copied
-    items[0] = brackets[0] + pad + items[0]
-    items[-1] += "\n" + "  " * level + brackets[1]
+    items[0] = "[" + pad + items[0]
+    items[-1] += "\n" + "  " * level + "]"
     return ("," + pad).join(items)
 
 
-def _json_names(names, picks: bytes) -> str:
-    """The encoded names or id strings picks selects, as a json array at
-    depth 3, in one join (an encoded name is quoted and an id a number, so
-    neither is empty)."""
-    text = ",\n        ".join(compress(names, picks))
-    return f"[\n        {text}\n      ]" if text else "[]"
+# (separator, lead, close) of the items of a json array at depth 2 (a
+# constant's minterms) and 3 (a field of a block, node or concept)
+_JSON_FRAMES = {
+    level: ("," + pad, "[" + pad, "\n" + "  " * level + "]")
+    for level, pad in ((2, "\n      "), (3, "\n        "))
+}
 
 
-def _json_ids(table: int, ids: tuple[str, ...], level: int):
-    """The ids of table's set bits as a json array at depth level, in runs."""
-    if not table:
-        return ("[]",)
-    pad = "\n" + "  " * (level + 1)
-    runs = _id_runs(table, ids, "," + pad)
-    return chain(("[" + pad,), runs, ("\n" + "  " * level + "]",))
+def _json_names(names, picks: bytes, frame=_JSON_FRAMES[3]) -> str:
+    """The encoded names or minterm id strings picks selects, as a json
+    array in frame, in one join (an encoded name is quoted and an id a
+    number, so neither is empty)."""
+    sep, lead, close = frame
+    text = sep.join(compress(names, picks))
+    return f"{lead}{text}{close}" if text else "[]"
 
 
 def _json(lat: GclLattice | ClassicalLattice):
@@ -456,40 +413,31 @@ def _json(lat: GclLattice | ClassicalLattice):
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
     if isinstance(lat, GclLattice):
         part = lat.partition
-        ids = _id_strings(ctx.n_attributes)
+        # a node's id arrays take the default frame, so their calls bind no
+        # keyword; past one string they come in runs (see exprs._id_runs)
+        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], _json_names)
         grsp, gfcp = _node_bounds(lat, _json_escape)
         empty = lat.zero_rho.table
 
         def nodes():
             lead = "[\n    "
-            if ctx.n_attributes <= _TERM_SPLIT:
-                for ks, (extent, rows) in enumerate(part.walk()):
-                    table = rows | empty
-                    sel = _selectors(table)
-                    yield (
-                        f'{lead}{{\n      "block_set": {ks},'
-                        f'\n      "extent": {_json_names(objects, _selectors(extent))},'
-                        f'\n      "gfcp_minterms": {_json_names(ids, _selectors(rows))},'
-                        f'\n      "gfcp_pretty": "{gfcp(ks, rows)}",'
-                        f'\n      "grsp_minterms": {_json_names(ids, sel)},'
-                        f'\n      "grsp_pretty": "{grsp(ks, table, sel)}"\n    }}'
-                    )
-                    lead = ",\n    "
-            else:
-                for ks, (extent, rows) in enumerate(part.walk()):
-                    table = rows | empty
-                    yield f'{lead}{{\n      "block_set": {ks},\n      "extent": '
-                    yield _json_names(objects, _selectors(extent))
-                    yield ',\n      "gfcp_minterms": '
-                    yield from _json_ids(rows, ids, 3)
-                    yield ',\n      "gfcp_pretty": "'
-                    yield from gfcp(ks, rows)
-                    yield '",\n      "grsp_minterms": '
-                    yield from _json_ids(table, ids, 3)
-                    yield ',\n      "grsp_pretty": "'
-                    yield from grsp(ks, table, None)
-                    yield '"\n    }'
-                    lead = ",\n    "
+            for ks, (extent, rows) in enumerate(part.walk()):
+                table = rows | empty
+                sel = _selectors(table)
+                yield (
+                    f'{lead}{{\n      "block_set": {ks},'
+                    f'\n      "extent": {_json_names(objects, _selectors(extent))},'
+                    '\n      "gfcp_minterms": ',
+                    ids(_selectors(rows)),
+                    ',\n      "gfcp_pretty": "',
+                    gfcp(ks, rows),
+                    '",\n      "grsp_minterms": ',
+                    ids(sel),
+                    ',\n      "grsp_pretty": "',
+                    grsp(ks, table, sel),
+                    '"\n    }',
+                )
+                lead = ",\n    "
             yield "\n  ]"
 
         blocks = (
@@ -497,14 +445,16 @@ def _json(lat: GclLattice | ClassicalLattice):
             f'\n      "row": {_json_names(attributes, _selectors(row))}\n    }}'
             for extent, row in zip(part.extents, part.rows)
         )
+        frame = _JSON_FRAMES[2]
+        constant = _id_runs(ctx.n_attributes, *frame, partial(_json_names, frame=frame))
         fields = {
             "blocks": _json_block(blocks, 1),
-            "constants": chain(
-                ['{\n    "one_eta": '],
-                _json_ids(lat.one_eta.table, ids, 2),
-                [',\n    "zero_rho": '],
-                _json_ids(empty, ids, 2),
-                ["\n  }"],
+            "constants": (
+                '{\n    "one_eta": ',
+                constant(_selectors(lat.one_eta.table)),
+                ',\n    "zero_rho": ',
+                constant(_selectors(empty)),
+                "\n  }",
             ),
             "nodes": nodes(),
         }
@@ -542,7 +492,8 @@ def _json(lat: GclLattice | ClassicalLattice):
     lead = "{\n"
     for key, value in sorted(fields.items()):
         yield f'{lead}  "{key}": '
-        if isinstance(value, str):
+        # a string or a tuple of parts is one chunk; nodes and edges stream
+        if isinstance(value, (str, tuple)):
             yield value
         else:
             yield from value
@@ -553,22 +504,39 @@ def _json(lat: GclLattice | ClassicalLattice):
 _FORMATS = {"text": _text, "json": _json, "dot": _dot}
 
 
+def _write(write, chunks) -> None:
+    """Write each chunk: a string, or a tuple of parts, each a string or an
+    iterable of runs.  A tuple is joined and written as one string when
+    every part is a string, and otherwise written part by part, a part's
+    runs one by one, so no wide bound is ever joined."""
+    join = "".join
+    for chunk in chunks:
+        if chunk.__class__ is tuple:
+            try:
+                chunk = join(chunk)
+            except TypeError:
+                # a part is an iterable of runs; join read none of them
+                for part in chunk:
+                    for run in (part,) if isinstance(part, str) else part:
+                        write(run)
+                continue
+        write(chunk)
+
+
 def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str, out) -> None:
     """Write a lattice to the text stream out as json, dot or text.
 
     The output is deterministic and written node by node as it is
     rendered, a wide node's bounds run by run, so neither its size nor
-    one node's sits in memory.  A refused export (the
-    gcl export limit) writes nothing; an invariant error raised while
+    one node's sits in memory.  A refused export (an unknown format or
+    the gcl export limit) writes nothing; an invariant error raised while
     rendering leaves the part written so far.
     """
     chunks = _FORMATS.get(fmt)
     if chunks is None:
         raise ValueError(f"unknown format {fmt!r}")
     _check_export(lat)
-    write = out.write
-    for chunk in chunks(lat):
-        write(chunk)
+    _write(out.write, chunks(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +687,7 @@ def _cmd_random(args) -> int:
 def _cmd_inspect(args) -> int:
     """Describe one node.  Everything that may refuse or fail runs before
     the first byte is written; the bounds and their minterm ids are then
-    written run by run, as the exporters write them."""
+    written by the exporters' writer, run by run where they come in runs."""
     ctx, lat = _load_gcl(args)
     lines = []
     if args.query is not None:
@@ -746,8 +714,12 @@ def _cmd_inspect(args) -> int:
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
     rows, table = node.gfcp.table, node.grsp.table
-    grsp, gfcp = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT, every_node=False)
-    bounds = [("grsp", table, grsp(ks, table, _selectors(table))), ("gfcp", rows, gfcp(ks, rows))]
+    grsp, gfcp = _node_bounds(lat, str, every_node=False)
+    ids, sel = _id_runs(ctx.n_attributes, ", "), _selectors(table)
+    bounds = [
+        ("grsp: ", grsp(ks, table, sel), "  (minterms [", ids(sel), "])\n"),
+        ("gfcp: ", gfcp(ks, rows), "  (minterms [", ids(_selectors(rows)), "])\n"),
+    ]
     classes = []
     if args.irreducibles:
         cc = irreducible_conjunctions(ctx, xs)
@@ -758,16 +730,7 @@ def _cmd_inspect(args) -> int:
             else:
                 body = "(empty)"
             classes.append(f"{label} class: {body}\n")
-    write = sys.stdout.write
-    write("".join(lines))
-    ids = _id_strings(ctx.n_attributes)
-    for which, table, text in bounds:
-        write(f"{which}: ")
-        # one string up to _TERM_SPLIT attributes, runs above (see _node_bounds)
-        runs = [text] if isinstance(text, str) else text
-        for run in chain(runs, ["  (minterms ["], _id_runs(table, ids, ", "), ["])\n"]):
-            write(run)
-    write("".join(classes))
+    _write(sys.stdout.write, ["".join(lines), *bounds, "".join(classes)])
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ to intersection and union.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, repeat
 from operator import add
 
@@ -147,7 +147,7 @@ def _fold(expr: AttrExpr, m_count: int, leaf, full: int) -> int:
 
 def _selectors(table: int) -> bytes:
     """Byte t is 1 where bit t of table is set, 0 elsewhere, up to its top bit."""
-    return f"{table:b}".encode()[::-1].translate(_SELECT)
+    return bin(table).encode()[:1:-1].translate(_SELECT)
 
 
 class CanonicalForm(Value):
@@ -291,8 +291,8 @@ _MODE_TEXT = {"dnf": ("0", "1", " | "), "cnf": ("1", "0", " & ")}
 def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
     """expr_to_str(canonical_to_expr(cf, mode), attributes), read off the bits.
 
-    No expression tree is built: the text is the join of _term_runs over
-    the cached tables of literal-term strings (see _term_tables).
+    No expression tree is built: the text is the one _term_text renders
+    from the cached tables of literal-term strings (see _term_tables).
     """
     if mode not in _MODE_TEXT:
         raise ValueError(f"unknown mode {mode!r}")
@@ -303,54 +303,72 @@ def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
     if len(names) < m:
         raise IndexError(f"{len(names)} attribute names for {m} attributes")
     table = cf.table if mode == "dnf" else (~cf).table
-    return "".join(_term_runs(table, m, mode, *_term_tables(names, mode)))
+    text = _term_text(m, mode, *_term_tables(names, mode))(table, _selectors(table))
+    return text if isinstance(text, str) else "".join(text)
 
 
-def _term_runs(table: int, m: int, mode: str, low, high):
-    """The text of a plain bound over m attributes, as an iterable of runs.
+def _term_text(m: int, mode: str, low, high):
+    """text(table, selectors): the plain bound over m attributes whose
+    terms are the set bits of table, selectors being _selectors(table).
 
-    Each set bit of table is one term: a minterm for "dnf", a maxterm for
-    "cnf" (table then holds the complement of the bound).  Each term is
-    picked from the (low, high) term tables by the table's selector bytes,
-    with no Python code run per term.  Up to _TERM_SPLIT attributes the
-    text is one run; above, term t is low[t % 2^_TERM_SPLIT] +
-    high[t >> _TERM_SPLIT], and each high term gives one run from its own
-    slice of selectors, led by the separator after the first.  The tables
-    may come escaped for an output format; the separators need none.
+    A term is a minterm for "dnf", a maxterm for "cnf" (table then holds
+    the complement of the bound), picked from the (low, high) term tables
+    by the selector bytes, with no Python code run per term.  Up to
+    _TERM_SPLIT attributes the text is one string.  Above, term t is
+    low[t % 2^_TERM_SPLIT] + high[t >> _TERM_SPLIT], and a bound with terms
+    is an iterable of runs, one per high term from its own slice of
+    selectors, led by the separator after the first.  The tables may come
+    escaped for an output format; the separators need none.
     """
-    if m <= _TERM_SPLIT:
-        return (_term_text(m, mode, low)(table, _selectors(table)),)
-    whole, lead, outer, close = _term_frame(table, m, mode)
-    if whole is not None:
-        return (whole,)
-    selectors = _selectors(table)
-
-    def pick(h, chunk):
-        return map(add, compress(low, chunk), repeat(high[h]))
-
-    return chain(_slice_runs(selectors, pick, outer, lead), (close,))
-
-
-def _term_text(m: int, mode: str, low):
-    """text(table, selectors): the text _term_runs(table, m, mode, low, ())
-    gives, as one string, for m up to _TERM_SPLIT.  selectors are
-    _selectors(table), so a caller that reads them for more than the terms
-    reads the table once.  The frames of no term, one term and more are
-    set here, once per m and mode."""
     # at m = 0 the table is 0 or 1, so the frame of two terms is never read
     none, one, more = (_term_frame(table, m, mode) for table in (0, 1, 3))
 
-    def text(table: int, selectors: bytes) -> str:
+    def text(table: int, selectors: bytes):
         whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
         if whole is not None:
             return whole
         return lead + sep.join(compress(low, selectors)) + close
 
-    return text
+    def pick(h, chunk):
+        return map(add, compress(low, chunk), repeat(high[h]))
+
+    def runs(table: int, selectors: bytes):
+        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
+        if whole is not None:
+            return whole
+        return chain(_slice_runs(selectors, pick, sep, lead), (close,))
+
+    return text if m <= _TERM_SPLIT else runs
+
+
+def _id_runs(m: int, sep: str, lead: str = "", close: str = "", whole=None):
+    """ids(selectors): the ids of the minterms over m attributes that the
+    selector bytes pick, sep-joined.  Within the first slice of
+    2^_TERM_SPLIT minterms, whole(id_strings, selectors) gives them as one
+    string (by default the sep-join of the slice's id strings); past it,
+    they are lead, one run per slice that picks an id, each after the
+    first led by sep, and close."""
+    ids = tuple(map(str, range(1 << min(m, _TERM_SPLIT))))
+    whole = whole or (lambda ids, selectors: sep.join(compress(ids, selectors)))
+    if m <= _TERM_SPLIT:
+        return partial(whole, ids)
+
+    def pick(h, chunk):
+        if not h:
+            return compress(ids, chunk)
+        base = h << _TERM_SPLIT
+        return map(str, compress(range(base, base + len(ids)), chunk))
+
+    def runs(selectors: bytes):
+        if len(selectors) <= len(ids):
+            return whole(ids, selectors)
+        return chain(_slice_runs(selectors, pick, sep, lead), (close,))
+
+    return runs
 
 
 def _term_frame(table: int, m: int, mode: str):
-    """(whole, lead, sep, close) of the plain bound _term_runs renders:
+    """(whole, lead, sep, close) of the plain bound _term_text renders:
     whole is its text when it is a constant (no term, or m = 0), else
     None, and the terms are then joined by sep between lead and close."""
     none, unit, outer = _MODE_TEXT[mode]
@@ -365,8 +383,9 @@ def _term_frame(table: int, m: int, mode: str):
 
 
 def _term_length(table: int, selectors: bytes, m: int, mode: str, lengths) -> int:
-    """len of the text _term_text(m, mode, low)(table, selectors) gives,
-    summed from lengths[t] = len(low[t]) without joining the terms."""
+    """len of the text _term_text(m, mode, low, high)(table, selectors)
+    gives up to _TERM_SPLIT attributes, summed from lengths[t] =
+    len(low[t]) without joining the terms."""
     whole, lead, sep, close = _term_frame(table, m, mode)
     if whole is not None:
         return len(whole)

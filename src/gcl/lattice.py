@@ -14,13 +14,14 @@ block of row-identical objects.  Consequences used throughout:
 
 A node is therefore its block subset, an int id, and no 2^m-bit table:
 its extent and bounds are computed from the partition.  Node ids double
-as indices into the lattice's node sequence.  Nodes are built when read
-and never kept: ``build_gcl`` only partitions the context and computes
-the two minterm tables, reading a node costs O(n_F) int operations at any
-n_F and builds a new node, equal to any other read of that id, and the
-cover pairs are generated as they are iterated.  Only walking all 2^n_F
-nodes or covers is refused past the node cap of 20 blocks.  Block sets
-are mapped to extents and back only through ``BlockPartition.union`` and
+as indices into the lattice's node sequence.  The lattice is the pair of
+the context and its partition, which it compares and hashes by, and the
+rest is derived when read: ``build_gcl`` only partitions the context,
+reading a node costs O(n_F) int operations at any n_F and builds a new
+node, equal to any other read of that id, and the cover pairs are
+generated as they are iterated.  Only walking all 2^n_F nodes or covers
+is refused past the node cap of 20 blocks.  Block sets are mapped to
+extents and back only through ``BlockPartition.union`` and
 ``block_set_of`` in ``context``, and to their gfcp tables only through
 ``BlockPartition.row_table``; a walk over every block set reads both
 from ``BlockPartition.walk``.
@@ -29,6 +30,7 @@ from ``BlockPartition.walk``.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from collections.abc import Collection, Sequence
 
 from .bitset import BitSet
@@ -158,12 +160,30 @@ class _Edges(_View):
 
 
 class GclLattice(Value):
+    """A context and its block partition; the views over the cube of block
+    sets and the two minterm tables are derived when first read."""
+
     context: FormalContext
     partition: BlockPartition
-    nodes: Sequence[GeneralConcept]
-    hasse_edges: Collection[tuple[int, int]]
-    zero_rho: CanonicalForm
-    one_eta: CanonicalForm
+
+    @cached_property
+    def nodes(self) -> Sequence[GeneralConcept]:
+        return _Nodes(self.partition)
+
+    @cached_property
+    def hasse_edges(self) -> Collection[tuple[int, int]]:
+        return _Edges(self.partition.n_f)
+
+    @cached_property
+    def one_eta(self) -> CanonicalForm:
+        """The gfcp of G: the minterms that occur as block rows."""
+        part = self.partition
+        return CanonicalForm(part.n_attributes, part.row_table((1 << part.n_f) - 1))
+
+    @cached_property
+    def zero_rho(self) -> CanonicalForm:
+        """The grsp of the empty extent: the minterms with empty extent."""
+        return ~self.one_eta
 
     @property
     def sup(self) -> GeneralConcept:
@@ -218,14 +238,8 @@ def build_gcl(
     node i | node j the join.  Hasse edges connect nodes differing in
     exactly one block, listed as (lower, upper) pairs in ascending order.
     """
-    part = blocks(ctx)
-    m = ctx.n_attributes
-    _guard_cap(m, canonical_cap)
-    # the block rows, and the extent-free minterms that complement them
-    realized = part.row_table((1 << part.n_f) - 1)
-    empty = realized ^ ((1 << (1 << m)) - 1)
-    nodes, edges = _Nodes(part), _Edges(part.n_f)
-    return GclLattice(ctx, part, nodes, edges, CanonicalForm(m, empty), CanonicalForm(m, realized))
+    _guard_cap(ctx.n_attributes, canonical_cap)
+    return GclLattice(ctx, blocks(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from gcl import (
     random_context,
     recover_classical,
 )
-from gcl import cli
+from gcl import cli, exprs
 from gcl.cli import main
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
@@ -467,7 +467,7 @@ INSPECT_SHAPES = [
     "n, m, fancy", INSPECT_SHAPES, ids=[f"{n}x{m}" for n, m, _ in INSPECT_SHAPES]
 )
 def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy):
-    assert m <= cli._TERM_SPLIT or not fancy
+    assert m <= exprs._TERM_SPLIT or not fancy
     ctx = random_context(n + 100 * m, n, m, 0.5)
     assert cli._fancy(build_gcl(ctx), cli._INSPECT_BLOCK_LIMIT) == fancy
     p = tmp_path / "ctx.cxt"
@@ -675,7 +675,7 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
     # everything a node's text is computed from, on either rendering path
     monkeypatch.setattr("gcl.lattice.GeneralConcept", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
-    monkeypatch.setattr("gcl.cli._term_runs", never)
+    monkeypatch.setattr("gcl.cli._term_text", never)
     monkeypatch.setattr("gcl.cli._id_runs", never)
     monkeypatch.setattr("gcl.cli._picked", never)
     monkeypatch.setattr("gcl.context.BlockPartition.union", never)

@@ -121,6 +121,9 @@ def test_plain_export_maps_each_high_and_low_block_set_once(monkeypatch, fmt):
     lat = build_gcl(ctx)
     n_f, h = lat.partition.n_f, context._WALK_LOW
     assert n_f == 9 and not _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    # the lattice's minterm tables are derived on first read; read them
+    # here, so only the export's own maps are counted
+    assert lat.zero_rho.table | lat.one_eta.table
     calls = Counter()
     for name in ("union", "row_table"):
         original = getattr(BlockPartition, name)
@@ -133,6 +136,38 @@ def test_plain_export_maps_each_high_and_low_block_set_once(monkeypatch, fmt):
     assert _exported(lat, fmt).encode() == _golden("export_plain_gcl", fmt)
     assert 0 < calls["union"] <= (1 << h) + (1 << n_f - h)
     assert 0 < calls["row_table"] <= (1 << h) + (1 << n_f - h)
+
+
+class _WriteCounter:
+    """A text stream that keeps nothing but the number of write calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_export_writes_each_node_in_one_chunk_up_to_the_term_split(fmt):
+    # 9 blocks over 5 attributes, plain bounds: every part of a node is a
+    # string, so the node is one write; the header, the constants and the
+    # cover batches add a few more
+    rows = tuple((7 * i + 3) % 32 for i in range(9))
+    ctx = FormalContext(tuple(f"g{i}" for i in range(9)), tuple("abcde"), rows)
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == 9 and not _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    sink = _WriteCounter()
+    export_lattice(lat, fmt, sink)
+    assert sink.calls < (1 << 9) + 32
+
+
+def test_unknown_format_is_refused_before_writing():
+    sink = _WriteCounter()
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        export_lattice(build_gcl(_eight_blocks()), "xml", sink)
+    assert sink.calls == 0
 
 
 def _flat(uppers):
@@ -177,7 +212,7 @@ def test_a_lattice_without_covers_prints_none(kind):
 # The reference renders node by node from the lattice's nodes, with
 # canonical_to_str (or the oracle's reduced bound, on a lattice small enough
 # for it; see reference.py) and json.dumps: no name, id, term or member
-# tables and no runs.  It shares _term_runs with the export through
+# tables and no runs.  It shares _term_text with the export through
 # canonical_to_str, so the golden files and test_exprs check the runs
 # themselves.
 

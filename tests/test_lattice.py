@@ -27,7 +27,8 @@ from gcl import (
     recover_classical,
 )
 from gcl.classical import build_fcl
-from gcl.context import block_set_of, blocks
+from gcl import lattice
+from gcl.context import BlockPartition, block_set_of, blocks
 from gcl.oracle import _hasse
 
 
@@ -186,6 +187,24 @@ def test_node_cap():
         lat.nodes == build_gcl(ctx).nodes
     with pytest.raises(CapExceeded, match=message):
         hash(lat.hasse_edges)
+
+
+def test_lattices_compare_and_hash_by_context_and_partition(monkeypatch):
+    # 197 blocks, far past the node cap: a lattice is its context and
+    # partition, so equality and hashing walk neither nodes nor covers
+    ctx = random_context(1, 200, 12, 0.5)
+    first = build_gcl(ctx)
+    blocks.cache_clear()  # so the second build partitions anew
+    second = build_gcl(FormalContext(ctx.objects, ctx.attributes, ctx.rows))
+    assert first.partition.n_f == 197 and second.partition is not first.partition
+
+    def never(*args):
+        raise AssertionError("the cube was walked")
+
+    monkeypatch.setattr(lattice._View, "__iter__", never)
+    monkeypatch.setattr(BlockPartition, "walk", never)
+    assert first == second and hash(first) == hash(second)
+    assert first != build_gcl(random_context(2, 200, 12, 0.5))
 
 
 def test_canonical_cap():

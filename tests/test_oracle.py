@@ -129,15 +129,22 @@ def _forged(node, **fields):
     return SimpleNamespace(**{**kept, **fields})
 
 
+def _forged_lattice(lat, **derived):
+    """A lattice over lat's context and partition whose derived fields
+    (nodes, hasse_edges, ...) are replaced: a GclLattice derives them on
+    first read and keeps them, so the forged ones are kept in their place."""
+    forged = type(lat)(lat.context, lat.partition)
+    vars(forged).update(derived)
+    return forged
+
+
 def test_corrupted_bound_is_caught(t1):
     lat = build_gcl(t1)
     nodes = list(lat.nodes)
     nodes[1] = _forged(nodes[1], grsp=CanonicalForm(2, 0b1111))
     rep = verify_laws(
         t1,
-        type(lat)(
-            lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
-        ),
+        _forged_lattice(lat, nodes=tuple(nodes)),
     )
     assert not rep.all_passed
     bad = {r.law for r in rep.failures()}
@@ -149,14 +156,7 @@ def test_corrupted_edge_is_caught(t1):
     lat = build_gcl(t1)
     rep = verify_laws(
         t1,
-        type(lat)(
-            lat.context,
-            lat.partition,
-            lat.nodes,
-            tuple(lat.hasse_edges)[:-1],
-            lat.zero_rho,
-            lat.one_eta,
-        ),
+        _forged_lattice(lat, hasse_edges=tuple(lat.hasse_edges)[:-1]),
     )
     assert not rep.all_passed
 
@@ -166,9 +166,7 @@ def _flip_minterm(lat, field, block_set, minterm):
     node = nodes[block_set]
     table = getattr(node, field).table ^ 1 << minterm
     nodes[block_set] = _forged(node, **{field: CanonicalForm(lat.context.n_attributes, table)})
-    return type(lat)(
-        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
-    )
+    return _forged_lattice(lat, nodes=tuple(nodes))
 
 
 def _grsp_gains_a_row(monkeypatch, lat):
@@ -184,14 +182,7 @@ def _gfcp_loses_its_row(monkeypatch, lat):
 
 
 def _edge_dropped(monkeypatch, lat):
-    return type(lat)(
-        lat.context,
-        lat.partition,
-        lat.nodes,
-        tuple(lat.hasse_edges)[1:],
-        lat.zero_rho,
-        lat.one_eta,
-    )
+    return _forged_lattice(lat, hasse_edges=tuple(lat.hasse_edges)[1:])
 
 
 def _intent_not_antitone(monkeypatch, lat):
@@ -389,9 +380,7 @@ def test_block_set_outside_the_blocks_fails_conjugation(stray):
     nodes = list(lat.nodes)
     bad = nodes[2].block_set | 1 << n_f if stray == "past n_F" else -1
     nodes[2] = _forged(nodes[2], block_set=bad)
-    forged = type(lat)(
-        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
-    )
+    forged = _forged_lattice(lat, nodes=tuple(nodes))
     rep = verify_laws(ctx, forged)
     witnesses = {r.law: r.witness for r in rep.failures()}
     witness = f"block set 0x{bad:x} lies outside the {n_f} blocks"
@@ -435,9 +424,7 @@ def test_family_closed_under_complement_only_fails_closure():
     half = (0b0000, 0b0001, 0b0010, 0b0100)
     family = half + tuple(0b1111 ^ bits for bits in half)
     nodes = [_forged(node, extent=BitSet(bits, 4)) for node, bits in zip(lat.nodes, family)]
-    forged = type(lat)(
-        lat.context, lat.partition, tuple(nodes), lat.hasse_edges, lat.zero_rho, lat.one_eta
-    )
+    forged = _forged_lattice(lat, nodes=tuple(nodes))
     witnesses = {r.law: r.witness for r in verify_laws(ctx, forged).failures()}
     assert witnesses["extent-family-closure"] == "family not closed: 4 object classes for 3 blocks"
 

@@ -138,6 +138,21 @@ def test_gc_and_atexit_serve_only_the_exit_freeze():
     assert found == []
 
 
+def test_cli_leaves_the_term_split_to_exprs():
+    # whether a bound or an id list is one string or runs is decided in
+    # exprs; the exporters write the parts they are given
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"_TERM_SPLIT", "_slice_runs"}
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but neither reads nor lists in __all__."""
     imported = {}

@@ -33,7 +33,7 @@ def _ctx():
 
 def _lattice_fields():
     lat = build_gcl(_ctx())
-    return (lat.context, lat.partition, lat.nodes, lat.hasse_edges, lat.zero_rho, lat.one_eta)
+    return (lat.context, lat.partition)
 
 
 # each record type, its fields in order, and a function making fresh,
@@ -52,7 +52,7 @@ CASES = [
     (GeneralConcept, ("block_set", "partition"), lambda: (1, BlockPartition((1, 2), (1, 0), 2, 1))),
     (
         GclLattice,
-        ("context", "partition", "nodes", "hasse_edges", "zero_rho", "one_eta"),
+        ("context", "partition"),
         _lattice_fields,
     ),
     (FclConcept, ("extent", "intent"), lambda: (BitSet(1, 2), BitSet(1, 1))),
