@@ -15,7 +15,7 @@ import gc
 import os
 import sys
 from functools import cache, partial, reduce
-from itertools import chain, compress, groupby
+from itertools import chain, compress, groupby, repeat
 from operator import and_, itemgetter, or_
 from types import SimpleNamespace
 
@@ -37,7 +37,6 @@ from .irreducibles import (
     DEFAULT_IRREDUCIBLES_CAP,
     _keeps,
     _members,
-    _selection,
     irreducible_conjunctions,
     irreducible_disjunctions,
 )
@@ -74,33 +73,23 @@ _RANDOM_CELL_CAP = 10**7
 # ---------------------------------------------------------------------------
 # rendering
 
-def _bound_pretty(lat: GclLattice, which: str, escape, every_node: bool):
+def _bound_pretty(lat: GclLattice, which: str, escape):
     """pretty(ks, table, plain): the reduced grsp or gfcp of block set ks,
     escaped, or None when it is not shorter than the plain rendering.
 
-    The reduced grsp is the sum of the conjunctions kept for ks (see
-    _keeps), the reduced gfcp the product of the disjunctions; the bound
-    G's grsp (the empty extent's gfcp) is the empty set alone, 1 (0).  The
-    members kept are read from the swept _selection when every node is
-    asked for, by one pass over the members (_keeps) otherwise.  Each
-    member's text, rendered once with the member table, is escaped once,
-    here.  table is the bound's canonical table, which the kept members'
-    tables must OR (AND) to; plain is the unescaped length of the plain
-    rendering, and lengths are compared unescaped, so a format's escaping
-    never picks the form.
+    The reduced grsp is the sum of the conjunctions _keeps picks for ks,
+    the reduced gfcp the product of the disjunctions, one node at a time
+    in exports and inspect alike; the bound G's grsp (the empty extent's
+    gfcp) is the empty set alone, 1 (0).  Each member's text, rendered
+    once with the member table, is escaped once, here.  table is the
+    bound's canonical table, which the kept members' tables must OR (AND)
+    to; plain is the unescaped length of the plain rendering, and lengths
+    are compared unescaped, so a format's escaping never picks the form.
     """
     grsp = which == "grsp"
     ctx = lat.context
     mode = "conjunction" if grsp else "disjunction"
     red = _members(ctx, mode)
-    if every_node:
-        kept = _selection(ctx, mode)
-
-        def pick(ks):
-            return _selectors(kept[ks])
-
-    else:
-        pick = partial(_keeps, red)
     every = (1 << (1 << ctx.n_attributes)) - 1
     whole = (1 << lat.partition.n_f) - 1
     # (block set absorbed by the empty set, its table and text), the text
@@ -119,7 +108,7 @@ def _bound_pretty(lat: GclLattice, which: str, escape, every_node: bool):
         if ks == absorbed:
             (got, text), size = lone, 1
         else:
-            picked = pick(ks)
+            picked = _keeps(red, ks)
             count = picked.count(1)
             if not count:
                 (got, text), size = none, 1
@@ -257,7 +246,7 @@ def _node_bounds(lat: GclLattice, escape, every_node: bool = True):
 
         return (lambda ks, table, sel: dnf_text(table, sel)), gfcp
     # dot prints grsp only, so each side's members are read on first use
-    pretty = cache(partial(_bound_pretty, lat, escape=escape, every_node=every_node))
+    pretty = cache(partial(_bound_pretty, lat, escape=escape))
     dnf_len, cnf_len = (
         tuple(map(len, _term_tables(ctx.attributes, mode)[0])) for mode in ("dnf", "cnf")
     )
@@ -378,30 +367,20 @@ def _dot(lat: GclLattice | ClassicalLattice):
     yield "}\n"
 
 
-def _json_block(items, level: int) -> str:
-    """Encoded items as a json array at nesting depth level."""
-    items = list(items)
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    # the brackets go onto the end items, so the joined text is never copied
-    items[0] = "[" + pad + items[0]
-    items[-1] += "\n" + "  " * level + "]"
-    return ("," + pad).join(items)
-
-
-# (separator, lead, close) of the items of a json array at depth 2 (a
-# constant's minterms) and 3 (a field of a block, node or concept)
+# (separator, lead, close) of the items of a json array at depth 1 (a
+# top-level field), 2 (a constant's minterms) and 3 (a field of a block,
+# node or concept)
 _JSON_FRAMES = {
     level: ("," + pad, "[" + pad, "\n" + "  " * level + "]")
-    for level, pad in ((2, "\n      "), (3, "\n        "))
+    for level, pad in ((1, "\n    "), (2, "\n      "), (3, "\n        "))
 }
 
 
 def _json_names(names, picks: bytes, frame=_JSON_FRAMES[3]) -> str:
     """The encoded names or minterm id strings picks selects, as a json
-    array in frame, in one join (an encoded name is quoted and an id a
-    number, so neither is empty)."""
+    array in frame, in one join (an encoded name is quoted, an id a
+    number and a block an object, so none is empty); repeat(1) selects
+    them all."""
     sep, lead, close = frame
     text = sep.join(compress(names, picks))
     return f"{lead}{text}{close}" if text else "[]"
@@ -448,7 +427,7 @@ def _json(lat: GclLattice | ClassicalLattice):
         frame = _JSON_FRAMES[2]
         constant = _id_runs(ctx.n_attributes, *frame, partial(_json_names, frame=frame))
         fields = {
-            "blocks": _json_block(blocks, 1),
+            "blocks": _json_names(blocks, repeat(1), _JSON_FRAMES[1]),
             "constants": (
                 '{\n    "one_eta": ',
                 constant(_selectors(lat.one_eta.table)),
@@ -478,8 +457,8 @@ def _json(lat: GclLattice | ClassicalLattice):
 
         fields = {"nodes": nodes()}
     fields["kind"] = f'"{_json_escape(_kind(lat))}"'
-    fields["objects"] = _json_block(objects, 1)
-    fields["attributes"] = _json_block(attributes, 1)
+    fields["objects"] = _json_names(objects, repeat(1), _JSON_FRAMES[1])
+    fields["attributes"] = _json_names(attributes, repeat(1), _JSON_FRAMES[1])
     fields["edges"] = (
         chain(
             ["[\n    "],
@@ -591,7 +570,7 @@ def _cmd_build(args) -> int:
     # a refusal must leave an existing --out file as it was
     _check_export(lat)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
+        with open(_path(args.out), "w", encoding="utf-8") as out:
             export_lattice(lat, args.format, out)
     else:
         export_lattice(lat, args.format, sys.stdout)

@@ -50,12 +50,17 @@ from operator import and_, or_
 from .bitset import BitSet
 from .context import FormalContext, _want_objects, block_set_of, blocks
 from .errors import CapExceeded
-from .exprs import BOTTOM, TOP, AttrExpr, _var_table, conj, disj, literal
+from .exprs import BOTTOM, TOP, AttrExpr, _selectors, _var_table, conj, disj, literal
 from .value import Value
 
 DEFAULT_IRREDUCIBLES_CAP = 10
 
 _MODES = ("conjunction", "disjunction")
+
+# bytes.translate tables: a byte to its top bit, and to its bit t as a
+# binary digit
+_TOP_BIT = bytes(v >> 7 for v in range(256))
+_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
 
 
 class LiteralSet(Value):
@@ -210,15 +215,22 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, .
 
 class _Members(Value):
     """The members the reduced bounds of one class mode pick from, in the
-    order of _members.  blocks[i] is the block set of member i's extent,
-    loo[i] the block sets of its leave-one-out subsets, tables[i] its
-    minterm table, texts[i] its text alone, parts[i] its text as one term
-    among several (a disjunction of two or more literals parenthesised)."""
+    order of _members, with one bit per entry.  A member's entries are
+    its own block set (that of its extent) and the block sets of its
+    leave-one-out subsets.  Member i has a slot of w bits, i * w up to
+    (i + 1) * w - 1, w a multiple of 8: its own entry is the slot's top
+    bit, its leave-one-out entries the bits right below, and the slot's
+    bottom bit is never an entry (so a carry out of the slot below stops
+    there).  present holds the entry bits that exist, cuts[k] the entries
+    whose block set holds block k (for disjunctions, lacks it).
+    tables[i] is member i's minterm table, texts[i] its text alone,
+    parts[i] its text as one term among several (a disjunction of two or
+    more literals parenthesised)."""
 
     mode: str
     sets: tuple[LiteralSet, ...]
-    blocks: tuple[int, ...]
-    loo: tuple[tuple[int, ...], ...]
+    present: int
+    cuts: tuple[int, ...]
     tables: tuple[int, ...]
     texts: tuple[str, ...]
     parts: tuple[str, ...]
@@ -233,7 +245,10 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
     their extent (every extent is a union of blocks), as an int, and in
     class order within one extent.  The leave-one-out subsets of a member
     are members themselves (down-closure), so their block sets are looked
-    up, never folded; block_set_of runs once per distinct extent.
+    up, never folded; block_set_of runs once per distinct extent.  The
+    entries' block sets are written as bytes, from the top bit of the last
+    slot down, so a cut is one bit of one column of those bytes, read as
+    binary.
     """
     m = ctx.n_attributes
     classes = _all_classes(ctx, mode)
@@ -250,7 +265,7 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
     words = list(ctx.attributes) + ["!" + a for a in ctx.attributes]
     sep, fold = (" & ", and_) if conjunction else (" | ", or_)
 
-    sets, block_sets, loo, tables, texts, parts = [], [], [], [], [], []
+    sets, own, loo, tables, texts, parts = [], [], [], [], [], []
     for ext in sorted(classes, key=block_of.__getitem__):
         for mu in classes[ext]:
             pos, neg = mu.pos.bits, mu.neg.bits
@@ -261,80 +276,68 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
             lits = [j + m * (neg >> j & 1) for j in range(m) if (pos | neg) >> j & 1]
             text = sep.join(map(words.__getitem__, lits))
             sets.append(mu)
-            block_sets.append(block_of[ext])
+            own.append(block_of[ext])
             loo.append(tuple(where[key ^ 1 << i] for i in lits) if len(lits) > 1 else ())
             tables.append(reduce(fold, map(lit_table.__getitem__, lits)))
             texts.append(text)
             parts.append(f"({text})" if len(lits) > 1 and not conjunction else text)
+
+    n_f = blocks(ctx).n_f
+    # a slot holds the own entry, the leave-one-out entries and a free
+    # bottom bit, in whole bytes
+    width = 8 * ((max(map(len, loo), default=0) + 9) // 8)
+    size = (n_f + 7) // 8  # bytes of a block set
+    flip = 0 if conjunction else (1 << n_f) - 1
+    word = {b: (b ^ flip).to_bytes(size, "little") for b in block_of.values()}
+    # a slot with j leave-one-out entries: its present bits, and the words
+    # of its bits below the top j + 1, which are no entry and hold no block
+    runs = [((2 << j) - 1 << width - 1 - j).to_bytes(width // 8, "little") for j in range(width)]
+    pads = [bytes(size * (width - 1 - j)) for j in range(width)]
+    present = int.from_bytes(b"".join(runs[len(rest)] for rest in loo), "little")
+    # each entry's block set, complemented for disjunctions, as a word of
+    # size bytes, from the top bit of the last slot down
+    matrix = b"".join(
+        word[b] + b"".join(map(word.__getitem__, rest)) + pads[len(rest)]
+        for b, rest in zip(reversed(own), reversed(loo))
+    )
+    # cut k: bit k % 8 of byte k // 8 of each word, as binary digits (a
+    # lead "0" reads as 0 where there are no members)
+    cuts = [int(b"0" + matrix[k >> 3 :: size].translate(_DIGITS[k & 7]), 2) for k in range(n_f)]
     return _Members(
-        mode, tuple(sets), tuple(block_sets), tuple(loo), tuple(tables), tuple(texts), tuple(parts)
+        mode, tuple(sets), present, tuple(cuts), tuple(tables), tuple(texts), tuple(parts)
     )
 
 
 def _keeps(table: _Members, ks: int) -> bytes:
-    """Byte i is 1 iff the bound of the block set ks keeps member i, else 0.
+    """Byte i is 1 iff the bound of the block set ks keeps member i, else 0,
+    up to the last member kept (see exprs._selectors), so a caller that
+    compresses the members by it stops there.
 
     A conjunction is kept iff its block set lies inside ks and none of its
     leave-one-out block sets does; a disjunction iff its block set contains
-    ks and none of its leave-one-out block sets does.  One pass over the
-    members, for one block set; _selection sweeps them all at once.
+    ks and none of its leave-one-out block sets does.  An entry lies inside
+    ks iff it holds no block outside ks, and contains ks iff it lacks no
+    block of ks, so the entries that fail are the OR of the cuts of those
+    blocks, and the rest of present passes.  A slot of present is its top
+    bit over a run of leave-one-out bits.  Adding the entries that pass to
+    present carries out of that run into the top bit iff a leave-one-out
+    entry passes, and an XOR with present takes present's own top bit back
+    out; the top bit is then set iff just one of the own entry and a
+    leave-one-out entry passes, and the member is kept iff its own entry
+    passes as well.  That is O(n_F) int operations for one block set,
+    whatever n_F.
     """
+    n = len(table.sets)
+    if not n:
+        return b""
     if table.mode == "conjunction":
-        return bytes(
-            not b & ~ks and all(e & ~ks for e in loo) for b, loo in zip(table.blocks, table.loo)
-        )
-    return bytes(
-        not ks & ~b and all(ks & ~e for e in loo) for b, loo in zip(table.blocks, table.loo)
-    )
-
-
-@lru_cache(maxsize=32)
-def _selection(ctx: FormalContext, mode: str) -> tuple[int, ...]:
-    """Entry ks has bit i set iff the bound of the block set ks keeps
-    member i of _members(ctx, mode), for all 2^n_F block sets.
-
-    The entry is _keeps as a mask, sub[ks] & ~bad[ks] for two OR-sweeps
-    over the block bits: sub of the members by their own block set, bad
-    of the members by their leave-one-out block sets.  Its size is 2^n_F,
-    so it is for callers that read the bounds of many nodes.
-    """
-    table = _members(ctx, mode)
-    size = 1 << blocks(ctx).n_f
-    sub, bad = [0] * size, [0] * size
-    for i, (b, loo) in enumerate(zip(table.blocks, table.loo)):
-        bit = 1 << i
-        sub[b] |= bit
-        for e in loo:
-            bad[e] |= bit
-    up = mode == "disjunction"
-    _or_sweep(sub, up)
-    _or_sweep(bad, up)
-    return tuple(s & ~b for s, b in zip(sub, bad))
-
-
-def _or_sweep(table: list[int], up: bool) -> None:
-    """table[ks] |= table[js] for every js inside ks (containing ks if up),
-    in place, for a table indexed by every block set.
-
-    One pass per block bit ORs the entries with the bit clear into their
-    partners with it set (or back): a slice at a time, over whichever are
-    fewer, the runs of consecutive pairs or the strides through them.
-    """
-    size = len(table)
-    step = 1
-    while step < size:
-        span = 2 * step
-        if step < size // span:
-            pairs = [(slice(o, None, span), slice(o + step, None, span)) for o in range(step)]
-        else:
-            pairs = [
-                (slice(base, base + step), slice(base + step, base + span))
-                for base in range(0, size, span)
-            ]
-        for low, high in pairs:
-            src, dst = (high, low) if up else (low, high)
-            table[dst] = list(map(or_, table[dst], table[src]))
-        step = span
+        ks ^= (1 << len(table.cuts)) - 1  # the blocks outside ks
+    present = table.present
+    inside = present ^ reduce(or_, compress(table.cuts, _selectors(ks)), 0)
+    kept = inside & ((inside + present) ^ present)
+    size = present.bit_length() // n >> 3  # bytes per slot
+    # a slot's top byte holds its own entry as its top bit
+    return kept.to_bytes(n * size, "little")[size - 1 :: size].translate(_TOP_BIT).rstrip(b"\0")
 
 
 def irreducible_conjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
@@ -380,12 +383,12 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     product over the block-unions X0 containing xs of the quotiented
     disjunction classes.  Each quotient is the leave-one-out test of the
     module docstring, so the terms are the members _keeps picks for the
-    block set of xs, in the order of _members; the work is one pass over
-    the members, whatever n_F.  The result always evaluates to xs and
-    its canonical form equals the corresponding bound.  No term (factor)
-    is a constant: the member table holds none, and the bounds the empty
-    set would absorb, grsp_dnf of G and gfcp_cnf of the empty extent, are
-    TOP and BOTTOM.
+    block set of xs, in the order of _members; the pick is O(n_F) int
+    operations over the member table's cut masks.  The result always
+    evaluates to xs and its canonical form equals the corresponding
+    bound.  No term (factor) is a constant: the member table holds none,
+    and the bounds the empty set would absorb, grsp_dnf of G and gfcp_cnf
+    of the empty extent, are TOP and BOTTOM.
     """
     if mode not in ("grsp_dnf", "gfcp_cnf"):
         raise ValueError(f"unknown mode {mode!r}")

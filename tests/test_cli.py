@@ -314,17 +314,10 @@ def test_build_refuses_names_with_line_breaks(capsys, tmp_path):
 
 def _swap_selections(monkeypatch):
     """Make the cli read, for block set 1 (the first block alone), the
-    members kept for block set 2, and the other way, on both routes: the
-    swept selection of an export and the one-node pass of inspect."""
-    real_selection, real_keeps = cli._selection, cli._keeps
+    members kept for block set 2, and the other way, in exports and
+    inspect alike."""
+    real_keeps = cli._keeps
     swap = {1: 2, 2: 1}
-
-    def selection(ctx, mode):
-        kept = list(real_selection(ctx, mode))
-        kept[1], kept[2] = kept[2], kept[1]
-        return tuple(kept)
-
-    monkeypatch.setattr("gcl.cli._selection", selection)
     monkeypatch.setattr("gcl.cli._keeps", lambda table, ks: real_keeps(table, swap.get(ks, ks)))
 
 
@@ -572,6 +565,9 @@ def test_missing_file_is_named_as_pathlib_names_it(capsys, tmp_path, monkeypatch
         assert (code, out, err) == (2, "", f"gcl: [Errno 2] No such file or directory: '{named}'\n")
     code, _, err = run(capsys, "random", "1", "2", "2", "0.5", "--out", ".//gone/./x.cxt")
     assert (code, err) == (2, "gcl: [Errno 2] No such file or directory: 'gone/x.cxt'\n")
+    (tmp_path / "t1.cxt").write_text(T1_CXT)
+    code, out, err = run(capsys, "build", "t1.cxt", "--out", "./nope//x.txt")
+    assert (code, out, err) == (2, "", "gcl: [Errno 2] No such file or directory: 'nope/x.txt'\n")
 
 
 def test_malformed_context(capsys, tmp_path):

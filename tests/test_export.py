@@ -430,7 +430,6 @@ def test_fancy_export_builds_no_expression_per_node(monkeypatch, fmt):
     classes = irreducibles._all_classes
     monkeypatch.setattr(irreducibles, "_all_classes", counted("_all_classes", classes))
     irreducibles._members.cache_clear()
-    irreducibles._selection.cache_clear()
     escape = {"text": None, "json": "_json_escape", "dot": "_dot_escape"}[fmt]
     escaped = []
     if escape:
@@ -440,7 +439,6 @@ def test_fancy_export_builds_no_expression_per_node(monkeypatch, fmt):
         _exported(lat, fmt)
     finally:
         irreducibles._members.cache_clear()
-        irreducibles._selection.cache_clear()
 
     # one member table per mode the format prints (dot prints grsp only)
     sides = ("conjunction",) if fmt == "dot" else ("conjunction", "disjunction")

@@ -1,10 +1,13 @@
 """Irreducible literal-set classes, quotients, and reduced intents."""
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference import member_block_sets, reference_keeps
 from strategies import contexts
 from gcl import (
     BOTTOM,
@@ -29,9 +32,9 @@ from gcl import (
     to_canonical,
 )
 from gcl.context import block_set_of, blocks
-from gcl.irreducibles import _all_classes, _leave_one_out
+from gcl.irreducibles import _MODES, _all_classes, _keeps, _leave_one_out, _members
 from gcl.lattice import build_gcl
-from gcl.oracle import _class_scan, _reference_intent
+from gcl.oracle import _class_scan, _reference_intent, random_context
 
 
 def lits(pos, neg, width=2):
@@ -431,3 +434,41 @@ def test_simplified_intent_is_one_pass_over_the_members_at_thirty_blocks():
                 and not any(map(inside, _leave_one_out(ctx, mu, side)))
             )
             assert expr == expected
+
+
+@given(
+    st.one_of(
+        contexts(max_objects=10, max_attributes=5),
+        contexts(max_objects=10, max_attributes=5, max_rows=3),  # duplicate rows
+    )
+)
+@settings(max_examples=100, deadline=None)
+@example(table(0, 3, ()))
+@example(table(4, 0, ("", "", "", "")))
+@example(table(0, 0, ()))
+@example(table(5, 2, ("XX", "X.", "XX", ".X", "X.")))
+@example(table(10, 4, ("XXXX", "XXX.", "XX.X", "X.XX", ".XXX", "XX..", "X..X", "..XX", "X...", "....")))
+# m1 & ... & m7 has seven leave-one-out subsets, so its slot is 16 bits
+@example(table(8, 7, ("X" * 7, *("X" * i + "." + "X" * (6 - i) for i in range(7)))))
+def test_cut_masks_keep_the_members_of_the_per_member_rule(ctx):
+    # n_F <= 10: every block set, both modes, against the block sets
+    # folded one member at a time; _keeps stops at the last member kept
+    n_f = blocks(ctx).n_f
+    for mode in _MODES:
+        table = _members(ctx, mode)
+        members = member_block_sets(ctx, mode)
+        for ks in range(1 << n_f):
+            want = reference_keeps(mode, members, ks).rstrip(b"\0")
+            assert _keeps(table, ks) == want, (mode, ks)
+
+
+def test_keeps_reads_every_block_set_of_twelve_blocks_in_little_cpu():
+    ctx = random_context(1, 12, 10, 0.5)
+    tables = [_members(ctx, mode) for mode in _MODES]
+    assert blocks(ctx).n_f == 12
+    assert [len(table.sets) for table in tables] == [1031, 1031]
+    start = time.process_time()
+    for table in tables:
+        for ks in range(1 << 12):
+            _keeps(table, ks)
+    assert time.process_time() - start < 0.5
