@@ -10,152 +10,101 @@ literal-set classes behind reduced descriptions, and a brute-force
 oracle that re-derives everything independently.
 """
 
-from .bitset import BitSet
-from .classical import (
-    ClassicalLattice,
-    FclConcept,
-    RslConcept,
-    build_fcl,
-    build_rsl,
-    recover_classical,
-)
-from .context import (
-    BlockPartition,
-    FormalContext,
-    approx_box,
-    approx_diamond,
-    blocks,
-    box_of,
-    context_to_cxt,
-    diamond_of,
-    extent_of,
-    intent_of,
-    parse_context,
-)
-from .errors import CapExceeded, GclError, InvariantError, NotAGeneralExtent, ParseError
-from .exprs import (
-    And,
-    AttrExpr,
-    BOTTOM,
-    CanonicalForm,
-    Minterm,
-    Not,
-    Or,
-    TOP,
-    Var,
-    atoms_coatoms,
-    canonical_to_expr,
-    canonical_to_str,
-    conj,
-    disj,
-    eval_contextual,
-    expr_to_str,
-    intrinsic_compare,
-    literal,
-    parse_expr,
-    to_canonical,
-)
-from .irreducibles import (
-    IrredClass,
-    LiteralSet,
-    irreducible_conjunctions,
-    irreducible_disjunctions,
-    is_member,
-    quotient_class,
-    simplified_intent,
-)
-from .lattice import (
-    GclLattice,
-    GeneralConcept,
-    build_gcl,
-    contextual_constants,
-    dagger,
-    equivalent_class_membership,
-    extent_family,
-    general_concept,
-    join,
-    leq,
-    meet,
-)
-from .oracle import (
-    ClassSummary,
-    LawResult,
-    OracleReport,
-    context_digest,
-    enumerate_mstar,
-    random_context,
-    verify_laws,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And",
-    "AttrExpr",
-    "BOTTOM",
-    "BitSet",
-    "BlockPartition",
-    "CanonicalForm",
-    "CapExceeded",
-    "ClassSummary",
-    "ClassicalLattice",
-    "FclConcept",
-    "FormalContext",
-    "GclError",
-    "GclLattice",
-    "GeneralConcept",
-    "InvariantError",
-    "IrredClass",
-    "LawResult",
-    "LiteralSet",
-    "Minterm",
-    "Not",
-    "NotAGeneralExtent",
-    "Or",
-    "OracleReport",
-    "ParseError",
-    "RslConcept",
-    "TOP",
-    "Var",
-    "approx_box",
-    "approx_diamond",
-    "atoms_coatoms",
-    "blocks",
-    "box_of",
-    "build_fcl",
-    "build_gcl",
-    "build_rsl",
-    "canonical_to_expr",
-    "canonical_to_str",
-    "conj",
-    "context_digest",
-    "context_to_cxt",
-    "contextual_constants",
-    "dagger",
-    "diamond_of",
-    "disj",
-    "enumerate_mstar",
-    "equivalent_class_membership",
-    "eval_contextual",
-    "expr_to_str",
-    "extent_family",
-    "extent_of",
-    "general_concept",
-    "intent_of",
-    "intrinsic_compare",
-    "irreducible_conjunctions",
-    "irreducible_disjunctions",
-    "is_member",
-    "join",
-    "leq",
-    "literal",
-    "meet",
-    "parse_context",
-    "parse_expr",
-    "quotient_class",
-    "random_context",
-    "recover_classical",
-    "simplified_intent",
-    "to_canonical",
-    "verify_laws",
-]
+# the public names by home module; importing gcl binds them all, module by
+# module in this order, and __all__ lists them sorted
+_PUBLIC = {
+    "bitset": ("BitSet",),
+    "classical": (
+        "ClassicalLattice",
+        "FclConcept",
+        "RslConcept",
+        "build_fcl",
+        "build_rsl",
+        "recover_classical",
+    ),
+    "context": (
+        "BlockPartition",
+        "FormalContext",
+        "approx_box",
+        "approx_diamond",
+        "blocks",
+        "box_of",
+        "context_to_cxt",
+        "diamond_of",
+        "extent_of",
+        "intent_of",
+        "parse_context",
+    ),
+    "errors": (
+        "CapExceeded",
+        "GclError",
+        "InvariantError",
+        "NotAGeneralExtent",
+        "ParseError",
+    ),
+    "exprs": (
+        "And",
+        "AttrExpr",
+        "BOTTOM",
+        "CanonicalForm",
+        "Minterm",
+        "Not",
+        "Or",
+        "TOP",
+        "Var",
+        "atoms_coatoms",
+        "canonical_to_expr",
+        "canonical_to_str",
+        "conj",
+        "disj",
+        "eval_contextual",
+        "expr_to_str",
+        "intrinsic_compare",
+        "literal",
+        "parse_expr",
+        "to_canonical",
+    ),
+    "irreducibles": (
+        "IrredClass",
+        "LiteralSet",
+        "irreducible_conjunctions",
+        "irreducible_disjunctions",
+        "is_member",
+        "quotient_class",
+        "simplified_intent",
+    ),
+    "lattice": (
+        "GclLattice",
+        "GeneralConcept",
+        "build_gcl",
+        "contextual_constants",
+        "dagger",
+        "equivalent_class_membership",
+        "extent_family",
+        "general_concept",
+        "join",
+        "leq",
+        "meet",
+    ),
+    "oracle": (
+        "ClassSummary",
+        "LawResult",
+        "OracleReport",
+        "context_digest",
+        "enumerate_mstar",
+        "random_context",
+        "verify_laws",
+    ),
+}
+
+globals().update(
+    (name, getattr(import_module(f"{__name__}.{home}"), name))
+    for home, names in _PUBLIC.items()
+    for name in names
+)
+
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)

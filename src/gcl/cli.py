@@ -219,17 +219,17 @@ def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
     return " | ".join(compress(attributes, picks)) or "0"
 
 
-def _node_bounds(lat: GclLattice, escape, every_node: bool = True):
+def _node_bounds(lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT):
     """(grsp, gfcp): grsp(ks, table, sel) and gfcp(ks, rows) give node ks's
     bounds as escaped text, a part (see _write), where rows is its gfcp
     table, table its grsp table (rows | zero_rho) and sel its selectors.
 
     A plain bound is picked from the literal-term tables, escaped here once
     per export (see exprs._term_text).  Where bounds may print reduced (see
-    _fancy), the reduced one (see _bound_pretty) wins if it is shorter than
-    the plain one, whose length is read off the same selectors.  every_node
-    is False for inspect, which asks for one node and allows reduced bounds
-    up to _INSPECT_BLOCK_LIMIT blocks, not _PRETTY_BLOCK_LIMIT.
+    _fancy, up to block_limit blocks: inspect, which asks for one node,
+    allows more than the exports), the reduced one (see _bound_pretty) wins
+    if it is shorter than the plain one, whose length is read off the same
+    selectors.
     """
     ctx = lat.context
     m = ctx.n_attributes
@@ -238,7 +238,7 @@ def _node_bounds(lat: GclLattice, escape, every_node: bool = True):
         _term_text(m, mode, *(tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)))
         for mode in ("dnf", "cnf")
     )
-    if not _fancy(lat, _PRETTY_BLOCK_LIMIT if every_node else _INSPECT_BLOCK_LIMIT):
+    if not _fancy(lat, block_limit):
 
         def gfcp(ks, rows):
             table = full ^ rows
@@ -693,7 +693,7 @@ def _cmd_inspect(args) -> int:
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
     rows, table = node.gfcp.table, node.grsp.table
-    grsp, gfcp = _node_bounds(lat, str, every_node=False)
+    grsp, gfcp = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT)
     ids, sel = _id_runs(ctx.n_attributes, ", "), _selectors(table)
     bounds = [
         ("grsp: ", grsp(ks, table, sel), "  (minterms [", ids(sel), "])\n"),

@@ -131,14 +131,8 @@ def _guard_cap(ctx: FormalContext) -> None:
 def _fold(ctx: FormalContext, exts, mode: str) -> int:
     """The extent of a conjunction (meet) or disjunction (join) of extents."""
     if mode == "conjunction":
-        bits = (1 << ctx.n_objects) - 1
-        for e in exts:
-            bits &= e
-    else:
-        bits = 0
-        for e in exts:
-            bits |= e
-    return bits
+        return reduce(and_, exts, (1 << ctx.n_objects) - 1)
+    return reduce(or_, exts, 0)
 
 
 def _literal_exts(ctx: FormalContext, lits: LiteralSet) -> list[int]:
@@ -164,17 +158,23 @@ def is_member(ctx: FormalContext, lits: LiteralSet, target: BitSet, mode: str) -
     return target.bits not in _leave_one_out(ctx, lits, mode)
 
 
+def _literal_set(key: int, m: int) -> LiteralSet:
+    """The literal set of a 2m-bit mask: bit j is m_j, bit m + j its negation."""
+    return LiteralSet(BitSet(key & (1 << m) - 1, m), BitSet(key >> m, m))
+
+
 @lru_cache(maxsize=32)
-def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ...]]:
+def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[int, ...]]:
     """Extent bits -> irreducible members, grown level by level.
 
     Literal i < m is attribute i, literal m + i its negation; a set is a
-    mask over these 2m literals.  Level k + 1 extends each irreducible
-    k-set by one literal of higher index and keeps the candidate iff
-    every leave-one-out subset is an irreducible k-set of a different
-    extent (down-closure makes this test exact).  The test starts at
-    level 2: the empty set and all 2m singletons are members whatever
-    their extent.
+    mask over these 2m literals, and a class lists its members' masks in
+    class order: by size, then by the positive half of the mask, then by
+    the negative half.  Level k + 1 extends each irreducible k-set by one
+    literal of higher index and keeps the candidate iff every leave-one-out
+    subset is an irreducible k-set of a different extent (down-closure
+    makes this test exact).  The test starts at level 2: the empty set and
+    all 2m singletons are members whatever their extent.
     """
     m = ctx.n_attributes
     full = (1 << ctx.n_objects) - 1
@@ -202,14 +202,13 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, .
         found.extend(grown.items())
         level = grown
 
-    mask = (1 << m) - 1
-    classes: dict[int, list[LiteralSet]] = {}
+    half = (1 << m) - 1
+    classes: dict[int, list[int]] = {}
     for key, ext in found:
-        lits = LiteralSet(BitSet(key & mask, m), BitSet(key >> m, m))
-        classes.setdefault(ext, []).append(lits)
+        classes.setdefault(ext, []).append(key)
     return {
-        ext: tuple(sorted(members, key=lambda s: (s.size, s.pos.bits, s.neg.bits)))
-        for ext, members in classes.items()
+        ext: tuple(sorted(keys, key=lambda k: (k.bit_count(), k & half, k >> m)))
+        for ext, keys in classes.items()
     }
 
 
@@ -223,12 +222,13 @@ class _Members(Value):
     bottom bit is never an entry (so a carry out of the slot below stops
     there).  present holds the entry bits that exist, cuts[k] the entries
     whose block set holds block k (for disjunctions, lacks it).
-    tables[i] is member i's minterm table, texts[i] its text alone,
+    sets[i] is member i's literal set as a mask (see _all_classes),
+    tables[i] its minterm table, texts[i] its text alone,
     parts[i] its text as one term among several (a disjunction of two or
     more literals parenthesised)."""
 
     mode: str
-    sets: tuple[LiteralSet, ...]
+    sets: tuple[int, ...]
     present: int
     cuts: tuple[int, ...]
     tables: tuple[int, ...]
@@ -240,25 +240,22 @@ class _Members(Value):
 def _members(ctx: FormalContext, mode: str) -> _Members:
     """The reduced-bound members of a class mode.
 
-    The members are those neither empty nor inconsistent (those are
-    constant; see the module docstring), ordered by the block set of
-    their extent (every extent is a union of blocks), as an int, and in
-    class order within one extent.  The leave-one-out subsets of a member
-    are members themselves (down-closure), so their block sets are looked
-    up, never folded; block_set_of runs once per distinct extent.  The
-    entries' block sets are written as bytes, from the top bit of the last
-    slot down, so a cut is one bit of one column of those bytes, read as
-    binary.
+    The members are the masks of _all_classes neither empty nor
+    inconsistent (those are constant; see the module docstring), ordered
+    by the block set of their extent (every extent is a union of blocks),
+    as an int, and in class order within one extent.  The leave-one-out
+    subsets of a member are members themselves (down-closure), so their
+    block sets are looked up by mask, one bit cleared, never folded;
+    block_set_of runs once per distinct extent.  The entries' block sets
+    are written as bytes, from the top bit of the last slot down, so a cut
+    is one bit of one column of those bytes, read as binary.
     """
     m = ctx.n_attributes
+    half = (1 << m) - 1
     classes = _all_classes(ctx, mode)
     conjunction = mode == "conjunction"
     block_of = {ext: block_set_of(ctx, BitSet(ext, ctx.n_objects)) for ext in classes}
-    where = {
-        mu.pos.bits | mu.neg.bits << m: block_of[ext]
-        for ext, members in classes.items()
-        for mu in members
-    }
+    where = {key: block_of[ext] for ext, keys in classes.items() for key in keys}
     every = (1 << (1 << m)) - 1
     lit_table = [_var_table(j, m) for j in range(m)]
     lit_table += [every ^ t for t in lit_table]
@@ -267,15 +264,14 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
 
     sets, own, loo, tables, texts, parts = [], [], [], [], [], []
     for ext in sorted(classes, key=block_of.__getitem__):
-        for mu in classes[ext]:
-            pos, neg = mu.pos.bits, mu.neg.bits
-            if not pos | neg or pos & neg:
+        for key in classes[ext]:
+            pos, neg = key & half, key >> m
+            if not key or pos & neg:
                 continue  # empty or inconsistent
-            key = pos | neg << m
             # literal indices by attribute: a consistent set has one sign each
             lits = [j + m * (neg >> j & 1) for j in range(m) if (pos | neg) >> j & 1]
             text = sep.join(map(words.__getitem__, lits))
-            sets.append(mu)
+            sets.append(key)
             own.append(block_of[ext])
             loo.append(tuple(where[key ^ 1 << i] for i in lits) if len(lits) > 1 else ())
             tables.append(reduce(fold, map(lit_table.__getitem__, lits)))
@@ -353,8 +349,9 @@ def irreducible_disjunctions(ctx: FormalContext, xs: BitSet) -> IrredClass:
 def _class_of(ctx: FormalContext, xs: BitSet, mode: str) -> IrredClass:
     _want_objects(ctx, xs)
     _guard_cap(ctx)
-    members = _all_classes(ctx, mode).get(xs.bits, ())
-    return IrredClass(xs, mode, members)
+    m = ctx.n_attributes
+    keys = _all_classes(ctx, mode).get(xs.bits, ())
+    return IrredClass(xs, mode, tuple(_literal_set(key, m) for key in keys))
 
 
 def quotient_class(c0: IrredClass, ci: IrredClass) -> IrredClass:
@@ -398,10 +395,11 @@ def simplified_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     if mode == "grsp_dnf":
         if xs.bits == (1 << ctx.n_objects) - 1:
             return TOP
-        table = _members(ctx, "conjunction")
-        return disj(map(LiteralSet.conjunction, compress(table.sets, _keeps(table, ks))))
-    if not xs.bits:
-        return BOTTOM
-    table = _members(ctx, "disjunction")
-    return conj(map(LiteralSet.disjunction, compress(table.sets, _keeps(table, ks))))
+        side, combine, term = "conjunction", disj, LiteralSet.conjunction
+    else:
+        if not xs.bits:
+            return BOTTOM
+        side, combine, term = "disjunction", conj, LiteralSet.disjunction
+    table, m = _members(ctx, side), ctx.n_attributes
+    return combine(term(_literal_set(key, m)) for key in compress(table.sets, _keeps(table, ks)))
 

@@ -682,13 +682,17 @@ def _law_literal_own_class(env: _Env):
 
 
 @lru_cache(maxsize=32)
-def _class_scan(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ...]]:
-    """Extent bits -> irreducible members, over every signed subset of M."""
+def _class_scan(ctx: FormalContext, mode: str) -> dict[int, tuple[int, ...]]:
+    """Extent bits -> irreducible members, over every signed subset of M.
+
+    A member is a 2|M|-bit mask, bit j the literal m_j and bit |M| + j its
+    negation, and each class lists its members by size, then by the
+    positive half of the mask, then by the negative half.
+    """
     m = ctx.n_attributes
     full = (1 << ctx.n_objects) - 1
-    # mask bit j is literal m_j, bit m + j its negation.  A disjunction's
-    # extent is kept complemented, as the conjunction of the negated
-    # literals, so both modes fold with & from G and compare alike.
+    # a disjunction's extent is kept complemented, as the conjunction of the
+    # negated literals, so both modes fold with & from G and compare alike
     flip = 0 if mode == "conjunction" else full
     lit = [col ^ flip for col in ctx.cols] + [col ^ full ^ flip for col in ctx.cols]
     ext = [full] * (1 << 2 * m)
@@ -708,18 +712,13 @@ def _class_scan(ctx: FormalContext, mode: str) -> dict[int, tuple[LiteralSet, ..
         else:
             member[mask] = 1
     half = (1 << m) - 1
-    found: dict[int, list[LiteralSet]] = {}
-    # members in (pos, neg) order, so the classes are keyed as they always were
-    for mask in sorted(
-        (mask for mask, kept in enumerate(member) if kept),
-        key=lambda mask: (mask & half, mask >> m),
-    ):
-        found.setdefault(ext[mask] ^ flip, []).append(
-            LiteralSet(BitSet(mask & half, m), BitSet(mask >> m, m))
-        )
+    found: dict[int, list[int]] = {}
+    for mask, kept in enumerate(member):
+        if kept:
+            found.setdefault(ext[mask] ^ flip, []).append(mask)
     return {
-        ext: tuple(sorted(members, key=lambda s: (s.size, s.pos.bits, s.neg.bits)))
-        for ext, members in found.items()
+        ext: tuple(sorted(masks, key=lambda k: (k.bit_count(), k & half, k >> m)))
+        for ext, masks in found.items()
     }
 
 
@@ -731,8 +730,11 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
     ("gfcp_cnf"), is visited: a member of the class of X0 is dropped iff
     some nonempty smaller member of the class of X1 is a subset of it.
     Inconsistent survivors are left out, and a surviving empty set makes
-    the bound TOP ("grsp_dnf") or BOTTOM ("gfcp_cnf").
+    the bound TOP ("grsp_dnf") or BOTTOM ("gfcp_cnf").  Members are the
+    scan's masks; only the terms returned are built as literal sets.
     """
+    m = ctx.n_attributes
+    half = (1 << m) - 1
     block_bits = blocks(ctx).extents
     ks = sum(1 << k for k, bits in enumerate(block_bits) if bits & ~xs.bits == 0)
 
@@ -745,11 +747,11 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
 
     def survivors(cls_mode: str, own: int, between: list[int]):
         classes = _class_scan(ctx, cls_mode)
-        divisors = [nu for bits in between for nu in classes.get(bits, ()) if nu.size > 0]
+        divisors = [nu for bits in between for nu in classes.get(bits, ()) if nu]
         return [
             mu
             for mu in classes.get(own, ())
-            if not any(nu.size < mu.size and nu.issubset(mu) for nu in divisors)
+            if not any(nu.bit_count() < mu.bit_count() and not nu & ~mu for nu in divisors)
         ]
 
     kept = []
@@ -765,9 +767,13 @@ def _reference_intent(ctx: FormalContext, xs: BitSet, mode: str) -> AttrExpr:
             between = [union_of(ks | s) for s in _submasks(extra) if s != extra]
             kept += survivors("disjunction", union_of(ks | extra), between)
         absorbing, combine, term = BOTTOM, conj, LiteralSet.disjunction
-    if any(not mu.size for mu in kept):
+    if 0 in kept:
         return absorbing
-    return combine(term(mu) for mu in kept if mu.is_consistent())
+    return combine(
+        term(LiteralSet(BitSet(mu & half, m), BitSet(mu >> m, m)))
+        for mu in kept
+        if not mu & half & mu >> m  # no attribute in both signs
+    )
 
 
 def _law_negation_swap(env: _Env):
@@ -785,13 +791,12 @@ def _law_negation_swap(env: _Env):
                         f"X={env.names(ext)}: {mode} class differs from the "
                         "scan of all signed literal sets"
                     )
+    m, half = env.m, (1 << env.m) - 1
     flipped = {
-        env.full_g ^ ext: sorted(
-            (s.flipped() for s in members), key=lambda s: (s.size, s.pos.bits, s.neg.bits)
-        )
+        env.full_g ^ ext: {mu >> m | (mu & half) << m for mu in members}
         for ext, members in disj_classes.items()
     }
-    mirrored = {ext: list(members) for ext, members in conj_classes.items()}
+    mirrored = {ext: set(members) for ext, members in conj_classes.items()}
     if flipped != mirrored:
         for ext in set(flipped) | set(mirrored):
             if flipped.get(ext) != mirrored.get(ext):

@@ -41,9 +41,11 @@ def member_block_sets(ctx, mode: str) -> list:
             ext = ext & col if conjunction else ext | col
         return block_set_of(ctx, BitSet(ext, ctx.n_objects))
 
+    m = ctx.n_attributes
     out = []
-    for mu in _members(ctx, mode).sets:
-        lits = mu.literals()
+    for key in _members(ctx, mode).sets:
+        # mask bit j is m_j, bit m + j its negation
+        lits = [(j % m, j < m) for j in range(2 * m) if key >> j & 1]
         loo = [block_set(lits[:i] + lits[i + 1 :]) for i in range(len(lits))]
         out.append((block_set(lits), loo if len(lits) > 1 else []))
     return out

@@ -154,7 +154,8 @@ def test_cli_leaves_the_term_split_to_exprs():
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names a module imports but neither reads nor lists in __all__."""
+    """Names a module imports but neither reads nor lists in __all__; a
+    computed __all__ lists the strings it is built from."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -168,7 +169,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(
+                leaf.value
+                for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+            )
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -193,6 +198,14 @@ def test_unused_import_check_catches_a_stranded_import():
         "bso(os)\n"
     )
     assert _unused_imports(tree) == ["blocks (line 3)"]
+    computed = ast.parse(
+        "import os, sys\n"
+        "from importlib import import_module\n"
+        "_NAMES = {'exprs': ('conj',)}\n"
+        "__all__ = sorted(n for names in _NAMES.values() for n in names) + ['os']\n"
+        "import_module('gcl.exprs')\n"
+    )
+    assert _unused_imports(computed) == ["sys (line 1)"]
 
 
 def _definitions(tree: ast.Module, namespace: dict) -> list[tuple[str, str]]:
@@ -278,3 +291,45 @@ def test_definition_check_catches_an_orphan():
         "used.orphan_inner",
         "orphan",
     ]
+
+
+# the names gcl exported when it imported them one statement per module
+PUBLIC_NAMES = (
+    "And AttrExpr BOTTOM BitSet BlockPartition CanonicalForm CapExceeded ClassSummary "
+    "ClassicalLattice FclConcept FormalContext GclError GclLattice GeneralConcept "
+    "InvariantError IrredClass LawResult LiteralSet Minterm Not NotAGeneralExtent Or "
+    "OracleReport ParseError RslConcept TOP Var approx_box approx_diamond atoms_coatoms "
+    "blocks box_of build_fcl build_gcl build_rsl canonical_to_expr canonical_to_str conj "
+    "context_digest context_to_cxt contextual_constants dagger diamond_of disj "
+    "enumerate_mstar equivalent_class_membership eval_contextual expr_to_str "
+    "extent_family extent_of general_concept intent_of intrinsic_compare "
+    "irreducible_conjunctions irreducible_disjunctions is_member join leq literal meet "
+    "parse_context parse_expr quotient_class random_context recover_classical "
+    "simplified_intent to_canonical verify_laws"
+).split()
+
+
+def test_public_names_are_one_sorted_list_of_their_home_objects():
+    import gcl
+
+    assert len(PUBLIC_NAMES) == 68
+    assert gcl.__all__ == sorted(set(gcl.__all__)) == PUBLIC_NAMES
+    for home, names in gcl._PUBLIC.items():
+        module = importlib.import_module(f"gcl.{home}")
+        for name in names:
+            obj = getattr(gcl, name)
+            assert obj is getattr(module, name), name
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    namespace: dict = {}
+    exec("from gcl import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_importing_gcl_loads_the_same_modules():
+    probe = "import sys, gcl\nprint(sorted(m for m in sys.modules if m.startswith('gcl')))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    modules = "bitset classical context errors exprs irreducibles lattice oracle value"
+    assert proc.stdout.strip() == str(["gcl", *(f"gcl.{m}" for m in modules.split())])
