@@ -26,6 +26,7 @@ from .exprs import (
     DEFAULT_CANONICAL_CAP,
     _id_runs,
     _selectors,
+    _shared_selectors,
     _term_length,
     _term_tables,
     _term_text,
@@ -137,12 +138,17 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
 # tables encoded once per export for the format (json or dot escaping
 # applied): names by the bits of an extent or intent, minterm ids and bound
 # terms by the selector bytes of a minterm table (see exprs._term_text and
-# exprs._id_runs), one selector pass per table.  Each format has one node
+# exprs._id_runs).  The term and id tables are those of a render of 2^n_F
+# nodes, so up to 10 attributes every bound and id list is one string and
+# the parts of one table share one selector pass.  Each format has one node
 # loop, which yields a node as a tuple of parts.  A part is a string, or an
 # iterable of runs where exprs renders a bound or id list over too many
-# minterms for one string (of at most 2^10 items each).  A node whose parts
-# are all strings is written as one chunk, any other part by part and run
-# by run (see _write).  The covers of each lower node are one join over
+# minterms for one string (of at most 2^10 items each), whose selectors
+# are made when its runs are first written, so a node holds one part's
+# selectors at a time.  A node whose parts are all strings is written as
+# one chunk, any other part by part and run by run (see _write).  inspect
+# renders one node with tables for one node, so its bounds and ids come in
+# runs of 2^ceil(m/2) items.  The covers of each lower node are one join over
 # node id strings built once per export.  The json generator lays out what
 # json.dumps(data, indent=2, sort_keys=True) would print for the same data.
 
@@ -219,46 +225,44 @@ def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
     return " | ".join(compress(attributes, picks)) or "0"
 
 
-def _node_bounds(lat: GclLattice, escape, block_limit: int = _PRETTY_BLOCK_LIMIT):
-    """(grsp, gfcp): grsp(ks, table, sel) and gfcp(ks, rows) give node ks's
-    bounds as escaped text, a part (see _write), where rows is its gfcp
-    table, table its grsp table (rows | zero_rho) and sel its selectors.
+def _node_bounds(lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY_BLOCK_LIMIT):
+    """(grsp, gfcp): grsp(ks, table, sel=None) and gfcp(ks, rows) give
+    node ks's bounds as escaped text, a part (see _write), for a render of
+    nodes nodes, where rows is its gfcp table, table its grsp table (rows |
+    zero_rho) and sel, if given, _selectors(table).
 
-    A plain bound is picked from the literal-term tables, escaped here once
-    per export (see exprs._term_text).  Where bounds may print reduced (see
-    _fancy, up to block_limit blocks: inspect, which asks for one node,
-    allows more than the exports), the reduced one (see _bound_pretty) wins
-    if it is shorter than the plain one, whose length is read off the same
-    selectors.
+    A plain bound is picked from the literal-term tables of a render of
+    that many nodes, escaped here once per render (see exprs._term_text).
+    Where bounds may print reduced (see _fancy, up to block_limit blocks:
+    inspect, which asks for one node, allows more than the exports), the
+    reduced one (see _bound_pretty) wins if it is shorter than the plain
+    one, whose length is read off the same selectors.
     """
     ctx = lat.context
     m = ctx.n_attributes
     full = (1 << (1 << m)) - 1
+    tables = [_term_tables(ctx.attributes, mode, nodes) for mode in ("dnf", "cnf")]
     dnf_text, cnf_text = (
-        _term_text(m, mode, *(tuple(map(escape, t)) for t in _term_tables(ctx.attributes, mode)))
-        for mode in ("dnf", "cnf")
+        _term_text(m, mode, *(tuple(map(escape, t)) for t in pair))
+        for mode, pair in zip(("dnf", "cnf"), tables)
     )
     if not _fancy(lat, block_limit):
-
-        def gfcp(ks, rows):
-            table = full ^ rows
-            return cnf_text(table, _selectors(table))
-
-        return (lambda ks, table, sel: dnf_text(table, sel)), gfcp
+        return (lambda ks, table, sel=None: dnf_text(table, sel)), (
+            lambda ks, rows: cnf_text(full ^ rows)
+        )
     # dot prints grsp only, so each side's members are read on first use
     pretty = cache(partial(_bound_pretty, lat, escape=escape))
-    dnf_len, cnf_len = (
-        tuple(map(len, _term_tables(ctx.attributes, mode)[0])) for mode in ("dnf", "cnf")
-    )
+    dnf_len, cnf_len = ([tuple(map(len, t)) for t in pair] for pair in tables)
 
-    def grsp(ks, table, sel):
-        text = pretty("grsp")(ks, table, _term_length(table, sel, m, "dnf", dnf_len))
+    def grsp(ks, table, sel=None):
+        sel = _selectors(table) if sel is None else sel
+        text = pretty("grsp")(ks, table, _term_length(table, sel, m, "dnf", *dnf_len))
         return dnf_text(table, sel) if text is None else text
 
     def gfcp(ks, rows):
         table = full ^ rows
         sel = _selectors(table)
-        text = pretty("gfcp")(ks, rows, _term_length(table, sel, m, "cnf", cnf_len))
+        text = pretty("gfcp")(ks, rows, _term_length(table, sel, m, "cnf", *cnf_len))
         return cnf_text(table, sel) if text is None else text
 
     return grsp, gfcp
@@ -307,21 +311,21 @@ def _text(lat: GclLattice | ClassicalLattice):
             lines.append(
                 f"block D{k + 1}: {_braced(_picked(objects, extent))} with row {row}"
             )
-        ids = _id_runs(ctx.n_attributes, ", ")
+        count = 1 << part.n_f
+        ids = _id_runs(ctx.n_attributes, ", ", nodes=count)
         empty, join = lat.zero_rho.table, ", ".join
         yield (
             "\n".join(lines) + "\nzero_rho: minterms [",
-            ids(_selectors(empty)),
+            ids(empty),
             "]\none_eta: minterms [",
-            ids(_selectors(lat.one_eta.table)),
+            ids(lat.one_eta.table),
             "]\n",
         )
-        grsp, gfcp = _node_bounds(lat, str)
+        grsp, gfcp = _node_bounds(lat, str, count)
         for ks, (extent, rows) in enumerate(part.walk()):
-            table = rows | empty
             yield (
                 f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n  grsp: ",
-                grsp(ks, table, _selectors(table)),
+                grsp(ks, rows | empty),
                 "\n  gfcp: ",
                 gfcp(ks, rows),
                 "\n",
@@ -348,13 +352,12 @@ def _dot(lat: GclLattice | ClassicalLattice):
     objects = tuple(map(_dot_escape, ctx.objects))
     yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
     if isinstance(lat, GclLattice):
-        grsp = _node_bounds(lat, _dot_escape)[0]
+        grsp = _node_bounds(lat, _dot_escape, 1 << lat.partition.n_f)[0]
         empty, join = lat.zero_rho.table, ", ".join
         for ks, (extent, rows) in enumerate(lat.partition.walk()):
-            table = rows | empty
             yield (
                 f'  n{ks} [label="{{{join(compress(objects, _selectors(extent)))}}} | ',
-                grsp(ks, table, _selectors(table)),
+                grsp(ks, rows | empty),
                 '"];\n',
             )
     else:
@@ -391,27 +394,30 @@ def _json(lat: GclLattice | ClassicalLattice):
     objects = tuple(f'"{_json_escape(name)}"' for name in ctx.objects)
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
     if isinstance(lat, GclLattice):
-        part = lat.partition
+        part, count = lat.partition, 1 << lat.partition.n_f
         # a node's id arrays take the default frame, so their calls bind no
         # keyword; past one string they come in runs (see exprs._id_runs)
-        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], _json_names)
-        grsp, gfcp = _node_bounds(lat, _json_escape)
+        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], _json_names, count)
+        grsp, gfcp = _node_bounds(lat, _json_escape, count)
+        # the grsp table's minterm ids and bound share one selector pass
+        # where both are one string
+        select = _shared_selectors(ctx.n_attributes, count)
         empty = lat.zero_rho.table
 
         def nodes():
             lead = "[\n    "
             for ks, (extent, rows) in enumerate(part.walk()):
                 table = rows | empty
-                sel = _selectors(table)
+                sel = select(table)
                 yield (
                     f'{lead}{{\n      "block_set": {ks},'
                     f'\n      "extent": {_json_names(objects, _selectors(extent))},'
                     '\n      "gfcp_minterms": ',
-                    ids(_selectors(rows)),
+                    ids(rows),
                     ',\n      "gfcp_pretty": "',
                     gfcp(ks, rows),
                     '",\n      "grsp_minterms": ',
-                    ids(sel),
+                    ids(table, sel),
                     ',\n      "grsp_pretty": "',
                     grsp(ks, table, sel),
                     '"\n    }',
@@ -425,14 +431,14 @@ def _json(lat: GclLattice | ClassicalLattice):
             for extent, row in zip(part.extents, part.rows)
         )
         frame = _JSON_FRAMES[2]
-        constant = _id_runs(ctx.n_attributes, *frame, partial(_json_names, frame=frame))
+        constant = _id_runs(ctx.n_attributes, *frame, partial(_json_names, frame=frame), count)
         fields = {
             "blocks": _json_names(blocks, repeat(1), _JSON_FRAMES[1]),
             "constants": (
                 '{\n    "one_eta": ',
-                constant(_selectors(lat.one_eta.table)),
+                constant(lat.one_eta.table),
                 ',\n    "zero_rho": ',
-                constant(_selectors(empty)),
+                constant(empty),
                 "\n  }",
             ),
             "nodes": nodes(),
@@ -693,11 +699,12 @@ def _cmd_inspect(args) -> int:
     in_blocks = [f"D{k + 1}" for k in range(lat.partition.n_f) if ks >> k & 1]
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
     rows, table = node.gfcp.table, node.grsp.table
-    grsp, gfcp = _node_bounds(lat, str, _INSPECT_BLOCK_LIMIT)
-    ids, sel = _id_runs(ctx.n_attributes, ", "), _selectors(table)
+    # one node: narrow term and id tables, each bound written in runs
+    grsp, gfcp = _node_bounds(lat, str, 1, _INSPECT_BLOCK_LIMIT)
+    ids = _id_runs(ctx.n_attributes, ", ", nodes=1)
     bounds = [
-        ("grsp: ", grsp(ks, table, sel), "  (minterms [", ids(sel), "])\n"),
-        ("gfcp: ", gfcp(ks, rows), "  (minterms [", ids(_selectors(rows)), "])\n"),
+        ("grsp: ", grsp(ks, table), "  (minterms [", ids(table), "])\n"),
+        ("gfcp: ", gfcp(ks, rows), "  (minterms [", ids(rows), "])\n"),
     ]
     classes = []
     if args.irreducibles:

@@ -18,7 +18,7 @@ to intersection and union.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add
 
@@ -29,9 +29,13 @@ from .value import Value
 
 DEFAULT_CANONICAL_CAP = 20
 
-# a plain bound's terms come from two tables: one over the first
-# _TERM_SPLIT attributes and one over the rest, so at the canonical cap
-# neither holds more than 2^_TERM_SPLIT strings
+# a plain bound's terms come from two tables, a low one over the first w
+# attributes and a high one over the rest, and w follows how many nodes a
+# render prints.  A whole-lattice render keeps w = min(m, _TERM_SPLIT): up
+# to m 10 a bound is one string, no node pays for runs, and at the
+# canonical cap neither table holds more than 2^_TERM_SPLIT strings.  A
+# one-node render takes w = ceil(m/2): tables of 2^ceil(m/2) and
+# 2^floor(m/2) strings, and a bound in runs of at most 2^w terms.
 _TERM_SPLIT = DEFAULT_CANONICAL_CAP // 2
 
 # binary digits to the bytes itertools.compress selects by
@@ -303,68 +307,96 @@ def canonical_to_str(cf: CanonicalForm, mode: str, attributes) -> str:
     if len(names) < m:
         raise IndexError(f"{len(names)} attribute names for {m} attributes")
     table = cf.table if mode == "dnf" else (~cf).table
-    text = _term_text(m, mode, *_term_tables(names, mode))(table, _selectors(table))
+    text = _term_text(m, mode, *_term_tables(names, mode))(table)
     return text if isinstance(text, str) else "".join(text)
 
 
+def _low_width(m: int, nodes: int | None) -> int:
+    """The attributes of the low term and id tables of a render of nodes
+    nodes over m attributes (None: many): ceil(m/2) for one node, else
+    min(m, _TERM_SPLIT) (see _TERM_SPLIT)."""
+    return (m + 1) // 2 if nodes == 1 else min(m, _TERM_SPLIT)
+
+
+def _shared_selectors(m: int, nodes: int):
+    """select(table) for parts of a render of nodes nodes that read one
+    table: _selectors(table) where they are one string, so they share one
+    pass, and None where they come in runs, which compute their own
+    selectors when written (see _term_text)."""
+    return _selectors if _low_width(m, nodes) == m else (lambda table: None)
+
+
 def _term_text(m: int, mode: str, low, high):
-    """text(table, selectors): the plain bound over m attributes whose
-    terms are the set bits of table, selectors being _selectors(table).
+    """text(table, selectors=None): the plain bound over m attributes whose
+    terms are the set bits of table, selectors being _selectors(table),
+    computed here when not given.
 
     A term is a minterm for "dnf", a maxterm for "cnf" (table then holds
     the complement of the bound), picked from the (low, high) term tables
-    by the selector bytes, with no Python code run per term.  Up to
-    _TERM_SPLIT attributes the text is one string.  Above, term t is
-    low[t % 2^_TERM_SPLIT] + high[t >> _TERM_SPLIT], and a bound with terms
-    is an iterable of runs, one per high term from its own slice of
-    selectors, led by the separator after the first.  The tables may come
-    escaped for an output format; the separators need none.
+    of _term_tables by the selector bytes, with no Python code run per
+    term.  Term t is low[t % len(low)] + high[t // len(low)].  The width
+    of the low table follows the render: a whole-lattice render keeps
+    2^min(m, 10) low terms, a one-node render 2^ceil(m/2) (see
+    _term_tables).  Where the low table spans all m attributes (a
+    whole-lattice render up to m 10) the text is one string.  Otherwise a
+    bound with terms is an iterable of runs, one per high term from its
+    own slice of selectors, led by the separator after the first; its
+    selectors are computed when the runs are first iterated, so a caller
+    may hold several bounds' runs at once and only the one being written
+    holds its selectors.  The tables may come escaped for an output
+    format; the separators need none.
     """
     # at m = 0 the table is 0 or 1, so the frame of two terms is never read
     none, one, more = (_term_frame(table, m, mode) for table in (0, 1, 3))
 
-    def text(table: int, selectors: bytes):
+    def text(table: int, selectors: bytes | None = None):
         whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
         if whole is not None:
             return whole
+        if selectors is None:
+            selectors = _selectors(table)
         return lead + sep.join(compress(low, selectors)) + close
 
     def pick(h, chunk):
         return map(add, compress(low, chunk), repeat(high[h]))
 
-    def runs(table: int, selectors: bytes):
+    def runs(table: int, selectors: bytes | None = None):
         whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
         if whole is not None:
             return whole
-        return chain(_slice_runs(selectors, pick, sep, lead), (close,))
+        return chain(_slice_runs(table, selectors, len(low), pick, sep, lead), (close,))
 
-    return text if m <= _TERM_SPLIT else runs
+    return text if len(low) == 1 << m else runs
 
 
-def _id_runs(m: int, sep: str, lead: str = "", close: str = "", whole=None):
-    """ids(selectors): the ids of the minterms over m attributes that the
-    selector bytes pick, sep-joined.  Within the first slice of
-    2^_TERM_SPLIT minterms, whole(id_strings, selectors) gives them as one
-    string (by default the sep-join of the slice's id strings); past it,
-    they are lead, one run per slice that picks an id, each after the
-    first led by sep, and close."""
-    ids = tuple(map(str, range(1 << min(m, _TERM_SPLIT))))
+def _id_runs(m: int, sep: str, lead: str = "", close: str = "", whole=None, nodes=None):
+    """ids(table, selectors=None): the ids of the minterms over m attributes
+    set in table, sep-joined, picked by selectors = _selectors(table),
+    computed here when not given.  The id strings of the first 2^w
+    minterms are built once, w the low width of a render of nodes nodes
+    (see _low_width): 2^min(m, 10) for a whole lattice, 2^ceil(m/2) for
+    one node.  Within that first slice, whole(id_strings, selectors) gives
+    the ids as one string (by default their sep-join); past it, they are
+    lead, one run per slice of 2^w minterms that picks an id, each after
+    the first led by sep, and close, as _term_text gives its runs."""
+    ids = tuple(map(str, range(1 << _low_width(m, nodes))))
     whole = whole or (lambda ids, selectors: sep.join(compress(ids, selectors)))
-    if m <= _TERM_SPLIT:
-        return partial(whole, ids)
+
+    def text(table: int, selectors: bytes | None = None):
+        return whole(ids, _selectors(table) if selectors is None else selectors)
 
     def pick(h, chunk):
         if not h:
             return compress(ids, chunk)
-        base = h << _TERM_SPLIT
+        base = h * len(ids)
         return map(str, compress(range(base, base + len(ids)), chunk))
 
-    def runs(selectors: bytes):
-        if len(selectors) <= len(ids):
-            return whole(ids, selectors)
-        return chain(_slice_runs(selectors, pick, sep, lead), (close,))
+    def runs(table: int, selectors: bytes | None = None):
+        if table.bit_length() <= len(ids):
+            return text(table, selectors)
+        return chain(_slice_runs(table, selectors, len(ids), pick, sep, lead), (close,))
 
-    return runs
+    return text if len(ids) == 1 << m else runs
 
 
 def _term_frame(table: int, m: int, mode: str):
@@ -382,44 +414,56 @@ def _term_frame(table: int, m: int, mode: str):
     return None, "", outer, ""
 
 
-def _term_length(table: int, selectors: bytes, m: int, mode: str, lengths) -> int:
-    """len of the text _term_text(m, mode, low, high)(table, selectors)
-    gives up to _TERM_SPLIT attributes, summed from lengths[t] =
-    len(low[t]) without joining the terms."""
+def _term_length(table: int, selectors: bytes, m: int, mode: str, low, high) -> int:
+    """len of the text _term_text(m, mode, low', high')(table, selectors)
+    gives, joined if it comes in runs, summed slice by slice from the
+    tables' lengths low[t] = len(low'[t]) and high[h] = len(high'[h])
+    without building any term."""
     whole, lead, sep, close = _term_frame(table, m, mode)
     if whole is not None:
         return len(whole)
-    terms = sum(compress(lengths, selectors))
+    step, terms = len(low), 0
+    for h, base in enumerate(range(0, len(selectors), step)):
+        chunk = selectors[base:base + step]
+        terms += sum(compress(low, chunk)) + high[h] * chunk.count(1)
     return len(lead) + terms + len(sep) * (table.bit_count() - 1) + len(close)
 
 
-def _slice_runs(selectors: bytes, pick, sep: str, lead: str = ""):
-    """One run per slice of 2^_TERM_SPLIT selector bytes that selects an
+def _slice_runs(table: int, selectors: bytes | None, step: int, pick, sep: str, lead: str):
+    """One run per slice of step selector bytes of table that selects an
     item: sep.join(pick(h, chunk)) for slice h, led by lead for the first
-    run and by sep for the others."""
-    step = 1 << _TERM_SPLIT
+    run and by sep for the others.  selectors is _selectors(table), which
+    is computed on the first run when it is None."""
+    if selectors is None:
+        selectors = _selectors(table)
     for base in range(0, len(selectors), step):
         chunk = selectors[base:base + step]
         if 1 in chunk:
-            yield lead + sep.join(pick(base >> _TERM_SPLIT, chunk))
+            yield lead + sep.join(pick(base // step, chunk))
             lead = sep
 
 
 @lru_cache(maxsize=8)
-def _term_tables(names: tuple[str, ...], mode: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(low, high): every term over the first _TERM_SPLIT names and every
-    term over the rest, each listed by its bits.  Low terms end in the
-    inner separator when a high part exists, so a term is low + high."""
+def _term_tables(
+    names: tuple[str, ...], mode: str, nodes: int | None = None
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(low, high): every term over the first w names and every term over
+    the rest, each listed by its bits, w the low width of a render of nodes
+    nodes (see _low_width; None: many): whole-lattice renders keep
+    2^min(m, 10) low terms, one-node renders 2^ceil(m/2).  Nonempty low
+    terms end in the inner separator when a high part exists, so a term is
+    low + high."""
     if mode == "dnf":
         # a minterm's literal j is positive where bit j of its id is set
         inner, pairs = " & ", [("!" + a, a) for a in names]
     else:
         # a maxterm's literal j is negated where bit j of its id is set
         inner, pairs = " | ", [(a, "!" + a) for a in names]
-    low = _term_strings(pairs[:_TERM_SPLIT], inner)
-    if len(names) > _TERM_SPLIT:
+    w = _low_width(len(names), nodes)
+    low = _term_strings(pairs[:w], inner)
+    if 0 < w < len(names):
         low = [s + inner for s in low]
-    return tuple(low), tuple(_term_strings(pairs[_TERM_SPLIT:], inner))
+    return tuple(low), tuple(_term_strings(pairs[w:], inner))
 
 
 def _term_strings(pairs, sep: str) -> list[str]:

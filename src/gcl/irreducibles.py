@@ -212,6 +212,26 @@ def _all_classes(ctx: FormalContext, mode: str) -> dict[int, tuple[int, ...]]:
     }
 
 
+def _class_block_sets(ctx: FormalContext, classes, mode: str) -> dict[int, int]:
+    """Extent bits -> block set, for the classes of _all_classes.
+
+    Every object of a block shares its row, so a literal holds on whole
+    blocks: those whose row holds it.  A class's block set is then its
+    first member's literal block sets folded as its extent was, meet for
+    conjunctions and join for disjunctions, in n_F-bit ints; no block
+    extent is read, and each class costs at most 2m int operations.
+    """
+    m, rows = ctx.n_attributes, blocks(ctx).rows
+    every = (1 << len(rows)) - 1
+    holds = [sum(1 << k for k, row in enumerate(rows) if row >> j & 1) for j in range(m)]
+    holds += [every ^ b for b in holds]
+    unit, fold = (every, and_) if mode == "conjunction" else (0, or_)
+    return {
+        ext: reduce(fold, (holds[i] for i in range(2 * m) if keys[0] >> i & 1), unit)
+        for ext, keys in classes.items()
+    }
+
+
 class _Members(Value):
     """The members the reduced bounds of one class mode pick from, in the
     order of _members, with one bit per entry.  A member's entries are
@@ -245,16 +265,17 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
     by the block set of their extent (every extent is a union of blocks),
     as an int, and in class order within one extent.  The leave-one-out
     subsets of a member are members themselves (down-closure), so their
-    block sets are looked up by mask, one bit cleared, never folded;
-    block_set_of runs once per distinct extent.  The entries' block sets
-    are written as bytes, from the top bit of the last slot down, so a cut
-    is one bit of one column of those bytes, read as binary.
+    block sets are looked up by mask, one bit cleared, never folded; each
+    distinct extent's block set comes from _class_block_sets.  The
+    entries' block sets are written as bytes, from the top bit of the last
+    slot down, so a cut is one bit of one column of those bytes, read as
+    binary.
     """
     m = ctx.n_attributes
     half = (1 << m) - 1
     classes = _all_classes(ctx, mode)
     conjunction = mode == "conjunction"
-    block_of = {ext: block_set_of(ctx, BitSet(ext, ctx.n_objects)) for ext in classes}
+    block_of = _class_block_sets(ctx, classes, mode)
     where = {key: block_of[ext] for ext, keys in classes.items() for key in keys}
     every = (1 << (1 << m)) - 1
     lit_table = [_var_table(j, m) for j in range(m)]

@@ -24,7 +24,8 @@ is refused past the node cap of 20 blocks.  Block sets are mapped to
 extents and back only through ``BlockPartition.union`` and
 ``block_set_of`` in ``context``, and to their gfcp tables only through
 ``BlockPartition.row_table``; a walk over every block set reads both
-from ``BlockPartition.walk``.
+from ``BlockPartition.walk``.  The irreducible classes alone fold their
+extents' block sets from their literals (``irreducibles._class_block_sets``).
 """
 
 from __future__ import annotations

@@ -19,9 +19,13 @@ laws over every pair of nodes read inclusion up-sets built column by
 column over the bits that vary between keys (``_up_sets``), so they
 report the same first failing pair as a pairwise loop.  The monotonicity
 laws compare each set only with those one element smaller, which covers
-every pair by transitivity.  The class scan indexes the signed literal
-sets by 2|M|-bit masks: each extent is one fold onto the extent of the
-set without its lowest literal.
+every pair by transitivity, and ``bound-recursion`` folds the union below
+(intersection above) each block set from the sets one block smaller
+(larger): n_F * 2^n_F steps for the same unions as every proper subset
+(superset) gives.  Each node's extent and bounds are read once.  The
+class scan indexes the signed literal sets by 2|M|-bit masks: each
+extent is one fold onto the extent of the set without its lowest
+literal.
 
 ``random_context`` generates reproducible test contexts from a 64-bit
 linear congruential generator so that law sweeps can be pinned to seeds.
@@ -29,7 +33,8 @@ linear congruential generator so that law sweeps can be pinned to seeds.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 
 from .bitset import BitSet
 from .classical import build_fcl, build_rsl, recover_classical
@@ -158,6 +163,7 @@ class _Env:
         self.m = ctx.n_attributes
         self.full_g = (1 << self.n) - 1
         self.full_t = (1 << (1 << self.m)) - 1
+        self.rows = tuple(set(ctx.rows))  # the distinct rows
 
     @cached_property
     def atom_ext(self) -> list[int]:
@@ -171,6 +177,17 @@ class _Env:
     def nodes(self) -> list:
         """The nodes by position, read once: ``lat.nodes`` builds them anew."""
         return list(self.lat.nodes)
+
+    @cached_property
+    def extents(self) -> list[int]:
+        """The nodes' extent bits by position: a node computes its extent
+        when read, so the laws read each one once here."""
+        return [node.extent.bits for node in self.nodes]
+
+    @cached_property
+    def up(self) -> list[int]:
+        """_up_sets of the node extents."""
+        return _up_sets(self.extents)
 
     # the direct classical lattices, built once for the laws that read them
     fcl = cached_property(lambda self: build_fcl(self.ctx))
@@ -189,7 +206,7 @@ class _Env:
     def eval_table(self, table: int) -> int:
         # a minterm that is no row has an empty extent, so only rows are read
         bits = 0
-        for row in set(self.ctx.rows):
+        for row in self.rows:
             if table >> row & 1:
                 bits |= self.atom_ext[row]
         return bits
@@ -395,16 +412,16 @@ def _law_concept_reconstruction(env: _Env):
 
 
 def _law_extent_fixpoint(env: _Env):
-    for node, grsp, gfcp in zip(env.nodes, *env.bounds):
-        if env.eval_table(grsp) != node.extent.bits:
-            return f"X={env.names(node.extent.bits)}: grsp does not evaluate back"
-        if env.eval_table(gfcp) != node.extent.bits:
-            return f"X={env.names(node.extent.bits)}: gfcp does not evaluate back"
+    for ext, grsp, gfcp in zip(env.extents, *env.bounds):
+        if env.eval_table(grsp) != ext:
+            return f"X={env.names(ext)}: grsp does not evaluate back"
+        if env.eval_table(gfcp) != ext:
+            return f"X={env.names(ext)}: gfcp does not evaluate back"
     return None
 
 
 def _law_family_closure(env: _Env):
-    exts = [node.extent.bits for node in env.nodes]
+    exts = env.extents
     have = set(exts)
     if len(have) != len(exts):
         return "duplicate node extents"
@@ -426,7 +443,7 @@ def _law_family_closure(env: _Env):
             return f"{lattice} extent escapes the family"
     # transitive reduction of the inclusion order over node indices; the
     # extents are distinct, so dropping i itself leaves the strict order
-    up = [u & ~(1 << i) for i, u in enumerate(_up_sets(exts))]
+    up = [u & ~(1 << i) for i, u in enumerate(env.up)]
     down = [d & ~(1 << i) for i, d in enumerate(_up_sets([env.full_g ^ a for a in exts]))]
     covers = set()
     for i in range(len(exts)):
@@ -450,15 +467,16 @@ def _census(env: _Env) -> tuple[str | None, str | None, str | None]:
     grouped = env.sweep_classes
     total = sum(acc[0] for acc in grouped.values())
     sizes = None if total == 1 << (1 << env.m) else f"class sizes sum to {total}"
-    by_extent = {node.extent.bits: node for node in env.nodes}
+    at = {ext: i for i, ext in enumerate(env.extents)}
     family = None
-    if set(grouped) != set(by_extent):
+    if set(grouped) != set(at):
         family = "realized extents differ from the node extents"
+    grsp, gfcp = env.bounds
     for ext, (_, low, high) in grouped.items():
-        node = by_extent.get(ext)
-        if node is not None and low != node.gfcp.table:
+        i = at.get(ext)
+        if i is not None and low != gfcp[i]:
             return sizes, family, f"X={env.names(ext)}: class minimum differs from gfcp"
-        if node is not None and high != node.grsp.table:
+        if i is not None and high != grsp[i]:
             return sizes, family, f"X={env.names(ext)}: class maximum differs from grsp"
     return sizes, family, None
 
@@ -495,22 +513,22 @@ def _law_dagger(env: _Env):
     stray = _stray_block_set(env)
     if stray:
         return stray
-    nodes = env.nodes
+    nodes, exts = env.nodes, env.extents
     grsp, gfcp = env.bounds
     images = [dagger(env.lat, a) for a in nodes]
-    # a node is its block set: an image is found, and its own image and
-    # bounds are read, at the position of its block set
+    # a node is its block set: an image is found, and its own image, extent
+    # and bounds are read, at the position of its block set
     at = {a.block_set: i for i, a in enumerate(nodes)}
-    for a, image, ga, fa in zip(nodes, images, grsp, gfcp):
+    for a, ext, image, ga, fa in zip(nodes, exts, images, grsp, gfcp):
         j = at.get(image.block_set)
         if j is None or nodes[j] != image or images[j] != a:
-            return f"X={env.names(a.extent.bits)}: conjugation is not an involution"
-        if image.extent.bits != env.full_g ^ a.extent.bits:
-            return f"X={env.names(a.extent.bits)}: conjugate extent is not the complement"
+            return f"X={env.names(ext)}: conjugation is not an involution"
+        if exts[j] != env.full_g ^ ext:
+            return f"X={env.names(ext)}: conjugate extent is not the complement"
         if grsp[j] != env.full_t ^ fa:
-            return f"X={env.names(a.extent.bits)}: conjugate grsp is not the negated gfcp"
+            return f"X={env.names(ext)}: conjugate grsp is not the negated gfcp"
         if gfcp[j] != env.full_t ^ ga:
-            return f"X={env.names(a.extent.bits)}: conjugate gfcp is not the negated grsp"
+            return f"X={env.names(ext)}: conjugate gfcp is not the negated grsp"
     # node order is extent inclusion, so complemented extents reverse it
     return None
 
@@ -521,22 +539,31 @@ def _law_bound_recursion(env: _Env):
         return stray
     grsp, gfcp = env.bounds
     full = (1 << env.lat.partition.n_f) - 1
+    # upto[ks] is the union of grsp over ks and its subsets, and downfrom[ks]
+    # the intersection of gfcp over ks and its supersets, each folded from
+    # the sets one block smaller (larger).  Where the fold adds nothing to
+    # the node's own table, that table is kept, so a sound lattice's bounds
+    # are held once
+    upto, downfrom = [0] * (full + 1), [0] * (full + 1)
+
+    def below(ks):  # the union of grsp over the proper subsets of ks
+        return reduce(or_, (upto[sub] for sub in _one_smaller(ks)), 0)
+
+    def above(ks):  # the intersection of gfcp over the proper supersets of ks
+        return reduce(and_, (downfrom[full ^ r] for r in _one_smaller(full ^ ks)), env.full_t)
+
+    for ks in range(full + 1):
+        union = below(ks)
+        upto[ks] = grsp[ks] if not union & ~grsp[ks] else grsp[ks] | union
+    for ks in range(full, -1, -1):
+        inter = above(ks)
+        downfrom[ks] = gfcp[ks] if not gfcp[ks] & ~inter else gfcp[ks] & inter
     for i, node in enumerate(env.nodes):
         ks = node.block_set
-        if ks.bit_count() >= 2:
-            union = 0
-            for sub in _submasks(ks):
-                if sub != ks:
-                    union |= grsp[sub]
-            if union != grsp[i]:
-                return f"X={env.names(node.extent.bits)}: grsp is not the union below"
-        if (full ^ ks).bit_count() >= 2:
-            inter = env.full_t
-            for sub in _submasks(full ^ ks):
-                if sub != 0:
-                    inter &= gfcp[ks | sub]
-            if inter != gfcp[i]:
-                return f"X={env.names(node.extent.bits)}: gfcp is not the intersection above"
+        if ks.bit_count() >= 2 and below(ks) != grsp[i]:
+            return f"X={env.names(env.extents[i])}: grsp is not the union below"
+        if (full ^ ks).bit_count() >= 2 and above(ks) != gfcp[i]:
+            return f"X={env.names(env.extents[i])}: gfcp is not the intersection above"
     return None
 
 
@@ -553,7 +580,7 @@ def _law_block_cover(env: _Env):
                 if ks & (1 << k):
                     union |= grsp[1 << k]
             if union != grsp[i]:
-                return f"X={env.names(node.extent.bits)}: grsp is not the union of its blocks"
+                return f"X={env.names(env.extents[i])}: grsp is not the union of its blocks"
         if ks != full:
             inter = env.full_t
             for k in range(nf):
@@ -561,7 +588,7 @@ def _law_block_cover(env: _Env):
                     inter &= gfcp[full ^ (1 << k)]
             if inter != gfcp[i]:
                 return (
-                    f"X={env.names(node.extent.bits)}: "
+                    f"X={env.names(env.extents[i])}: "
                     "gfcp is not the intersection of its co-blocks"
                 )
     return None
@@ -604,13 +631,13 @@ def _law_constants_decomposition(env: _Env):
     nf = lat.partition.n_f
     full = (1 << nf) - 1
     for k in range(nf):
-        block = env.nodes[1 << k]
-        base = irreducible_conjunctions(ctx, block.extent).members
+        block = BitSet(env.extents[1 << k], env.n)
+        base = irreducible_conjunctions(ctx, block).members
         rho0 = to_canonical(disj(s.conjunction() for s in base), m)
         if rho0.table | lat.zero_rho.table != grsp[1 << k]:
             return f"block {k}: reduced sum plus zero_rho misses grsp"
-        conode = env.nodes[full ^ (1 << k)]
-        cobase = irreducible_disjunctions(ctx, conode.extent).members
+        conode = BitSet(env.extents[full ^ (1 << k)], env.n)
+        cobase = irreducible_disjunctions(ctx, conode).members
         eta0 = to_canonical(conj(s.disjunction() for s in cobase), m)
         if eta0.table & lat.one_eta.table != gfcp[full ^ (1 << k)]:
             return f"block {k}: reduced product times one_eta misses gfcp"
@@ -619,10 +646,10 @@ def _law_constants_decomposition(env: _Env):
 
 def _law_order_agreement(env: _Env):
     grsp, gfcp = env.bounds
-    exts = [node.extent.bits for node in env.nodes]
+    exts = env.extents
     by_grsp = _up_sets(grsp)
     by_gfcp = _up_sets(gfcp)
-    for ea, up, r, f in zip(exts, _up_sets(exts), by_grsp, by_gfcp):
+    for ea, up, r, f in zip(exts, env.up, by_grsp, by_gfcp):
         bad = (up ^ r) | (up ^ f)
         if bad:
             eb = exts[(bad & -bad).bit_length() - 1]

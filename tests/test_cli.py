@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -441,8 +442,9 @@ def _inspect_reference(ctx, xs, irreducibles):
 
 
 # (objects, attributes, fancy): reduced bounds at n_F <= 12 and m <= 10,
-# plain ones past either limit, and m above _TERM_SPLIT, where a bound and
-# its id list are written in several runs
+# plain ones past either limit.  inspect renders one node, so from m 2 on a
+# plain bound and its id list are written in runs of 2^ceil(m/2) items,
+# fancy shapes (12 x 8) included
 INSPECT_SHAPES = [
     (5, 0, True),
     (4, 1, True),
@@ -460,7 +462,10 @@ INSPECT_SHAPES = [
     "n, m, fancy", INSPECT_SHAPES, ids=[f"{n}x{m}" for n, m, _ in INSPECT_SHAPES]
 )
 def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy):
-    assert m <= exprs._TERM_SPLIT or not fancy
+    # fancy shapes stay within the irreducibles cap; every shape past m 1
+    # has its bounds and ids in runs
+    assert m <= cli.DEFAULT_IRREDUCIBLES_CAP or not fancy
+    assert (exprs._low_width(m, 1) < m) == (m > 1)
     ctx = random_context(n + 100 * m, n, m, 0.5)
     assert cli._fancy(build_gcl(ctx), cli._INSPECT_BLOCK_LIMIT) == fancy
     p = tmp_path / "ctx.cxt"
@@ -480,7 +485,7 @@ def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy
 
 def test_wide_inspect_is_written_in_runs(tmp_path, monkeypatch):
     # m 16: a bound of the empty extent lists nearly 2^16 minterms, written
-    # a slice of 2^_TERM_SPLIT at a time, never as one string
+    # a slice of 2^8 at a time, never as one string
     ctx = random_context(7, 5, 16, 0.5)
     p = tmp_path / "wide.cxt"
     p.write_text(context_to_cxt(ctx))
@@ -494,6 +499,51 @@ def test_wide_inspect_is_written_in_runs(tmp_path, monkeypatch):
     assert main(["inspect", str(p), "--objects", ""]) == 0
     assert sum(sizes) > 4 * 10**6
     assert max(sizes) < sum(sizes) / 50
+
+
+def test_inspect_holds_one_run_not_one_bound(tmp_path, monkeypatch):
+    # 22 objects in 14 blocks over 10 attributes, the shape the benchmark's
+    # cube inspects: each bound lists about a thousand minterms (some 55 KB
+    # of text), but inspect picks them from tables of 2^5 strings and
+    # writes them 2^5 at a time, so its heap never holds a whole bound or
+    # a table of 2^10 terms.  The peak is about 38 KB (--objects) and 70 KB
+    # (--query); with 2^10-term tables and one string per bound it was
+    # 487 and 519 KB.
+    base = random_context(0, 14, 10, 0.5)
+    ctx = FormalContext(
+        tuple(f"g{i + 1}" for i in range(22)), base.attributes, base.rows + base.rows[:8]
+    )
+    part = blocks(ctx)
+    assert part.n_f == 14
+    p = tmp_path / "cube.cxt"
+    p.write_text(context_to_cxt(ctx))
+    picked = [k for k in range(part.n_f) if k % 3 != 1]
+    extent = sum(part.extents[k] for k in picked)
+    query = " | ".join(
+        "(" + " & ".join(("" if part.rows[k] >> j & 1 else "!") + a
+                         for j, a in enumerate(ctx.attributes)) + ")"
+        for k in picked
+    )
+    target = ",".join(ctx.object_names(BitSet(extent, ctx.n_objects)))
+    written = []
+
+    class Sink:
+        def write(self, text):
+            written.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    for args in (("--objects", target), ("--query", query)):
+        exprs._term_tables.cache_clear()
+        blocks.cache_clear()
+        written.clear()
+        tracemalloc.start()
+        try:
+            assert main(["inspect", str(p), *args]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(written) > 100_000
+        assert peak < 150 * 1024, (args[0], peak)
 
 
 def test_inspect_cap_refusals_write_nothing(capsys, t1_path, tmp_path):

@@ -366,6 +366,38 @@ def test_export_memory_stays_far_below_one_wide_bound(fmt):
     assert peak < size / 4, f"peak {peak} B for {size} B written"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_wide_export_holds_one_bounds_selectors_at_a_time(monkeypatch, fmt):
+    # 1 block over 12 attributes, past the term split: each of a node's
+    # bounds and id lists comes in runs, and each picks its terms by a
+    # selector string of one byte per minterm up to its top one (2^12
+    # bytes here, 1 MB at m 20).  A part makes its selectors when its runs
+    # are first written, so at no write are two of them alive; building a
+    # node's parts first held both bounds' (and json's id lists') at once
+    m = 12
+    lat = build_gcl(FormalContext(("g1",), tuple(f"m{j}" for j in range(m)), (5,)))
+    original, live, most = exprs._selectors, [], []
+
+    class Selectors(bytes):
+        def __del__(self):
+            live.remove(len(self))
+
+    def tracked(table):
+        sel = Selectors(original(table))
+        live.append(len(sel))
+        return sel
+
+    monkeypatch.setattr(exprs, "_selectors", tracked)
+    monkeypatch.setattr(cli, "_selectors", tracked)
+
+    class Out:
+        def write(self, text):
+            most.append(sum(size > 1 << m - 1 for size in live))
+
+    export_lattice(lat, fmt, Out())
+    assert max(most) == 1 and not live
+
+
 # 1.5 times the 3.3 MB peak of the renderer that built one dict per concept
 # and joined its fields; a batch of 1,024 concepts holds the whole output
 _CLASSICAL_EXPORT_PEAK = 5 * 10**6

@@ -1,3 +1,6 @@
+from itertools import compress
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -254,20 +257,72 @@ def test_canonical_to_str_matches_the_expression_route(cf):
                 assert canonical_to_str(cf, mode, attrs) == expected
 
 
-@given(bound_forms().filter(lambda cf: cf.m_count <= exprs._TERM_SPLIT))
+def _at_width(w, make, *args, **kwargs):
+    """make(*args, **kwargs) with w attributes in its low table, whatever
+    the node count; _term_tables is called past its cache, which keys on
+    the node count."""
+    with mock.patch.object(exprs, "_low_width", lambda m, nodes: w):
+        return getattr(make, "__wrapped__", make)(*args, **kwargs)
+
+
+@settings(deadline=None)
+@given(bound_forms())
 @example(CanonicalForm(0, 1))
 @example(CanonicalForm(1, 0b01))
 @example(CanonicalForm(10, (1 << 1024) - 1))
+@example(CanonicalForm(12, 1 << 4095))
 def test_term_length_is_the_length_of_the_plain_text(cf):
-    # the reduced-bound path compares lengths without building the text
+    # the reduced-bound path compares lengths without building the text,
+    # at every low-table width w: one string where the low table spans all
+    # m attributes, runs of at most 2^w terms otherwise
+    m = cf.m_count
     for mode in ("dnf", "cnf"):
         table = cf.table if mode == "dnf" else (~cf).table
+        selectors = exprs._selectors(table)
         for names in NAME_SETS:
-            low = exprs._term_tables(names[:cf.m_count], mode)[0]
             text = canonical_to_str(cf, mode, names)
-            assert exprs._term_length(
-                table, exprs._selectors(table), cf.m_count, mode, list(map(len, low))
-            ) == len(text)
+            for w in range(m + 1):
+                low, high = _at_width(w, exprs._term_tables, names[:m], mode)
+                assert (len(low), len(high)) == (1 << w, 1 << m - w)
+                lengths = [list(map(len, t)) for t in (low, high)]
+                assert exprs._term_length(table, selectors, m, mode, *lengths) == len(text)
+                got = exprs._term_text(m, mode, low, high)(table)
+                assert isinstance(got, str) or w < m
+                assert (got if isinstance(got, str) else "".join(got)) == text
+
+
+@given(bound_forms())
+@example(CanonicalForm(12, 1 << 4095))
+@example(CanonicalForm(11, 0))
+def test_id_runs_list_the_set_bits_at_every_width(cf):
+    m, table = cf.m_count, cf.table
+    expected = "<" + ", ".join(map(str, cf.ids())) + ">"
+
+    def whole(ids, selectors):
+        return "<" + ", ".join(compress(ids, selectors)) + ">"
+
+    for w in range(m + 1):
+        got = _at_width(w, exprs._id_runs, m, ", ", "<", ">", whole)(table)
+        assert isinstance(got, str) or table.bit_length() > 1 << w
+        assert (got if isinstance(got, str) else "".join(got)) == expected
+
+
+def test_one_node_tables_are_square_roots():
+    # a one-node render picks its terms from tables of 2^ceil(m/2) and
+    # 2^floor(m/2) strings; a render of more nodes keeps 2^min(m, 10) low
+    # terms, so up to m 10 its bound is one string
+    for m in range(13):
+        names = NAME_SETS[0][:m]
+        for mode in ("dnf", "cnf"):
+            low, high = exprs._term_tables(names, mode, 1)
+            assert (len(low), len(high)) == (1 << (m + 1) // 2, 1 << m // 2)
+            for nodes in (None, 2, 1 << 9):
+                low, high = exprs._term_tables(names, mode, nodes)
+                assert (len(low), len(high)) == (1 << min(m, 10), 1 << m - min(m, 10))
+        # selectors are shared only where the parts are one string
+        for nodes, one_string in ((1, m <= 1), (1 << 9, m <= 10)):
+            shared = exprs._shared_selectors(m, nodes)(5)
+            assert shared == (exprs._selectors(5) if one_string else None)
 
 
 def test_canonical_to_str_needs_a_name_per_attribute():

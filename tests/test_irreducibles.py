@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import member_block_sets, reference_keeps
-from strategies import contexts
+from strategies import contexts, wide_contexts
 from gcl import (
     BOTTOM,
     TOP,
@@ -33,7 +33,14 @@ from gcl import (
     to_canonical,
 )
 from gcl.context import block_set_of, blocks
-from gcl.irreducibles import _MODES, _all_classes, _keeps, _leave_one_out, _members
+from gcl.irreducibles import (
+    _MODES,
+    _all_classes,
+    _class_block_sets,
+    _keeps,
+    _leave_one_out,
+    _members,
+)
 from gcl.lattice import build_gcl
 from gcl.oracle import _class_scan, _reference_intent, random_context
 
@@ -498,3 +505,15 @@ def test_classes_hold_members_as_masks():
         tracemalloc.stop()
     assert sum(len(keys) for by_ext in classes for keys in by_ext.values()) == 3416
     assert kept < 640 * 1024
+
+
+@given(wide_contexts(min_blocks=40, max_blocks=80))
+@settings(max_examples=15, deadline=None)
+def test_class_block_sets_are_those_of_the_extents(ctx):
+    # each class's block set is folded from its first member's literals in
+    # n_F-bit ints; at 40 or more blocks it is still block_set_of its extent
+    assert blocks(ctx).n_f >= 40
+    for mode in _MODES:
+        classes = _all_classes(ctx, mode)
+        got = _class_block_sets(ctx, classes, mode)
+        assert got == {ext: block_set_of(ctx, BitSet(ext, ctx.n_objects)) for ext in classes}

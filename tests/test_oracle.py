@@ -233,6 +233,27 @@ def test_each_sweep_law_catches_its_fault(t1, monkeypatch, corrupt, laws):
     assert all(witnesses[law] for law in laws)
 
 
+@pytest.mark.parametrize(
+    "field, ks, witness",
+    [
+        ("grsp", 0b010110, "grsp is not the union below"),
+        ("gfcp", 0b001010, "gfcp is not the intersection above"),
+    ],
+)
+def test_one_wrong_bound_fails_bound_recursion_at_its_node(field, ks, witness):
+    # n_F 6: each node's union below (intersection above) is folded from
+    # the block sets one block smaller (larger), so one wrong table must
+    # still be named at its own node, the first that fails.  The bound of
+    # ks gains the row of block 0, which lies outside ks
+    ctx = random_context(4, 6, 4, 0.5)
+    lat = build_gcl(ctx)
+    assert lat.partition.n_f == 6
+    forged = _flip_minterm(lat, field, ks, lat.partition.rows[0])
+    witnesses = {r.law: r.witness for r in verify_laws(ctx, forged).failures()}
+    names = ", ".join(ctx.object_names(lat.nodes[ks].extent))
+    assert witnesses["bound-recursion"] == f"X={{{names}}}: {witness}"
+
+
 _WIDE_BITS = (0, 1, 5, 1 << 19, (1 << 20) - 1)
 # a 2^20-bit table with every bit set except those the keys choose from
 _WIDE_FILL = ((1 << (1 << 20)) - 1) ^ sum(1 << b for b in _WIDE_BITS)
