@@ -8,14 +8,25 @@ builds that lattice, the classical intersection (fcl) and union (rsl)
 lattices both directly and from the general lattice, the irreducible
 literal-set classes behind reduced descriptions, and a brute-force
 oracle that re-derives everything independently.
+
+Importing gcl runs none of its modules.  Each home module of a public name
+is registered in sys.modules, and on the package, as a deferred module: the
+first read of a name it lacks runs it, into the same module object, under
+one lock, so it runs once even when two threads read it first together.  A
+public name is bound on the package on its first read.  A command thus runs
+only the modules it reads: a plain build or inspect of the general lattice
+never runs oracle, irreducibles or classical.
 """
 
-from importlib import import_module
+import sys
+from _thread import RLock
+from importlib.machinery import PathFinder
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-# the public names by home module; importing gcl binds them all, module by
-# module in this order, and __all__ lists them sorted
+# the public names by home module, bound on first read (see __getattr__);
+# __all__ lists them sorted
 _PUBLIC = {
     "bitset": ("BitSet",),
     "classical": (
@@ -38,6 +49,7 @@ _PUBLIC = {
         "extent_of",
         "intent_of",
         "parse_context",
+        "random_context",
     ),
     "errors": (
         "CapExceeded",
@@ -96,15 +108,54 @@ _PUBLIC = {
         "OracleReport",
         "context_digest",
         "enumerate_mstar",
-        "random_context",
         "verify_laws",
     ),
 }
 
-globals().update(
-    (name, getattr(import_module(f"{__name__}.{home}"), name))
-    for home, names in _PUBLIC.items()
-    for name in names
-)
-
 __all__ = sorted(name for names in _PUBLIC.values() for name in names)
+
+_lock = RLock()
+_running = set()  # the deferred modules being run, to refuse a re-entrant run
+
+
+class _Deferred(ModuleType):
+    """A registered module that has not run yet.
+
+    The first read of a name it lacks runs the module's code into this
+    object and switches its class back to ModuleType.  A reader in another
+    thread waits on the lock until the run is done; a read from the run
+    itself sees the names defined so far, as a circular import would.
+    """
+
+    def __getattr__(self, name):
+        with _lock:
+            if type(self) is _Deferred and self not in _running:
+                _running.add(self)
+                try:
+                    self.__spec__.loader.exec_module(self)
+                finally:
+                    _running.discard(self)
+                self.__class__ = ModuleType
+        return ModuleType.__getattribute__(self, name)
+
+
+def __getattr__(name):
+    """A public name, read from its home module and bound here (PEP 562)."""
+    for home, names in _PUBLIC.items():
+        if name in names:
+            value = globals()[name] = getattr(globals()[home], name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _deferred(home: str) -> _Deferred:
+    """The home module home, registered in sys.modules and not run."""
+    spec = PathFinder.find_spec(f"{__name__}.{home}", __path__)
+    module = _Deferred(spec.name)
+    module.__spec__, module.__loader__, module.__package__ = spec, spec.loader, __name__
+    module.__file__, module.__cached__ = spec.origin, spec.cached
+    sys.modules[spec.name] = module
+    return module
+
+
+globals().update((home, _deferred(home)) for home in _PUBLIC)

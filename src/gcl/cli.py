@@ -19,8 +19,8 @@ from itertools import chain, compress, groupby, repeat
 from operator import and_, itemgetter, or_
 from types import SimpleNamespace
 
-from .classical import ClassicalLattice, build_fcl, build_rsl, recover_classical
-from .context import FormalContext, context_to_cxt, parse_context
+from . import classical, irreducibles, oracle
+from .context import FormalContext, context_to_cxt, parse_context, random_context
 from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
 from .exprs import (
     DEFAULT_CANONICAL_CAP,
@@ -34,15 +34,7 @@ from .exprs import (
     expr_to_str,
     parse_expr,
 )
-from .irreducibles import (
-    DEFAULT_IRREDUCIBLES_CAP,
-    _keeps,
-    _members,
-    irreducible_conjunctions,
-    irreducible_disjunctions,
-)
 from .lattice import GclLattice, _Edges, build_gcl
-from .oracle import enumerate_mstar, random_context, verify_laws
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +82,7 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
     grsp = which == "grsp"
     ctx = lat.context
     mode = "conjunction" if grsp else "disjunction"
-    red = _members(ctx, mode)
+    red = irreducibles._members(ctx, mode)
     every = (1 << (1 << ctx.n_attributes)) - 1
     whole = (1 << lat.partition.n_f) - 1
     # (block set absorbed by the empty set, its table and text), the text
@@ -109,7 +101,7 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
         if ks == absorbed:
             (got, text), size = lone, 1
         else:
-            picked = _keeps(red, ks)
+            picked = irreducibles._keeps(red, ks)
             count = picked.count(1)
             if not count:
                 (got, text), size = none, 1
@@ -156,7 +148,7 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
 _COVER_BATCH = 128
 
 
-def _check_export(lat: GclLattice | ClassicalLattice) -> None:
+def _check_export(lat: GclLattice | classical.ClassicalLattice) -> None:
     """Refuse a gcl export past the export limit, before anything is written."""
     if not isinstance(lat, GclLattice):
         return
@@ -168,15 +160,17 @@ def _check_export(lat: GclLattice | ClassicalLattice) -> None:
         )
 
 
-def _kind(lat: GclLattice | ClassicalLattice) -> str:
+def _kind(lat: GclLattice | classical.ClassicalLattice) -> str:
     return "gcl" if isinstance(lat, GclLattice) else lat.kind
 
 
 def _fancy(lat: GclLattice, block_limit: int) -> bool:
-    """Whether bounds may print reduced: few enough attributes and blocks."""
+    """Whether bounds may print reduced: few enough attributes and blocks.
+    The block count is tested first, so a render past the block limit
+    never runs irreducibles."""
     return (
-        lat.context.n_attributes <= DEFAULT_IRREDUCIBLES_CAP
-        and lat.partition.n_f <= block_limit
+        lat.partition.n_f <= block_limit
+        and lat.context.n_attributes <= irreducibles.DEFAULT_IRREDUCIBLES_CAP
     )
 
 
@@ -217,7 +211,7 @@ def _braced(names) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def _property(lat: ClassicalLattice, attributes, picks: bytes) -> str:
+def _property(lat: classical.ClassicalLattice, attributes, picks: bytes) -> str:
     """The conjunction (fcl) or disjunction (rsl) of the names an intent's
     selectors pick."""
     if lat.kind == "fcl":
@@ -277,7 +271,7 @@ def _uppers(edges):
     return ((lo, [hi for _, hi in pairs]) for lo, pairs in groupby(edges, itemgetter(0)))
 
 
-def _covers(lat: GclLattice | ClassicalLattice, head: str, mid: str, tail: str, sep: str):
+def _covers(lat: GclLattice | classical.ClassicalLattice, head: str, mid: str, tail: str, sep: str):
     """Every cover pair as head + lower + mid + upper + tail, sep-joined
     and ascending, in chunks of _COVER_BATCH lower nodes: each lower node's
     pairs are one join over the uppers' id strings, built once."""
@@ -296,7 +290,7 @@ def _covers(lat: GclLattice | ClassicalLattice, head: str, mid: str, tail: str, 
         yield lead + sep.join(batch)
 
 
-def _text(lat: GclLattice | ClassicalLattice):
+def _text(lat: GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects, attributes = ctx.objects, ctx.attributes
     head = (
@@ -347,7 +341,7 @@ def _text(lat: GclLattice | ClassicalLattice):
     yield "\n"
 
 
-def _dot(lat: GclLattice | ClassicalLattice):
+def _dot(lat: GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects = tuple(map(_dot_escape, ctx.objects))
     yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
@@ -389,7 +383,7 @@ def _json_names(names, picks: bytes, frame=_JSON_FRAMES[3]) -> str:
     return f"{lead}{text}{close}" if text else "[]"
 
 
-def _json(lat: GclLattice | ClassicalLattice):
+def _json(lat: GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects = tuple(f'"{_json_escape(name)}"' for name in ctx.objects)
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
@@ -508,7 +502,7 @@ def _write(write, chunks) -> None:
         write(chunk)
 
 
-def export_lattice(lat: GclLattice | ClassicalLattice, fmt: str, out) -> None:
+def export_lattice(lat: GclLattice | classical.ClassicalLattice, fmt: str, out) -> None:
     """Write a lattice to the text stream out as json, dot or text.
 
     The output is deterministic and written node by node as it is
@@ -572,7 +566,8 @@ def _cmd_build(args) -> int:
     if args.lattice == "gcl":
         lat = _load_gcl(args)[1]
     else:
-        lat = (build_fcl if args.lattice == "fcl" else build_rsl)(_load(args))
+        build = classical.build_fcl if args.lattice == "fcl" else classical.build_rsl
+        lat = build(_load(args))
     # a refusal must leave an existing --out file as it was
     _check_export(lat)
     if args.out:
@@ -590,8 +585,8 @@ def _law_line(r) -> str:
 def _cmd_verify(args) -> int:
     ctx, lat = _load_gcl(args)
     # the sweep runs first, so a sweep over its cap is refused before any law
-    sweep = enumerate_mstar(ctx) if args.sweep else None
-    report = verify_laws(ctx, lat)
+    sweep = oracle.enumerate_mstar(ctx) if args.sweep else None
+    report = oracle.verify_laws(ctx, lat)
     failed = not report.all_passed or (sweep is not None and not sweep.all_passed)
 
     if args.json:
@@ -632,9 +627,9 @@ def _cmd_compare(args) -> int:
     ctx, lat = _load_gcl(args)
     code = EXIT_OK
     lines = []
-    for kind, builder in (("fcl", build_fcl), ("rsl", build_rsl)):
+    for kind, builder in (("fcl", classical.build_fcl), ("rsl", classical.build_rsl)):
         # recovery walks every block set, so past the node cap it refuses first
-        recovered = recover_classical(lat, kind)
+        recovered = classical.recover_classical(lat, kind)
         direct = builder(ctx)
         if (
             direct.concepts == recovered.concepts
@@ -708,8 +703,8 @@ def _cmd_inspect(args) -> int:
     ]
     classes = []
     if args.irreducibles:
-        cc = irreducible_conjunctions(ctx, xs)
-        dd = irreducible_disjunctions(ctx, xs)
+        cc = irreducibles.irreducible_conjunctions(ctx, xs)
+        dd = irreducibles.irreducible_disjunctions(ctx, xs)
         for label, cls in (("conjunction", cc), ("disjunction", dd)):
             if cls.members:
                 body = ", ".join(s.describe(ctx.attributes) for s in cls.members)

@@ -26,9 +26,6 @@ every pair by transitivity, and ``bound-recursion`` folds the union below
 class scan indexes the signed literal sets by 2|M|-bit masks: each
 extent is one fold onto the extent of the set without its lowest
 literal.
-
-``random_context`` generates reproducible test contexts from a 64-bit
-linear congruential generator so that law sweeps can be pinned to seeds.
 """
 
 from __future__ import annotations
@@ -949,46 +946,4 @@ def enumerate_mstar(ctx: FormalContext) -> OracleReport:
         laws,
         classes,
         (),
-    )
-
-
-# ---------------------------------------------------------------------------
-# reproducible random contexts
-
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_MASK64 = (1 << 64) - 1
-
-
-def random_context(
-    seed: int, n_objects: int, n_attributes: int, density: float
-) -> FormalContext:
-    """A reproducible random context.
-
-    The cell stream is a 64-bit linear congruential generator,
-    state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64,
-    started at the seed and stepped once per cell in row-major order
-    (objects outer, attributes inner).  A cell is incident iff the top 53
-    bits of the new state are below floor(density * 2^53), so equal seeds
-    give bit-identical contexts on any platform.  Objects are named g1,
-    g2, ... and attributes m1, m2, ...
-    """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density {density} outside [0, 1]")
-    if n_objects < 0 or n_attributes < 0:
-        raise ValueError("negative dimensions")
-    threshold = int(density * 9007199254740992.0)
-    state = seed & _MASK64
-    rows = []
-    for _ in range(n_objects):
-        bits = 0
-        for j in range(n_attributes):
-            state = (state * _LCG_MULT + _LCG_INC) & _MASK64
-            if (state >> 11) < threshold:
-                bits |= 1 << j
-        rows.append(bits)
-    return FormalContext(
-        tuple(f"g{i + 1}" for i in range(n_objects)),
-        tuple(f"m{j + 1}" for j in range(n_attributes)),
-        tuple(rows),
     )

@@ -27,7 +27,7 @@ from gcl import (
     random_context,
     recover_classical,
 )
-from gcl import cli, exprs
+from gcl import cli, exprs, irreducibles
 from gcl.cli import main
 
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
@@ -210,7 +210,7 @@ def test_verify_sweep_over_its_cap_is_refused_before_any_law(capsys, tmp_path, m
     def never(*args):
         raise AssertionError("a law ran")
 
-    monkeypatch.setattr("gcl.cli.verify_laws", never)
+    monkeypatch.setattr("gcl.oracle.verify_laws", never)
     p = tmp_path / "five.csv"
     p.write_text(",a,b,c,d,e\ng1,1,0,1,0,1\ng2,0,1,1,0,0\n")
     code, out, err = run(capsys, "verify", str(p), "--sweep")
@@ -227,7 +227,7 @@ def test_verify_reports_failures(capsys, t1_path, monkeypatch):
             (),
         )
 
-    monkeypatch.setattr("gcl.cli.verify_laws", fake)
+    monkeypatch.setattr("gcl.oracle.verify_laws", fake)
     code, out, _ = run(capsys, "verify", t1_path)
     assert code == 4
     lines = out.splitlines()
@@ -254,7 +254,7 @@ def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
         got = recover_classical(lat, kind)
         return type(got)(got.kind, got.context, got.concepts[1:], got.hasse_edges)
 
-    monkeypatch.setattr("gcl.cli.recover_classical", drop_one)
+    monkeypatch.setattr("gcl.classical.recover_classical", drop_one)
     code, out, _ = run(capsys, "compare", t1_path)
     assert code == 4
     assert out.splitlines() == [
@@ -317,9 +317,9 @@ def _swap_selections(monkeypatch):
     """Make the cli read, for block set 1 (the first block alone), the
     members kept for block set 2, and the other way, in exports and
     inspect alike."""
-    real_keeps = cli._keeps
+    real_keeps = irreducibles._keeps
     swap = {1: 2, 2: 1}
-    monkeypatch.setattr("gcl.cli._keeps", lambda table, ks: real_keeps(table, swap.get(ks, ks)))
+    monkeypatch.setattr("gcl.irreducibles._keeps", lambda table, ks: real_keeps(table, swap.get(ks, ks)))
 
 
 def test_build_broken_reduced_bound_exits_4(capsys, t1_path, monkeypatch):
@@ -464,7 +464,7 @@ INSPECT_SHAPES = [
 def test_streamed_inspect_matches_the_joined_lines(capsys, tmp_path, n, m, fancy):
     # fancy shapes stay within the irreducibles cap; every shape past m 1
     # has its bounds and ids in runs
-    assert m <= cli.DEFAULT_IRREDUCIBLES_CAP or not fancy
+    assert m <= irreducibles.DEFAULT_IRREDUCIBLES_CAP or not fancy
     assert (exprs._low_width(m, 1) < m) == (m > 1)
     ctx = random_context(n + 100 * m, n, m, 0.5)
     assert cli._fancy(build_gcl(ctx), cli._INSPECT_BLOCK_LIMIT) == fancy
@@ -578,7 +578,7 @@ def test_internal_key_error_is_not_an_unknown_name(capsys, t1_path, monkeypatch)
     def broken(ctx):
         raise KeyError("internal")
 
-    monkeypatch.setattr("gcl.cli.build_fcl", broken)
+    monkeypatch.setattr("gcl.classical.build_fcl", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["build", t1_path, "--lattice", "fcl"])
 
@@ -694,8 +694,8 @@ def test_walking_the_cube_is_refused_past_the_node_cap(capsys, blocks64_path, mo
 
     # compare walks every node to recover the classical lattices, and is
     # refused before it builds them directly
-    monkeypatch.setattr("gcl.cli.build_fcl", never)
-    monkeypatch.setattr("gcl.cli.build_rsl", never)
+    monkeypatch.setattr("gcl.classical.build_fcl", never)
+    monkeypatch.setattr("gcl.classical.build_rsl", never)
     code, out, err = run(capsys, "compare", blocks64_path)
     assert (code, out) == (3, "")
     assert err == (

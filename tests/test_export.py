@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from reference import reference_bound
 from strategies import hostile_contexts
 from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, context, exprs, irreducibles, lattice
-from gcl.context import BlockPartition, parse_context
+from gcl.context import BlockPartition, parse_context, random_context
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
-from gcl.oracle import random_context
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}

@@ -32,7 +32,7 @@ from gcl import (
     simplified_intent,
     to_canonical,
 )
-from gcl.context import block_set_of, blocks
+from gcl.context import block_set_of, blocks, random_context
 from gcl.irreducibles import (
     _MODES,
     _all_classes,
@@ -42,7 +42,7 @@ from gcl.irreducibles import (
     _members,
 )
 from gcl.lattice import build_gcl
-from gcl.oracle import _class_scan, _reference_intent, random_context
+from gcl.oracle import _class_scan, _reference_intent
 
 
 def lits(pos, neg, width=2):

@@ -325,11 +325,102 @@ def test_public_names_are_one_sorted_list_of_their_home_objects():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
 
 
-def test_importing_gcl_loads_the_same_modules():
-    probe = "import sys, gcl\nprint(sorted(m for m in sys.modules if m.startswith('gcl')))\n"
+# A probe's ran() lists the home modules that have run: a module has run
+# when its __dict__ holds any of its public names, and reading __dict__
+# does not run a deferred module.
+_RAN = (
+    "import sys, gcl\n"
+    "def ran():\n"
+    "    return [h for h, names in gcl._PUBLIC.items()\n"
+    "            if set(names) & set(vars(sys.modules['gcl.' + h]))]\n"
+)
+
+
+def _probe(code: str, *flags: str, cwd=None) -> list[str]:
+    """The stderr lines of a child that runs _RAN and then code."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, *flags, "-c", _RAN + code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        check=True,
     )
-    modules = "bitset classical context errors exprs irreducibles lattice oracle value"
-    assert proc.stdout.strip() == str(["gcl", *(f"gcl.{m}" for m in modules.split())])
+    return proc.stderr.splitlines()
+
+
+def test_importing_gcl_loads_the_same_modules():
+    # importing gcl runs none of its modules: each home module of a public
+    # name is registered, in sys.modules and on the package, and runs on
+    # the first read of a name it lacks
+    homes = "bitset classical context errors exprs irreducibles lattice oracle"
+    assert _probe(
+        "print(sorted(m for m in sys.modules if m.startswith('gcl')), file=sys.stderr)\n"
+        "print(all(getattr(gcl, h) is sys.modules['gcl.' + h] for h in gcl._PUBLIC),\n"
+        "      file=sys.stderr)\n"
+        "print(ran(), file=sys.stderr)\n"
+    ) == [str(["gcl", *(f"gcl.{m}" for m in homes.split())]), "True", "[]"]
+
+
+def test_commands_run_only_the_modules_they_read(thirteen_blocks_path):
+    # a plain export (9 blocks, past the pretty limit) and an inspect past
+    # the inspect limit read no reduced bound, so oracle, irreducibles and
+    # classical never run; a classical build and compare run classical
+    # alone of the three, and verify runs all three
+    c13 = thirteen_blocks_path
+    plain = ROOT / "tests" / "golden" / "export_plain.csv"
+    assert _probe(
+        "import gcl.cli\n"
+        "def run(*argv):\n"
+        "    assert argv == () or gcl.cli.main(list(argv)) == 0\n"
+        "    three = ('classical', 'irreducibles', 'oracle')\n"
+        "    print([h for h in ran() if h in three], file=sys.stderr)\n"
+        "run()\n"
+        "for fmt in ('text', 'json', 'dot'):\n"
+        f"    run('build', {str(plain)!r}, '--format', fmt)\n"
+        f"run('inspect', {str(c13)!r}, '--objects', 'g1')\n"
+        f"run('build', {str(plain)!r}, '--lattice', 'fcl')\n"
+        f"run('compare', {str(c13)!r})\n"
+        f"run('verify', {str(c13)!r})\n"
+    ) == ["[]"] * 5 + ["['classical']"] * 2 + ["['classical', 'irreducibles', 'oracle']"]
+
+
+def test_cli_import_without_site_runs_no_import_helper():
+    # importlib.util (and LazyLoader) would load contextlib, about 2 ms of
+    # start-up without site; the deferred modules need importlib.machinery
+    # alone.  Checked without site, which may load both on its own
+    assert _probe(
+        "import gcl.cli\n"
+        "print(sorted({'importlib.util', 'contextlib'} & set(sys.modules)), file=sys.stderr)\n"
+        "print([h for h in ran() if h in ('classical', 'irreducibles', 'oracle')],\n"
+        "      file=sys.stderr)\n",
+        "-S",
+    ) == ["[]", "[]"]
+
+
+def test_first_reads_from_four_threads_run_a_module_once():
+    # four threads make their first read of gcl.verify_laws together: each
+    # module runs once, and all get the same function and LawResult class
+    assert _probe(
+        "import threading\n"
+        "runs, got, barrier = [], [], threading.Barrier(4)\n"
+        "for h in gcl._PUBLIC:\n"
+        "    loader = sys.modules['gcl.' + h].__spec__.loader\n"
+        "    loader.exec_module = lambda mod, run=loader.exec_module: (\n"
+        "        runs.append(mod.__name__) or run(mod))\n"
+        "def read():\n"
+        "    barrier.wait()\n"
+        "    fn = gcl.verify_laws\n"
+        "    got.append((fn, fn.__globals__['LawResult']))\n"
+        "threads = [threading.Thread(target=read) for _ in range(4)]\n"
+        "print(ran(), file=sys.stderr)\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "print(any(t.is_alive() for t in threads), file=sys.stderr)\n"
+        "print(len(got), len(set(got)), got[0][1] is gcl.LawResult, file=sys.stderr)\n"
+        "print(len(runs) == len(set(runs)), 'gcl.oracle' in runs, file=sys.stderr)\n"
+    ) == ["[]", "False", "4 1 True", "True True"]

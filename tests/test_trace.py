@@ -15,7 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 T1_CXT = "B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n"
 
 
-def test_traced_commands_exit_0(tmp_path):
+def test_traced_commands_exit_0(tmp_path, thirteen_blocks_path):
     ctx = tmp_path / "t1.cxt"
     ctx.write_text(T1_CXT)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -29,6 +29,9 @@ def test_traced_commands_exit_0(tmp_path):
         ["verify", str(ctx), "--json"],
         ["build", str(ctx), "--format", "json"],
         ["build", str(plain), "--format", "json"],
+        # past the inspect limit the command never reads oracle,
+        # irreducibles or classical, which the runner wraps all the same
+        ["inspect", str(thirteen_blocks_path), "--objects", "g1"],
     ):
         proc = subprocess.run(
             [*traced, repr(time.monotonic()), *argv], capture_output=True, text=True, env=env
@@ -40,6 +43,8 @@ def test_traced_commands_exit_0(tmp_path):
         if argv[1] == str(ctx) and argv[0] == "build":
             # t1's bounds print reduced, from members the class scan found
             assert traced_run["counts"]["irreducibles.members"] > 0
+        if argv[0] == "inspect":
+            assert {"cli.main", "lattice.build_gcl"} <= set(spans)
         if argv[0] == "verify":
             # perfbench times each law by rewrapping oracle.LAWS' run functions
             laws = [law["law"] for law in json.loads(proc.stdout)["laws"]]
