@@ -26,7 +26,6 @@ from .exprs import (
     DEFAULT_CANONICAL_CAP,
     _id_runs,
     _selectors,
-    _shared_selectors,
     _term_length,
     _term_tables,
     _term_text,
@@ -59,7 +58,7 @@ _EXPORT_LOG2_LIMIT = 20
 # (16 gives about 13 MB of text)
 _INSPECT_ATTRIBUTE_LIMIT = 16
 
-# `gcl random` refuses contexts with more cells than this
+# `gcl random` refuses contexts with more cells, or more names, than this
 _RANDOM_CELL_CAP = 10**7
 
 
@@ -93,9 +92,12 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
         else (0, (0, "0"), (every, "1"), " & ", and_)
     )
     texts = tuple(map(escape, red.texts))
-    # a part is its member's text, or that text in parentheses
-    parts = tuple(e if p == t else f"({e})" for p, t, e in zip(red.parts, red.texts, texts))
-    text_len, part_len = tuple(map(len, red.texts)), tuple(map(len, red.parts))
+    text_len = tuple(map(len, red.texts))
+    # among several members, a disjunction of two or more literals is
+    # parenthesised, two characters longer
+    wrap = [not grsp and s.bit_count() > 1 for s in red.sets]
+    parts = tuple(f"({t})" if w else t for t, w in zip(texts, wrap))
+    part_len = tuple(n + 2 * w for n, w in zip(text_len, wrap))
 
     def pretty(ks, table, plain):
         if ks == absorbed:
@@ -129,14 +131,13 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
 # from the partition's walk.  Everything a node prints is picked from
 # tables encoded once per export for the format (json or dot escaping
 # applied): names by the bits of an extent or intent, minterm ids and bound
-# terms by the selector bytes of a minterm table (see exprs._term_text and
-# exprs._id_runs).  The term and id tables are those of a render of 2^n_F
-# nodes, so up to 10 attributes every bound and id list is one string and
-# the parts of one table share one selector pass.  Each format has one node
-# loop, which yields a node as a tuple of parts.  A part is a string, or an
-# iterable of runs where exprs renders a bound or id list over too many
-# minterms for one string (of at most 2^10 items each), whose selectors
-# are made when its runs are first written, so a node holds one part's
+# terms by the selector bytes of a minterm table (see exprs._lister).  The
+# term and id tables are those of a render of 2^n_F nodes, so up to 10
+# attributes every bound and id list is one string.  Each format has one
+# node loop, which yields a node as a tuple of parts.  A part is a string,
+# or an iterable of runs (of at most 2^10 items each) where exprs renders
+# a bound or id list past the first 2^10 minterms; a part in runs makes
+# its selectors when its first run is written, so a node holds one part's
 # selectors at a time.  A node whose parts are all strings is written as
 # one chunk, any other part by part and run by run (see _write).  inspect
 # renders one node with tables for one node, so its bounds and ids come in
@@ -220,17 +221,17 @@ def _property(lat: classical.ClassicalLattice, attributes, picks: bytes) -> str:
 
 
 def _node_bounds(lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY_BLOCK_LIMIT):
-    """(grsp, gfcp): grsp(ks, table, sel=None) and gfcp(ks, rows) give
-    node ks's bounds as escaped text, a part (see _write), for a render of
-    nodes nodes, where rows is its gfcp table, table its grsp table (rows |
-    zero_rho) and sel, if given, _selectors(table).
+    """(grsp, gfcp): grsp(ks, table) and gfcp(ks, rows) give node ks's
+    bounds as escaped text, a part (see _write), for a render of nodes
+    nodes, where rows is its gfcp table and table its grsp table (rows |
+    zero_rho).
 
     A plain bound is picked from the literal-term tables of a render of
     that many nodes, escaped here once per render (see exprs._term_text).
     Where bounds may print reduced (see _fancy, up to block_limit blocks:
     inspect, which asks for one node, allows more than the exports), the
     reduced one (see _bound_pretty) wins if it is shorter than the plain
-    one, whose length is read off the same selectors.
+    one, whose length is read off the tables' lengths.
     """
     ctx = lat.context
     m = ctx.n_attributes
@@ -241,23 +242,19 @@ def _node_bounds(lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY
         for mode, pair in zip(("dnf", "cnf"), tables)
     )
     if not _fancy(lat, block_limit):
-        return (lambda ks, table, sel=None: dnf_text(table, sel)), (
-            lambda ks, rows: cnf_text(full ^ rows)
-        )
+        return (lambda ks, table: dnf_text(table)), (lambda ks, rows: cnf_text(full ^ rows))
     # dot prints grsp only, so each side's members are read on first use
     pretty = cache(partial(_bound_pretty, lat, escape=escape))
     dnf_len, cnf_len = ([tuple(map(len, t)) for t in pair] for pair in tables)
 
-    def grsp(ks, table, sel=None):
-        sel = _selectors(table) if sel is None else sel
-        text = pretty("grsp")(ks, table, _term_length(table, sel, m, "dnf", *dnf_len))
-        return dnf_text(table, sel) if text is None else text
+    def grsp(ks, table):
+        text = pretty("grsp")(ks, table, _term_length(table, m, "dnf", *dnf_len))
+        return dnf_text(table) if text is None else text
 
     def gfcp(ks, rows):
         table = full ^ rows
-        sel = _selectors(table)
-        text = pretty("gfcp")(ks, rows, _term_length(table, sel, m, "cnf", *cnf_len))
-        return cnf_text(table, sel) if text is None else text
+        text = pretty("gfcp")(ks, rows, _term_length(table, m, "cnf", *cnf_len))
+        return cnf_text(table) if text is None else text
 
     return grsp, gfcp
 
@@ -374,10 +371,9 @@ _JSON_FRAMES = {
 
 
 def _json_names(names, picks: bytes, frame=_JSON_FRAMES[3]) -> str:
-    """The encoded names or minterm id strings picks selects, as a json
-    array in frame, in one join (an encoded name is quoted, an id a
-    number and a block an object, so none is empty); repeat(1) selects
-    them all."""
+    """The encoded names picks selects, as a json array in frame, in one
+    join (an encoded name is quoted and a block an object, so none is
+    empty); repeat(1) selects them all."""
     sep, lead, close = frame
     text = sep.join(compress(names, picks))
     return f"{lead}{text}{close}" if text else "[]"
@@ -389,20 +385,14 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
     if isinstance(lat, GclLattice):
         part, count = lat.partition, 1 << lat.partition.n_f
-        # a node's id arrays take the default frame, so their calls bind no
-        # keyword; past one string they come in runs (see exprs._id_runs)
-        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], _json_names, count)
+        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], "[]", count)
         grsp, gfcp = _node_bounds(lat, _json_escape, count)
-        # the grsp table's minterm ids and bound share one selector pass
-        # where both are one string
-        select = _shared_selectors(ctx.n_attributes, count)
         empty = lat.zero_rho.table
 
         def nodes():
             lead = "[\n    "
             for ks, (extent, rows) in enumerate(part.walk()):
                 table = rows | empty
-                sel = select(table)
                 yield (
                     f'{lead}{{\n      "block_set": {ks},'
                     f'\n      "extent": {_json_names(objects, _selectors(extent))},'
@@ -411,9 +401,9 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
                     ',\n      "gfcp_pretty": "',
                     gfcp(ks, rows),
                     '",\n      "grsp_minterms": ',
-                    ids(table, sel),
+                    ids(table),
                     ',\n      "grsp_pretty": "',
-                    grsp(ks, table, sel),
+                    grsp(ks, table),
                     '"\n    }',
                 )
                 lead = ",\n    "
@@ -424,8 +414,7 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
             f'\n      "row": {_json_names(attributes, _selectors(row))}\n    }}'
             for extent, row in zip(part.extents, part.rows)
         )
-        frame = _JSON_FRAMES[2]
-        constant = _id_runs(ctx.n_attributes, *frame, partial(_json_names, frame=frame), count)
+        constant = _id_runs(ctx.n_attributes, *_JSON_FRAMES[2], "[]", count)
         fields = {
             "blocks": _json_names(blocks, repeat(1), _JSON_FRAMES[1]),
             "constants": (
@@ -657,6 +646,14 @@ def _cmd_random(args) -> int:
     if cells > _RANDOM_CELL_CAP:
         raise CapExceeded(
             f"{args.objects} objects x {args.attributes} attributes = {cells} cells "
+            f"exceed the cap of {_RANDOM_CELL_CAP}"
+        )
+    # with no attributes (or no objects) there are no cells, but every name
+    # is still built
+    names = args.objects + args.attributes
+    if names > _RANDOM_CELL_CAP:
+        raise CapExceeded(
+            f"{args.objects} objects + {args.attributes} attributes = {names} names "
             f"exceed the cap of {_RANDOM_CELL_CAP}"
         )
     ctx = random_context(args.seed, args.objects, args.attributes, args.density)

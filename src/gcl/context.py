@@ -318,7 +318,8 @@ def _parse_cxt(text: str) -> FormalContext:
 
     def need(i: int, what: str) -> str:
         if i >= len(lines):
-            raise ParseError(f"unexpected end of file, expected {what}", len(lines))
+            # lines are 1-based, so an empty file ends on line 1
+            raise ParseError(f"unexpected end of file, expected {what}", max(len(lines), 1))
         return lines[i]
 
     if need(0, "header 'B'").strip() != "B":

@@ -31,11 +31,12 @@ DEFAULT_CANONICAL_CAP = 20
 
 # a plain bound's terms come from two tables, a low one over the first w
 # attributes and a high one over the rest, and w follows how many nodes a
-# render prints.  A whole-lattice render keeps w = min(m, _TERM_SPLIT): up
-# to m 10 a bound is one string, no node pays for runs, and at the
-# canonical cap neither table holds more than 2^_TERM_SPLIT strings.  A
-# one-node render takes w = ceil(m/2): tables of 2^ceil(m/2) and
-# 2^floor(m/2) strings, and a bound in runs of at most 2^w terms.
+# render prints.  A bound or minterm-id list is one string where its
+# minterms lie among the first 2^w, else runs of at most 2^w items (see
+# _lister).  A whole-lattice render keeps w = min(m, _TERM_SPLIT): up to m
+# 10 every bound is one string, and at the canonical cap neither table
+# holds more than 2^_TERM_SPLIT strings.  A one-node render takes w =
+# ceil(m/2): tables of 2^ceil(m/2) and 2^floor(m/2) strings.
 _TERM_SPLIT = DEFAULT_CANONICAL_CAP // 2
 
 # binary digits to the bytes itertools.compress selects by
@@ -318,72 +319,54 @@ def _low_width(m: int, nodes: int | None) -> int:
     return (m + 1) // 2 if nodes == 1 else min(m, _TERM_SPLIT)
 
 
-def _shared_selectors(m: int, nodes: int):
-    """select(table) for parts of a render of nodes nodes that read one
-    table: _selectors(table) where they are one string, so they share one
-    pass, and None where they come in runs, which compute their own
-    selectors when written (see _term_text)."""
-    return _selectors if _low_width(m, nodes) == m else (lambda table: None)
+def _lister(step: int, pick, frame):
+    """listing(table): the items pick(h, chunk) gives for the set bits of
+    table, framed by (whole, lead, sep, close) = frame(table).  Where whole
+    is not None it is the listing.  Otherwise the items are sep-joined
+    between lead and close: one string when the set bits lie in the first
+    slice of step minterms, else the runs of _slice_runs and then close,
+    so only the run being written holds its selectors."""
+
+    def listing(table: int):
+        whole, lead, sep, close = frame(table)
+        if whole is not None:
+            return whole
+        if table.bit_length() <= step:
+            return lead + sep.join(pick(0, _selectors(table))) + close
+        return chain(_slice_runs(table, step, pick, sep, lead), (close,))
+
+    return listing
 
 
 def _term_text(m: int, mode: str, low, high):
-    """text(table, selectors=None): the plain bound over m attributes whose
-    terms are the set bits of table, selectors being _selectors(table),
-    computed here when not given.
+    """text(table): the plain bound over m attributes whose terms are the
+    set bits of table, a listing of _lister.
 
     A term is a minterm for "dnf", a maxterm for "cnf" (table then holds
     the complement of the bound), picked from the (low, high) term tables
     of _term_tables by the selector bytes, with no Python code run per
-    term.  Term t is low[t % len(low)] + high[t // len(low)].  The width
-    of the low table follows the render: a whole-lattice render keeps
-    2^min(m, 10) low terms, a one-node render 2^ceil(m/2) (see
-    _term_tables).  Where the low table spans all m attributes (a
-    whole-lattice render up to m 10) the text is one string.  Otherwise a
-    bound with terms is an iterable of runs, one per high term from its
-    own slice of selectors, led by the separator after the first; its
-    selectors are computed when the runs are first iterated, so a caller
-    may hold several bounds' runs at once and only the one being written
-    holds its selectors.  The tables may come escaped for an output
-    format; the separators need none.
+    term: term t is low[t % len(low)] + high[t // len(low)], so a bound
+    comes in runs of at most len(low) terms.  The tables may come escaped
+    for an output format; the separators need none.
     """
     # at m = 0 the table is 0 or 1, so the frame of two terms is never read
     none, one, more = (_term_frame(table, m, mode) for table in (0, 1, 3))
 
-    def text(table: int, selectors: bytes | None = None):
-        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
-        if whole is not None:
-            return whole
-        if selectors is None:
-            selectors = _selectors(table)
-        return lead + sep.join(compress(low, selectors)) + close
-
     def pick(h, chunk):
-        return map(add, compress(low, chunk), repeat(high[h]))
+        terms = compress(low, chunk)
+        return map(add, terms, repeat(high[h])) if high[h] else terms
 
-    def runs(table: int, selectors: bytes | None = None):
-        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
-        if whole is not None:
-            return whole
-        return chain(_slice_runs(table, selectors, len(low), pick, sep, lead), (close,))
-
-    return text if len(low) == 1 << m else runs
+    return _lister(len(low), pick, lambda t: (more if t & (t - 1) else one) if t else none)
 
 
-def _id_runs(m: int, sep: str, lead: str = "", close: str = "", whole=None, nodes=None):
-    """ids(table, selectors=None): the ids of the minterms over m attributes
-    set in table, sep-joined, picked by selectors = _selectors(table),
-    computed here when not given.  The id strings of the first 2^w
-    minterms are built once, w the low width of a render of nodes nodes
-    (see _low_width): 2^min(m, 10) for a whole lattice, 2^ceil(m/2) for
-    one node.  Within that first slice, whole(id_strings, selectors) gives
-    the ids as one string (by default their sep-join); past it, they are
-    lead, one run per slice of 2^w minterms that picks an id, each after
-    the first led by sep, and close, as _term_text gives its runs."""
+def _id_runs(m: int, sep: str, lead: str = "", close: str = "", empty: str = "", nodes=None):
+    """ids(table): the ids of the minterms over m attributes set in table,
+    sep-joined between lead and close, or empty for none, a listing of
+    _lister.  The id strings of the first 2^w minterms are built once, w
+    the low width of a render of nodes nodes (see _low_width), and the ids
+    come in runs of at most 2^w."""
     ids = tuple(map(str, range(1 << _low_width(m, nodes))))
-    whole = whole or (lambda ids, selectors: sep.join(compress(ids, selectors)))
-
-    def text(table: int, selectors: bytes | None = None):
-        return whole(ids, _selectors(table) if selectors is None else selectors)
+    some, none = (None, lead, sep, close), (empty, "", "", "")
 
     def pick(h, chunk):
         if not h:
@@ -391,12 +374,7 @@ def _id_runs(m: int, sep: str, lead: str = "", close: str = "", whole=None, node
         base = h * len(ids)
         return map(str, compress(range(base, base + len(ids)), chunk))
 
-    def runs(table: int, selectors: bytes | None = None):
-        if table.bit_length() <= len(ids):
-            return text(table, selectors)
-        return chain(_slice_runs(table, selectors, len(ids), pick, sep, lead), (close,))
-
-    return text if len(ids) == 1 << m else runs
+    return _lister(len(ids), pick, lambda table: some if table else none)
 
 
 def _term_frame(table: int, m: int, mode: str):
@@ -414,28 +392,27 @@ def _term_frame(table: int, m: int, mode: str):
     return None, "", outer, ""
 
 
-def _term_length(table: int, selectors: bytes, m: int, mode: str, low, high) -> int:
-    """len of the text _term_text(m, mode, low', high')(table, selectors)
-    gives, joined if it comes in runs, summed slice by slice from the
-    tables' lengths low[t] = len(low'[t]) and high[h] = len(high'[h])
-    without building any term."""
+def _term_length(table: int, m: int, mode: str, low, high) -> int:
+    """len of the text _term_text(m, mode, low', high')(table) gives,
+    joined if it comes in runs, summed slice by slice from the tables'
+    lengths low[t] = len(low'[t]) and high[h] = len(high'[h]) without
+    building any term."""
     whole, lead, sep, close = _term_frame(table, m, mode)
     if whole is not None:
         return len(whole)
-    step, terms = len(low), 0
+    selectors, step, terms = _selectors(table), len(low), 0
     for h, base in enumerate(range(0, len(selectors), step)):
         chunk = selectors[base:base + step]
         terms += sum(compress(low, chunk)) + high[h] * chunk.count(1)
     return len(lead) + terms + len(sep) * (table.bit_count() - 1) + len(close)
 
 
-def _slice_runs(table: int, selectors: bytes | None, step: int, pick, sep: str, lead: str):
-    """One run per slice of step selector bytes of table that selects an
-    item: sep.join(pick(h, chunk)) for slice h, led by lead for the first
-    run and by sep for the others.  selectors is _selectors(table), which
-    is computed on the first run when it is None."""
-    if selectors is None:
-        selectors = _selectors(table)
+def _slice_runs(table: int, step: int, pick, sep: str, lead: str):
+    """One run per slice of step minterms of table that holds a set bit:
+    sep.join(pick(h, chunk)) for slice h, chunk its selector bytes, led by
+    lead for the first run and by sep for the others.  The selectors of
+    table are made when the first run is."""
+    selectors = _selectors(table)
     for base in range(0, len(selectors), step):
         chunk = selectors[base:base + step]
         if 1 in chunk:

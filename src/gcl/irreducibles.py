@@ -243,9 +243,7 @@ class _Members(Value):
     there).  present holds the entry bits that exist, cuts[k] the entries
     whose block set holds block k (for disjunctions, lacks it).
     sets[i] is member i's literal set as a mask (see _all_classes),
-    tables[i] its minterm table, texts[i] its text alone,
-    parts[i] its text as one term among several (a disjunction of two or
-    more literals parenthesised)."""
+    tables[i] its minterm table and texts[i] its text."""
 
     mode: str
     sets: tuple[int, ...]
@@ -253,7 +251,6 @@ class _Members(Value):
     cuts: tuple[int, ...]
     tables: tuple[int, ...]
     texts: tuple[str, ...]
-    parts: tuple[str, ...]
 
 
 @lru_cache(maxsize=32)
@@ -283,7 +280,7 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
     words = list(ctx.attributes) + ["!" + a for a in ctx.attributes]
     sep, fold = (" & ", and_) if conjunction else (" | ", or_)
 
-    sets, own, loo, tables, texts, parts = [], [], [], [], [], []
+    sets, own, loo, tables, texts = [], [], [], [], []
     for ext in sorted(classes, key=block_of.__getitem__):
         for key in classes[ext]:
             pos, neg = key & half, key >> m
@@ -291,13 +288,11 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
                 continue  # empty or inconsistent
             # literal indices by attribute: a consistent set has one sign each
             lits = [j + m * (neg >> j & 1) for j in range(m) if (pos | neg) >> j & 1]
-            text = sep.join(map(words.__getitem__, lits))
             sets.append(key)
             own.append(block_of[ext])
             loo.append(tuple(where[key ^ 1 << i] for i in lits) if len(lits) > 1 else ())
             tables.append(reduce(fold, map(lit_table.__getitem__, lits)))
-            texts.append(text)
-            parts.append(f"({text})" if len(lits) > 1 and not conjunction else text)
+            texts.append(sep.join(map(words.__getitem__, lits)))
 
     n_f = blocks(ctx).n_f
     # a slot holds the own entry, the leave-one-out entries and a free
@@ -320,9 +315,7 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
     # cut k: bit k % 8 of byte k // 8 of each word, as binary digits (a
     # lead "0" reads as 0 where there are no members)
     cuts = [int(b"0" + matrix[k >> 3 :: size].translate(_DIGITS[k & 7]), 2) for k in range(n_f)]
-    return _Members(
-        mode, tuple(sets), present, tuple(cuts), tuple(tables), tuple(texts), tuple(parts)
-    )
+    return _Members(mode, tuple(sets), present, tuple(cuts), tuple(tables), tuple(texts))
 
 
 def _keeps(table: _Members, ks: int) -> bytes:

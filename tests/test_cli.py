@@ -370,6 +370,21 @@ def test_random_refuses_oversized_context(capsys, monkeypatch):
     assert "100000000000 cells exceed the cap of 10000000" in err
 
 
+@pytest.mark.parametrize(
+    "objects, attributes, names",
+    [("1000000000", "0", 1000000000), ("0", "20000000", 20000000), ("1", "10000000", 10000001)],
+)
+def test_random_refuses_too_many_names(capsys, monkeypatch, objects, attributes, names):
+    # no cells to count, or too few, yet every name would be built
+    def never(*args):
+        raise AssertionError("random_context ran")
+
+    monkeypatch.setattr("gcl.cli.random_context", never)
+    code, out, err = run(capsys, "random", "1", objects, attributes, "0.5")
+    assert code == 3 and out == ""
+    assert f"= {names} names exceed the cap of 10000000" in err
+
+
 # --- inspect ---
 
 

@@ -114,6 +114,9 @@ def test_unknown_format():
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
+        # lines are 1-based, as for an empty csv
+        ("", 1, "unexpected end of file, expected header 'B'"),
+        ("\n", 1, "expected header 'B', got ''"),
         ("Z\n", 1, "expected header 'B'"),
         ("B\nleftover\n", 2, "blank line"),
         ("B\n\nmany\n2\n", 3, "object count"),

@@ -1,4 +1,3 @@
-from itertools import compress
 from unittest import mock
 
 import pytest
@@ -278,14 +277,13 @@ def test_term_length_is_the_length_of_the_plain_text(cf):
     m = cf.m_count
     for mode in ("dnf", "cnf"):
         table = cf.table if mode == "dnf" else (~cf).table
-        selectors = exprs._selectors(table)
         for names in NAME_SETS:
             text = canonical_to_str(cf, mode, names)
             for w in range(m + 1):
                 low, high = _at_width(w, exprs._term_tables, names[:m], mode)
                 assert (len(low), len(high)) == (1 << w, 1 << m - w)
                 lengths = [list(map(len, t)) for t in (low, high)]
-                assert exprs._term_length(table, selectors, m, mode, *lengths) == len(text)
+                assert exprs._term_length(table, m, mode, *lengths) == len(text)
                 got = exprs._term_text(m, mode, low, high)(table)
                 assert isinstance(got, str) or w < m
                 assert (got if isinstance(got, str) else "".join(got)) == text
@@ -297,12 +295,8 @@ def test_term_length_is_the_length_of_the_plain_text(cf):
 def test_id_runs_list_the_set_bits_at_every_width(cf):
     m, table = cf.m_count, cf.table
     expected = "<" + ", ".join(map(str, cf.ids())) + ">"
-
-    def whole(ids, selectors):
-        return "<" + ", ".join(compress(ids, selectors)) + ">"
-
     for w in range(m + 1):
-        got = _at_width(w, exprs._id_runs, m, ", ", "<", ">", whole)(table)
+        got = _at_width(w, exprs._id_runs, m, ", ", "<", ">", "<>")(table)
         assert isinstance(got, str) or table.bit_length() > 1 << w
         assert (got if isinstance(got, str) else "".join(got)) == expected
 
@@ -319,10 +313,6 @@ def test_one_node_tables_are_square_roots():
             for nodes in (None, 2, 1 << 9):
                 low, high = exprs._term_tables(names, mode, nodes)
                 assert (len(low), len(high)) == (1 << min(m, 10), 1 << m - min(m, 10))
-        # selectors are shared only where the parts are one string
-        for nodes, one_string in ((1, m <= 1), (1 << 9, m <= 10)):
-            shared = exprs._shared_selectors(m, nodes)(5)
-            assert shared == (exprs._selectors(5) if one_string else None)
 
 
 def test_canonical_to_str_needs_a_name_per_attribute():

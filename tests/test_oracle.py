@@ -15,6 +15,7 @@ from gcl import (
     BitSet,
     CanonicalForm,
     CapExceeded,
+    ClassicalLattice,
     FormalContext,
     GeneralConcept,
     LawResult,
@@ -231,6 +232,100 @@ def test_each_sweep_law_catches_its_fault(t1, monkeypatch, corrupt, laws):
     witnesses = {r.law: r.witness for r in rep.failures()}
     assert laws <= set(witnesses)
     assert all(witnesses[law] for law in laws)
+
+
+def _box_of_empty_is_m(real):
+    # the empty set boxes to the attributes with an empty column, none in t1
+    return lambda ctx, xs: real(ctx, xs) if xs.bits else BitSet(3, 2)
+
+
+def _diamond_of_g_is_empty(real):
+    return lambda ctx, xs: BitSet(0, 2) if xs.bits == 0b111 else real(ctx, xs)
+
+
+def _approx_box_of_a_is_empty(real):
+    return lambda ctx, ys: BitSet(0, 3) if ys.bits == 0b01 else real(ctx, ys)
+
+
+def _extent_of_ab_is_empty(real):
+    return lambda ctx, ys: BitSet(0, 3) if ys.bits == 0b11 else real(ctx, ys)
+
+
+def _without_column_a(real):
+    # the lattice loses the concept whose extent is column a, {g1, g2}
+    def build(ctx):
+        lat = real(ctx)
+        kept = tuple(c for c in lat.concepts if c.extent.bits != ctx.cols[0])
+        return ClassicalLattice(lat.kind, lat.context, kept, lat.hasse_edges)
+
+    return build
+
+
+def _recovered_without_the_bottom(real):
+    def recover(lat, kind):
+        got = real(lat, kind)
+        return ClassicalLattice(got.kind, got.context, got.concepts[1:], got.hasse_edges)
+
+    return recover
+
+
+def _recovered_without_a_cover(real):
+    def recover(lat, kind):
+        got = real(lat, kind)
+        return ClassicalLattice(got.kind, got.context, got.concepts, got.hasse_edges[1:])
+
+    return recover
+
+
+def _never_a_member(real):
+    return lambda *args: False
+
+
+def _never_a_disjunction_member(real):
+    return lambda ctx, lits, target, mode: mode == "conjunction" and real(ctx, lits, target, mode)
+
+
+@pytest.mark.parametrize(
+    "name, broken, law, witness",
+    [
+        ("box_of", _box_of_empty_is_m, "triple-application",
+         "X={g1}: box-diamond-box differs from box"),
+        ("diamond_of", _diamond_of_g_is_empty, "triple-application",
+         "X={g2}: diamond-box-diamond differs from diamond"),
+        ("box_of", _box_of_empty_is_m, "complement-duality",
+         "X={}: box differs from complemented diamond"),
+        ("approx_box", _approx_box_of_a_is_empty, "complement-duality",
+         "Y=0x1: box differs from complemented diamond"),
+        ("diamond_of", _diamond_of_g_is_empty, "rough-set-conjugates",
+         "X={}: complement pair is not diamond-closed"),
+        ("approx_box", _approx_box_of_a_is_empty, "rough-set-conjugates",
+         "X={g2, g3}: complement pair is not box-closed"),
+        ("build_fcl", _without_column_a, "column-extent-in-both",
+         "column a missing from the intersection lattice"),
+        ("build_rsl", _without_column_a, "column-extent-in-both",
+         "column a missing from the union lattice"),
+        ("extent_of", _extent_of_ab_is_empty, "concept-reconstruction",
+         "X={g2}: intent does not derive the extent"),
+        ("box_of", _box_of_empty_is_m, "concept-reconstruction",
+         "X={}: extent does not box to the intent"),
+        ("build_fcl", _without_column_a, "classical-route-equality",
+         "fcl: direct cover relation differs from the brute-force covers"),
+        ("recover_classical", _recovered_without_the_bottom, "classical-route-equality",
+         "fcl: recovered concepts differ from the direct build"),
+        ("recover_classical", _recovered_without_a_cover, "classical-route-equality",
+         "fcl: recovered cover relation differs from the direct build"),
+        ("is_member", _never_a_member, "literal-own-class",
+         "literal a missing from the conjunction class of its extent"),
+        ("is_member", _never_a_disjunction_member, "literal-own-class",
+         "literal a missing from the disjunction class of its extent"),
+    ],
+)
+def test_each_law_fails_with_its_witness(t1, monkeypatch, name, broken, law, witness):
+    # each law reads the broken name through gcl.oracle and names the
+    # first thing it finds wrong
+    monkeypatch.setattr(oracle, name, broken(getattr(oracle, name)))
+    witnesses = {r.law: r.witness for r in verify_laws(t1).failures()}
+    assert witnesses[law] == witness
 
 
 @pytest.mark.parametrize(

@@ -150,7 +150,10 @@ def test_cli_leaves_the_term_split_to_exprs():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not names & {"_TERM_SPLIT", "_slice_runs"}
+    assert not names & {"_TERM_SPLIT", "_slice_runs", "_lister", "_low_width"}
+    # and no selector pass is shared between calls: each listing makes the
+    # selector bytes of its own table
+    assert not hasattr(importlib.import_module("gcl.exprs"), "_shared_selectors")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
