@@ -144,6 +144,9 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
 # runs of 2^ceil(m/2) items.  The covers of each lower node are one join over
 # node id strings built once per export.  The json generator lays out what
 # json.dumps(data, indent=2, sort_keys=True) would print for the same data.
+# Up to 10 attributes each bound and id list is split at the median block
+# row (_split), and its lister keeps the text of each side it has listed,
+# so selectors are made once per side, not once per node.
 
 # lower nodes whose covers are written in one chunk
 _COVER_BATCH = 128
@@ -220,14 +223,26 @@ def _property(lat: classical.ClassicalLattice, attributes, picks: bytes) -> str:
     return " | ".join(compress(attributes, picks)) or "0"
 
 
-def _node_bounds(lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY_BLOCK_LIMIT):
+def _split(part) -> int:
+    """The minterm at which a render of every node splits its bound and id
+    lists (see exprs._lister): the median block row, so the blocks below
+    it fix the low side of a node's table, and its complement's, and the
+    others the high side.  Each side then takes at most 2^ceil(n_F/2)
+    values, wherever the rows lie."""
+    return sorted(part.rows)[part.n_f // 2] if part.n_f else 0
+
+
+def _node_bounds(
+    lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY_BLOCK_LIMIT, split=None
+):
     """(grsp, gfcp): grsp(ks, table) and gfcp(ks, rows) give node ks's
     bounds as escaped text, a part (see _write), for a render of nodes
     nodes, where rows is its gfcp table and table its grsp table (rows |
     zero_rho).
 
     A plain bound is picked from the literal-term tables of a render of
-    that many nodes, escaped here once per render (see exprs._term_text).
+    that many nodes, escaped here once per render, and split at minterm
+    split where given (see exprs._term_text).
     Where bounds may print reduced (see _fancy, up to block_limit blocks:
     inspect, which asks for one node, allows more than the exports), the
     reduced one (see _bound_pretty) wins if it is shorter than the plain
@@ -238,7 +253,7 @@ def _node_bounds(lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY
     full = (1 << (1 << m)) - 1
     tables = [_term_tables(ctx.attributes, mode, nodes) for mode in ("dnf", "cnf")]
     dnf_text, cnf_text = (
-        _term_text(m, mode, *(tuple(map(escape, t)) for t in pair))
+        _term_text(m, mode, *(tuple(map(escape, t)) for t in pair), split)
         for mode, pair in zip(("dnf", "cnf"), tables)
     )
     if not _fancy(lat, block_limit):
@@ -312,7 +327,7 @@ def _text(lat: GclLattice | classical.ClassicalLattice):
             ids(lat.one_eta.table),
             "]\n",
         )
-        grsp, gfcp = _node_bounds(lat, str, count)
+        grsp, gfcp = _node_bounds(lat, str, count, split=_split(part))
         for ks, (extent, rows) in enumerate(part.walk()):
             yield (
                 f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n  grsp: ",
@@ -343,9 +358,10 @@ def _dot(lat: GclLattice | classical.ClassicalLattice):
     objects = tuple(map(_dot_escape, ctx.objects))
     yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
     if isinstance(lat, GclLattice):
-        grsp = _node_bounds(lat, _dot_escape, 1 << lat.partition.n_f)[0]
+        part = lat.partition
+        grsp = _node_bounds(lat, _dot_escape, 1 << part.n_f, split=_split(part))[0]
         empty, join = lat.zero_rho.table, ", ".join
-        for ks, (extent, rows) in enumerate(lat.partition.walk()):
+        for ks, (extent, rows) in enumerate(part.walk()):
             yield (
                 f'  n{ks} [label="{{{join(compress(objects, _selectors(extent)))}}} | ',
                 grsp(ks, rows | empty),
@@ -385,8 +401,12 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
     if isinstance(lat, GclLattice):
         part, count = lat.partition, 1 << lat.partition.n_f
-        ids = _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], "[]", count)
-        grsp, gfcp = _node_bounds(lat, _json_escape, count)
+        split = _split(part)
+        # one lister per id list, so each keeps the sides of its own tables
+        gfcp_ids, grsp_ids = (
+            _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], "[]", count, split) for _ in "gr"
+        )
+        grsp, gfcp = _node_bounds(lat, _json_escape, count, split=split)
         empty = lat.zero_rho.table
 
         def nodes():
@@ -397,11 +417,11 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
                     f'{lead}{{\n      "block_set": {ks},'
                     f'\n      "extent": {_json_names(objects, _selectors(extent))},'
                     '\n      "gfcp_minterms": ',
-                    ids(rows),
+                    gfcp_ids(rows),
                     ',\n      "gfcp_pretty": "',
                     gfcp(ks, rows),
                     '",\n      "grsp_minterms": ',
-                    ids(table),
+                    grsp_ids(table),
                     ',\n      "grsp_pretty": "',
                     grsp(ks, table),
                     '"\n    }',

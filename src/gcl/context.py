@@ -378,14 +378,17 @@ _CSV_CELLS = {"1": True, "X": True, "0": False, ".": False}
 
 
 def _parse_csv(text: str) -> FormalContext:
-    import csv  # only csv input pays for loading it
+    # only csv input pays for loading the reader; csv.reader and csv.Error
+    # are _csv's, whose default dialect is csv.excel, so the csv module
+    # itself is left unloaded
+    import _csv
 
     # a quoted field may span lines, so positions are the reader's line
     # count (the last line of the record read), not a record count
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv.reader(io.StringIO(text))
     try:
         return _read_csv(reader)
-    except csv.Error as exc:
+    except _csv.Error as exc:
         raise ParseError(f"malformed csv: {exc}", reader.line_num) from None
 
 

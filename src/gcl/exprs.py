@@ -319,28 +319,64 @@ def _low_width(m: int, nodes: int | None) -> int:
     return (m + 1) // 2 if nodes == 1 else min(m, _TERM_SPLIT)
 
 
-def _lister(step: int, pick, frame):
+class _Halves(dict):
+    """A memo of one side of a split listing: the missing key k maps to
+    text(k), made once."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __missing__(self, key: int) -> str:
+        value = self[key] = self.text(key)
+        return value
+
+
+def _lister(step: int, pick, frames, split: int | None = None):
     """listing(table): the items pick(h, chunk) gives for the set bits of
-    table, framed by (whole, lead, sep, close) = frame(table).  Where whole
-    is not None it is the listing.  Otherwise the items are sep-joined
-    between lead and close: one string when the set bits lie in the first
-    slice of step minterms, else the runs of _slice_runs and then close,
-    so only the run being written holds its selectors."""
+    table, in the frame (whole, lead, sep, close) that frames = (none, one,
+    more) holds for a table of no, one or more set bits.  Where whole is
+    not None it is the listing.  Otherwise the items are sep-joined between
+    lead and close: one string when the set bits lie in the first slice of
+    step minterms, else the runs of _slice_runs and then close, so only the
+    run being written holds its selectors.
+
+    With a split s (a render of many nodes, every table within the first
+    slice), the items below minterm s and those from s up, joined by more's
+    sep, are each made once per distinct side of a table and kept, so a
+    listing is two dict reads and one join.  A caller picks s so that each
+    side takes few values (the exporters split at the median block row).
+    A side of one item reads the same under any sep, so its text serves a
+    table of one set bit too."""
+    none, one, more = frames
 
     def listing(table: int):
-        whole, lead, sep, close = frame(table)
+        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
         if whole is not None:
             return whole
         if table.bit_length() <= step:
             return lead + sep.join(pick(0, _selectors(table))) + close
         return chain(_slice_runs(table, step, pick, sep, lead), (close,))
 
-    return listing
+    if split is None:
+        return listing
+    glue, mask = more[2], (1 << split) - 1
+    low = _Halves(lambda key: glue.join(pick(0, _selectors(key))))
+    high = _Halves(lambda key: glue.join(pick(0, _selectors(key << split))))
+
+    def halves(table: int):
+        whole, lead, sep, close = (more if table & (table - 1) else one) if table else none
+        if whole is not None:
+            return whole
+        a, b = low[table & mask], high[table >> split]
+        return f"{lead}{a}{sep}{b}{close}" if a and b else f"{lead}{a or b}{close}"
+
+    return halves
 
 
-def _term_text(m: int, mode: str, low, high):
+def _term_text(m: int, mode: str, low, high, split: int | None = None):
     """text(table): the plain bound over m attributes whose terms are the
-    set bits of table, a listing of _lister.
+    set bits of table, a listing of _lister, split at minterm split where
+    the low table spans all m attributes and split is given.
 
     A term is a minterm for "dnf", a maxterm for "cnf" (table then holds
     the complement of the bound), picked from the (low, high) term tables
@@ -349,24 +385,26 @@ def _term_text(m: int, mode: str, low, high):
     comes in runs of at most len(low) terms.  The tables may come escaped
     for an output format; the separators need none.
     """
-    # at m = 0 the table is 0 or 1, so the frame of two terms is never read
-    none, one, more = (_term_frame(table, m, mode) for table in (0, 1, 3))
-
     def pick(h, chunk):
         terms = compress(low, chunk)
         return map(add, terms, repeat(high[h])) if high[h] else terms
 
-    return _lister(len(low), pick, lambda t: (more if t & (t - 1) else one) if t else none)
+    # at m = 0 the table is 0 or 1, so the frame of two terms is never read
+    frames = tuple(_term_frame(table, m, mode) for table in (0, 1, 3))
+    return _lister(len(low), pick, frames, split if len(high) == 1 else None)
 
 
-def _id_runs(m: int, sep: str, lead: str = "", close: str = "", empty: str = "", nodes=None):
+def _id_runs(
+    m: int, sep: str, lead: str = "", close: str = "", empty: str = "", nodes=None, split=None
+):
     """ids(table): the ids of the minterms over m attributes set in table,
     sep-joined between lead and close, or empty for none, a listing of
     _lister.  The id strings of the first 2^w minterms are built once, w
     the low width of a render of nodes nodes (see _low_width), and the ids
-    come in runs of at most 2^w."""
+    come in runs of at most 2^w; where w = m and split is given, the
+    listing is split at minterm split."""
     ids = tuple(map(str, range(1 << _low_width(m, nodes))))
-    some, none = (None, lead, sep, close), (empty, "", "", "")
+    some = (None, lead, sep, close)
 
     def pick(h, chunk):
         if not h:
@@ -374,7 +412,8 @@ def _id_runs(m: int, sep: str, lead: str = "", close: str = "", empty: str = "",
         base = h * len(ids)
         return map(str, compress(range(base, base + len(ids)), chunk))
 
-    return _lister(len(ids), pick, lambda table: some if table else none)
+    split = split if len(ids) == 1 << m else None
+    return _lister(len(ids), pick, ((empty, "", "", ""), some, some), split)
 
 
 def _term_frame(table: int, m: int, mode: str):

@@ -103,6 +103,19 @@ def contexts() -> dict:
     # a node there prints up to megabytes, so the objects stay few
     for seed, (n, m) in enumerate(((3, 11), (2, 12), (3, 12)), 1):
         out[f"r{seed}-{n}x{m}"] = (random_context(seed, n, m, 0.5), ".cxt")
+    # where a whole-lattice export splits its bound and id lists (at the
+    # median block row): every row in the low or in the high half of the
+    # minterm range, one block (no row below the split), no attribute, and
+    # 10 attributes, the widest at which each bound is one string
+    def named(rows, m):
+        names = tuple(f"g{i + 1}" for i in range(len(rows)))
+        return FormalContext(names, tuple(f"m{j + 1}" for j in range(m)), tuple(rows))
+
+    out["split-low-9x6"] = (named(range(9), 6), ".cxt")
+    out["split-high-9x5"] = (named(range(23, 32), 5), ".csv")
+    out["split-one-2x4"] = (named((0b1010, 0b1010), 4), ".cxt")
+    out["split-m0-3x0"] = (FormalContext(("g,1", '"g2"', " g3 "), (), (0, 0, 0)), ".csv")
+    out["split-m10-9x10"] = (named((3, 100, 200, 341, 512, 600, 777, 900, 1023), 10), ".cxt")
     # past the node cap (21 distinct rows), the export limit and the
     # inspect limit
     out["cap-21-blocks"] = (

@@ -6,13 +6,14 @@ import json
 import pathlib
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_bound
-from strategies import hostile_contexts
+from strategies import HOSTILE_NAMES, hostile_contexts
 from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, context, exprs, irreducibles, lattice
 from gcl.context import BlockPartition, parse_context, random_context
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
@@ -482,3 +483,117 @@ def test_fancy_export_builds_no_expression_per_node(monkeypatch, fmt):
         tables = [t for mode in ("dnf", "cnf") for t in exprs._term_tables(ctx.attributes, mode)]
         terms = sum(map(len, tables))
         assert len(escaped) <= names + terms + members
+
+
+# ---------------------------------------------------------------------------
+# the split listing of a whole-lattice export
+#
+# An export splits each bound and id list at the median block row
+# (cli._split) and keeps the text of each side of a table it has listed
+# (exprs._lister): a side below the split is fixed by the blocks whose row
+# lies below it, the side from it up by the others.
+
+
+@st.composite
+def _split_contexts(draw, max_m: int = 10, max_blocks: int = 10):
+    """0 to max_blocks distinct rows over 0 to max_m attributes, under
+    hostile names."""
+    m = draw(st.integers(0, max_m))
+    rows = draw(
+        st.lists(st.integers(0, (1 << m) - 1), unique=True, max_size=min(max_blocks, 1 << m))
+    )
+    names = draw(st.lists(HOSTILE_NAMES, unique=True, min_size=m + len(rows), max_size=m + len(rows)))
+    return FormalContext(tuple(names[m:]), tuple(names[:m]), tuple(rows))
+
+
+def _listings(lat, escape, split):
+    """The term listers of both modes and the id listers of text and
+    json, as an export of lat builds them, split at split."""
+    m, nodes = lat.context.n_attributes, 1 << lat.partition.n_f
+    out = []
+    for mode in ("dnf", "cnf"):
+        low, high = (tuple(map(escape, t)) for t in exprs._term_tables(lat.context.attributes, mode, nodes))
+        out.append(exprs._term_text(m, mode, low, high, split))
+    for frame in ((", ",), (*cli._JSON_FRAMES[3], "[]")):
+        out.append(exprs._id_runs(m, *frame, nodes=nodes, split=split))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(ctx=_split_contexts(), data=st.data())
+@example(ctx=FormalContext((), ("a",), ()), data=None)
+@example(ctx=FormalContext(("g",), (), (0,)), data=None)
+@example(ctx=FormalContext(tuple("ghijklmnop"), tuple("abcdefghij"), tuple(range(10))), data=None)
+def test_split_listing_matches_the_unsplit_route(ctx, data):
+    # every format's escaping, both bound modes and both id frames, over
+    # the empty and the full table and the tables of sampled nodes: their
+    # row tables, grsp tables and complements, as an export lists them
+    lat = build_gcl(ctx)
+    part, m = lat.partition, ctx.n_attributes
+    full, zero_rho = (1 << (1 << m)) - 1, lat.zero_rho.table
+    every = range(1 << part.n_f)
+    picked = data.draw(st.lists(st.sampled_from(every), max_size=32)) if data else every[::32]
+    tables = [0, full, zero_rho]
+    for ks in (0, every[-1], *picked):
+        rows = part.row_table(ks)
+        tables += [rows, rows | zero_rho, full ^ rows]
+    for escape in (str, _json_escape, cli._dot_escape):
+        split = _listings(lat, escape, cli._split(part))
+        for memo, plain in zip(split, _listings(lat, escape, None)):
+            for table in tables:
+                # no block: one node, whose render keeps the unsplit route
+                assert "".join(memo(table)) == "".join(plain(table))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@settings(max_examples=15, deadline=None)
+@given(ctx=_split_contexts(max_m=6, max_blocks=7))
+def test_split_export_matches_the_unsplit_export(fmt, ctx):
+    lat = build_gcl(ctx)
+    got = _exported(lat, fmt)
+    with mock.patch.object(cli, "_split", lambda part: None):
+        assert _exported(lat, fmt) == got
+
+
+def test_split_memo_holds_at_most_2_to_the_ceil_half_blocks_per_side(monkeypatch):
+    # 10 blocks over 10 attributes whose rows are minterms 0-9, all in the
+    # low half of the minterm range: split there, every node would keep a
+    # low side of its own.  At the median row each side of a listing takes
+    # at most 2^5 values, whatever the rows
+    n_f = m = 10
+    ctx = FormalContext(
+        tuple(f"g{i}" for i in range(n_f)), tuple(f"m{j}" for j in range(m)), tuple(range(n_f))
+    )
+    lat = build_gcl(ctx)
+    memos = []
+
+    class Kept(exprs._Halves):
+        def __init__(self, text):
+            super().__init__(text)
+            memos.append(self)
+
+    monkeypatch.setattr(exprs, "_Halves", Kept)
+    for fmt in ("text", "json", "dot"):
+        export_lattice(lat, fmt, _CountingSink())
+    # two sides each of the bounds of each format (dot reads grsp only)
+    # and of json's id lists
+    assert len(memos) == 2 * (2 + 4 + 2)
+    assert max(map(len, memos)) == 1 << (n_f + 1) // 2
+
+
+@pytest.mark.parametrize("fmt, kinds", [("text", 2), ("json", 4), ("dot", 1)])
+def test_plain_export_lists_each_side_once(monkeypatch, fmt, kinds):
+    # 9 blocks: each listing kind of a node (grsp and gfcp, and json's two
+    # id lists) makes the selectors of each of its 2^4 low and 2^5 high
+    # sides once, not of each of the 512 nodes; text and json list the
+    # constants' ids once each
+    ctx = parse_context((GOLDEN / "export_plain.csv").read_text(encoding="utf-8"), "csv")
+    lat = build_gcl(ctx)
+    n_f = lat.partition.n_f
+    assert n_f == 9 and not _fancy(lat, _PRETTY_BLOCK_LIMIT)
+    calls = []
+    original = exprs._selectors
+    monkeypatch.setattr(exprs, "_selectors", lambda table: calls.append(1) or original(table))
+    assert _exported(lat, fmt).encode() == _golden("export_plain_gcl", fmt)
+    sides = (1 << (n_f + 1) // 2) + (1 << n_f // 2)
+    assert len(calls) <= kinds * sides + (2 if kinds > 1 else 0)

@@ -328,6 +328,44 @@ def test_each_law_fails_with_its_witness(t1, monkeypatch, name, broken, law, wit
     assert witnesses[law] == witness
 
 
+def _broken_at(real, value: int, width: int, at: int):
+    """real, but giving BitSet(value, width) for the one argument whose
+    bits are at."""
+    return lambda ctx, s: BitSet(value, width) if s.bits == at else real(ctx, s)
+
+
+# the attribute-side (Y=) witnesses, reached once every object-side check
+# has passed: each breaker moves one entry of a table the law reads over
+# attribute sets.  In t1 every attribute set is closed, so the idempotence
+# witness needs a context where b is in no row
+@pytest.mark.parametrize(
+    "rows, name, value, width, at, law, witness",
+    [
+        (None, "diamond_of", 0b01, 2, 0b000, "triple-application",
+         "Y=0x0: box-diamond-box differs from box"),
+        (None, "box_of", 0b00, 2, 0b011, "triple-application",
+         "Y=0x1: diamond-box-diamond differs from diamond"),
+        ((0b00, 0b01), "intent_of", 0b00, 2, 0b00, "triple-application",
+         "Y=0x2: derivation not idempotent after three steps"),
+        (None, "extent_of", 0b000, 3, 0b00, "operator-monotonicity",
+         "Y1=0x0 <= Y2=0x1: derivation not antitone"),
+        (None, "approx_box", 0b010, 3, 0b00, "operator-monotonicity",
+         "Y1=0x0 <= Y2=0x1: box not monotone"),
+        (None, "approx_diamond", 0b001, 3, 0b00, "operator-monotonicity",
+         "Y1=0x0 <= Y2=0x2: diamond not monotone"),
+        (None, "approx_box", 0b000, 3, 0b10, "complement-duality",
+         "Y=0x1: diamond differs from complemented box"),
+    ],
+)
+def test_each_attribute_side_witness_is_reached(
+    t1, monkeypatch, rows, name, value, width, at, law, witness
+):
+    ctx = t1 if rows is None else FormalContext(("g1", "g2"), ("a", "b"), rows)
+    monkeypatch.setattr(oracle, name, _broken_at(getattr(oracle, name), value, width, at))
+    witnesses = {r.law: r.witness for r in verify_laws(ctx).failures()}
+    assert witnesses[law] == witness
+
+
 @pytest.mark.parametrize(
     "field, ks, witness",
     [

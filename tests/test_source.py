@@ -31,10 +31,11 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
     # per command on a 2-vCPU host, so the records derive from
     # gcl.value.Value instead.  Likewise the command line is read without
     # argparse (which loads gettext, and locale once it parses), and json
-    # and csv load only for the commands that use them: in cold children on
-    # that host argparse cost 3.0 ms to import and 4.0 ms to parse, json
-    # 2.6 ms and csv 0.9 ms, against about 6.5 ms of lattice work for an
-    # inspect at 14 blocks.
+    # loads only for the commands that use it: in cold children on that
+    # host argparse cost 3.0 ms to import and 4.0 ms to parse, json 2.6 ms
+    # and csv 0.9 ms, against about 6.5 ms of lattice work for an inspect
+    # at 14 blocks.  csv input reads with _csv, whose reader and error the
+    # csv module only re-exports, so even a csv build leaves csv unloaded.
     (tmp_path / "t1.cxt").write_text("B\n\n3\n2\n\ng1\ng2\ng3\na\nb\nX.\nXX\n.X\n")
     (tmp_path / "t1.csv").write_text(",a,b\ng1,1,0\ng2,1,1\ng3,0,1\n")
     probe = (
@@ -62,7 +63,7 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
         check=True,
     )
     assert proc.stderr.splitlines() == [
-        "[]", "[]", "[]", "[]", "[]", "[]", "['csv']", "['csv', 'json']"
+        "[]", "[]", "[]", "[]", "[]", "[]", "[]", "['json']"
     ]
     # typing (which loads re) and pathlib (fnmatch, re and urllib.parse) are
     # checked without site: a site .pth file may import them before gcl does
