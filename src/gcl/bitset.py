@@ -6,6 +6,14 @@ from collections.abc import Iterable, Iterator
 
 from .value import Value, _set
 
+# binary digits to the bytes itertools.compress selects by
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(bits: int) -> bytes:
+    """Byte t is 1 where bit t of bits is set, 0 elsewhere, up to its top bit."""
+    return bin(bits).encode()[:1:-1].translate(_SELECT)
+
 
 class BitSet(Value):
     """A subset of {0 .. width-1} stored as an int bitmask."""

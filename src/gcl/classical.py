@@ -13,25 +13,28 @@ that, making it an independent route to the same lattices.
 
 Extents and intents come from one worklist closure over the columns:
 an extent's intent is the set of columns that leave it unchanged.  All
-three routes hand (extent, intent) int pairs to one step that sorts them,
-takes the covers from Lindig's neighbour test ("Fast Concept Analysis",
-2000) counted over the attributes outside each intent, never over
-objects, and only then builds the concept records: a lattice of C
-concepts costs O(C * m) big-int operations on top of its extents,
-whatever the number of objects.  The oracle keeps the brute-force cover
-search as an independent check.
+three routes hand (extent, intent) int pairs to one step that sorts them
+and takes the covers from Lindig's neighbour test ("Fast Concept
+Analysis", 2000) counted over the attributes outside each intent, never
+over objects: a lattice of C concepts costs O(C * m) big-int operations
+on top of its extents, whatever the number of objects.  The lattice keeps
+those ints: the sorted pairs and one ascending list of upper covers per
+lower concept.  Its concepts and cover pairs are views over them, and a
+concept record or a pair is built only when it is read.  The oracle
+keeps the brute-force cover search as an independent check.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Collection, Sequence
 from functools import reduce
 from operator import and_, or_
 
+from . import exprs, lattice
 from .bitset import BitSet
 from .context import FormalContext
-from .exprs import _var_table
-from .lattice import GclLattice, _guard_nodes
-from .value import Value
+from .value import Value, View
 
 
 class FclConcept(Value):
@@ -48,11 +51,53 @@ class RslConcept(Value):
     intent: BitSet
 
 
+class _Concepts(View, Sequence):
+    """The concepts over the sorted (extent, intent) int pairs ``pairs``,
+    each record built when it is read (see value.View)."""
+
+    __slots__ = ("pairs", "_record", "_n", "_m")
+
+    def __init__(self, record: type, pairs: list[tuple[int, int]], n: int, m: int):
+        self.pairs, self._record, self._n, self._m = pairs, record, n, m
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        x, y = self.pairs[operator.index(i)]
+        return self._record(BitSet(x, self._n), BitSet(y, self._m))
+
+
+class _Covers(View):
+    """Cover pairs (lower, upper), lower then upper ascending, read from
+    ``uppers()``; never indexed (see value.View)."""
+
+    __slots__ = ("_uppers", "_n")
+
+    def __init__(self, uppers: list[list[int]]):
+        self._uppers, self._n = uppers, sum(map(len, uppers))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return ((lo, hi) for lo, his in enumerate(self._uppers) for hi in his)
+
+    def uppers(self) -> list[list[int]]:
+        """The ascending list of each concept's upper covers, by concept;
+        the reader must not change them."""
+        return self._uppers
+
+
 class ClassicalLattice(Value):
+    """A classical lattice: its concepts, ascending by (object count,
+    extent bits), and its cover pairs (lower, upper), ascending, as
+    sequences of records and pairs; built lattices hold views over ints."""
+
     kind: str
     context: FormalContext
-    concepts: tuple
-    hasse_edges: tuple[tuple[int, int], ...]
+    concepts: Sequence
+    hasse_edges: Collection[tuple[int, int]]
 
     def __post_init__(self):
         if self.kind not in ("fcl", "rsl"):
@@ -96,26 +141,36 @@ def _lattice(kind: str, ctx: FormalContext, pairs) -> ClassicalLattice:
     to x | col_j above it, or leaves x as it is when j is in x's intent;
     such a candidate y is a cover of x exactly when |intent(y) - intent(x)|
     attributes send x to it.  A candidate missing from pairs gives no edge.
+    Each cover goes to its lower concept's list: FCL concepts, read in
+    ascending order, are the uppers of their covers, so those lists grow
+    ascending; an RSL concept's own uppers come in column order and are
+    sorted.
     """
     pairs = sorted(pairs, key=lambda p: (p[0].bit_count(), p[0]))
     index = {x: i for i, (x, _) in enumerate(pairs)}
-    op = and_ if kind == "fcl" else or_
+    fcl = kind == "fcl"
+    op = and_ if fcl else or_
     cols = ctx.cols
-    edges = []
+    uppers = [[] for _ in pairs]
     for i, (x, ix) in enumerate(pairs):
         hits: dict[int, int] = {}
         for col in cols:
             y = op(x, col)
             if y != x:
                 hits[y] = hits.get(y, 0) + 1
+        own = uppers[i]
         for y, count in hits.items():
             k = index.get(y)
             if k is not None and count == (pairs[k][1] ^ ix).bit_count():
-                edges.append((k, i) if kind == "fcl" else (i, k))
-    concept = FclConcept if kind == "fcl" else RslConcept
-    n, m = ctx.n_objects, ctx.n_attributes
-    concepts = tuple(concept(BitSet(x, n), BitSet(y, m)) for x, y in pairs)
-    return ClassicalLattice(kind, ctx, concepts, tuple(sorted(edges)))
+                if fcl:
+                    uppers[k].append(i)
+                else:
+                    own.append(k)
+        if not fcl:
+            own.sort()
+    record = FclConcept if fcl else RslConcept
+    concepts = _Concepts(record, pairs, ctx.n_objects, ctx.n_attributes)
+    return ClassicalLattice(kind, ctx, concepts, _Covers(uppers))
 
 
 def build_fcl(ctx: FormalContext) -> ClassicalLattice:
@@ -128,7 +183,7 @@ def build_rsl(ctx: FormalContext) -> ClassicalLattice:
     return _lattice("rsl", ctx, _closure(ctx, 0, or_).items())
 
 
-def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
+def recover_classical(lat: lattice.GclLattice, kind: str) -> ClassicalLattice:
     """Rebuild a classical lattice from general nodes alone, read block
     set by block set from the partition's walk as the exporters read
     them: gfcp is the blocks' row table and grsp adds zero_rho.
@@ -141,12 +196,12 @@ def recover_classical(lat: GclLattice, kind: str) -> ClassicalLattice:
     if kind not in ("fcl", "rsl"):
         raise ValueError(f"unknown lattice kind {kind!r}")
     ctx, part = lat.context, lat.partition
-    _guard_nodes(part.n_f)
+    lattice._guard_nodes(part.n_f)
     m, empty = ctx.n_attributes, lat.zero_rho.table
     op, start = (or_, 0) if kind == "rsl" else (and_, (1 << ctx.n_objects) - 1)
     # a is inside b iff a & b == a: a negated operand of & (a & ~b) would
     # cost two more passes over a 2^m-bit table per test
-    var_tables = [_var_table(j, m) for j in range(m)]
+    var_tables = [exprs._var_table(j, m) for j in range(m)]
     keep = []
     for extent, rows in part.walk():
         if kind == "rsl":

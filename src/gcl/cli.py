@@ -14,26 +14,23 @@ import atexit
 import gc
 import os
 import sys
-from functools import cache, partial, reduce
-from itertools import chain, compress, groupby, repeat
-from operator import and_, itemgetter, or_
+from functools import cache, reduce
+from itertools import chain, compress, repeat
+from operator import and_, or_
 from types import SimpleNamespace
 
-from . import classical, irreducibles, oracle
+# the deferred modules of the package: each runs on its first read, so a
+# classical build runs neither exprs nor lattice
+from . import classical, exprs, irreducibles, lattice, oracle
+from .bitset import _selectors
 from .context import FormalContext, context_to_cxt, parse_context, random_context
-from .errors import CapExceeded, InvariantError, NotAGeneralExtent, ParseError
-from .exprs import (
+from .errors import (
     DEFAULT_CANONICAL_CAP,
-    _id_runs,
-    _selectors,
-    _term_length,
-    _term_tables,
-    _term_text,
-    eval_contextual,
-    expr_to_str,
-    parse_expr,
+    CapExceeded,
+    InvariantError,
+    NotAGeneralExtent,
+    ParseError,
 )
-from .lattice import GclLattice, _Edges, build_gcl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +62,7 @@ _RANDOM_CELL_CAP = 10**7
 # ---------------------------------------------------------------------------
 # rendering
 
-def _bound_pretty(lat: GclLattice, which: str, escape):
+def _bound_pretty(lat: lattice.GclLattice, which: str, escape):
     """pretty(ks, table, plain): the reduced grsp or gfcp of block set ks,
     escaped, or None when it is not shorter than the plain rendering.
 
@@ -152,9 +149,9 @@ def _bound_pretty(lat: GclLattice, which: str, escape):
 _COVER_BATCH = 128
 
 
-def _check_export(lat: GclLattice | classical.ClassicalLattice) -> None:
+def _check_export(lat: lattice.GclLattice | classical.ClassicalLattice) -> None:
     """Refuse a gcl export past the export limit, before anything is written."""
-    if not isinstance(lat, GclLattice):
+    if lat.kind != "gcl":
         return
     n_f, m = lat.partition.n_f, lat.context.n_attributes
     if n_f + m > _EXPORT_LOG2_LIMIT:
@@ -164,11 +161,7 @@ def _check_export(lat: GclLattice | classical.ClassicalLattice) -> None:
         )
 
 
-def _kind(lat: GclLattice | classical.ClassicalLattice) -> str:
-    return "gcl" if isinstance(lat, GclLattice) else lat.kind
-
-
-def _fancy(lat: GclLattice, block_limit: int) -> bool:
+def _fancy(lat: lattice.GclLattice, block_limit: int) -> bool:
     """Whether bounds may print reduced: few enough attributes and blocks.
     The block count is tested first, so a render past the block limit
     never runs irreducibles."""
@@ -232,66 +225,61 @@ def _split(part) -> int:
     return sorted(part.rows)[part.n_f // 2] if part.n_f else 0
 
 
-def _node_bounds(
-    lat: GclLattice, escape, nodes: int, block_limit: int = _PRETTY_BLOCK_LIMIT, split=None
+def _node_bound(
+    lat: lattice.GclLattice,
+    which: str,
+    escape,
+    nodes: int,
+    block_limit: int = _PRETTY_BLOCK_LIMIT,
+    split=None,
 ):
-    """(grsp, gfcp): grsp(ks, table) and gfcp(ks, rows) give node ks's
-    bounds as escaped text, a part (see _write), for a render of nodes
-    nodes, where rows is its gfcp table and table its grsp table (rows |
-    zero_rho).
+    """bound(ks, table): node ks's grsp or gfcp, as which names, as escaped
+    text, a part (see _write), for a render of nodes nodes, where table is
+    that bound's table: rows | zero_rho for grsp, rows for gfcp.
 
-    A plain bound is picked from the literal-term tables of a render of
-    that many nodes, escaped here once per render, and split at minterm
-    split where given (see exprs._term_text).
-    Where bounds may print reduced (see _fancy, up to block_limit blocks:
-    inspect, which asks for one node, allows more than the exports), the
-    reduced one (see _bound_pretty) wins if it is shorter than the plain
-    one, whose length is read off the tables' lengths.
+    A plain bound is picked from the literal-term tables of its own mode
+    for a render of that many nodes, escaped here once per render, and
+    split at minterm split where given (see exprs._term_text); a gfcp is
+    the CNF of its table's complement.  Where bounds may print reduced
+    (see _fancy, up to block_limit blocks: inspect, which asks for one
+    node, allows more than the exports), the reduced one (see
+    _bound_pretty) wins if it is shorter than the plain one, whose length
+    is read off the tables' lengths.  A render builds only the bounds it
+    prints: dot asks for grsp alone.
     """
     ctx = lat.context
     m = ctx.n_attributes
+    mode = "dnf" if which == "grsp" else "cnf"
+    pair = exprs._term_tables(ctx.attributes, mode, nodes)
+    text = exprs._term_text(m, mode, *(tuple(map(escape, t)) for t in pair), split)
     full = (1 << (1 << m)) - 1
-    tables = [_term_tables(ctx.attributes, mode, nodes) for mode in ("dnf", "cnf")]
-    dnf_text, cnf_text = (
-        _term_text(m, mode, *(tuple(map(escape, t)) for t in pair), split)
-        for mode, pair in zip(("dnf", "cnf"), tables)
-    )
     if not _fancy(lat, block_limit):
-        return (lambda ks, table: dnf_text(table)), (lambda ks, rows: cnf_text(full ^ rows))
-    # dot prints grsp only, so each side's members are read on first use
-    pretty = cache(partial(_bound_pretty, lat, escape=escape))
-    dnf_len, cnf_len = ([tuple(map(len, t)) for t in pair] for pair in tables)
+        if mode == "dnf":
+            return lambda ks, table: text(table)
+        return lambda ks, rows: text(full ^ rows)
+    pretty = _bound_pretty(lat, which, escape)
+    lengths = [tuple(map(len, t)) for t in pair]
 
-    def grsp(ks, table):
-        text = pretty("grsp")(ks, table, _term_length(table, m, "dnf", *dnf_len))
-        return dnf_text(table) if text is None else text
+    def bound(ks, table):
+        plain = table if mode == "dnf" else full ^ table
+        reduced = pretty(ks, table, exprs._term_length(plain, m, mode, *lengths))
+        return text(plain) if reduced is None else reduced
 
-    def gfcp(ks, rows):
-        table = full ^ rows
-        text = pretty("gfcp")(ks, rows, _term_length(table, m, "cnf", *cnf_len))
-        return cnf_text(table) if text is None else text
-
-    return grsp, gfcp
+    return bound
 
 
-def _uppers(edges):
-    """(lower, its uppers ascending) for the lower nodes of the cover pairs
-    edges, ascending: a gcl lattice's per-lower form, or a tuple of sorted
-    pairs grouped by lower node."""
-    if isinstance(edges, _Edges):
-        return enumerate(edges.uppers())
-    return ((lo, [hi for _, hi in pairs]) for lo, pairs in groupby(edges, itemgetter(0)))
-
-
-def _covers(lat: GclLattice | classical.ClassicalLattice, head: str, mid: str, tail: str, sep: str):
+def _covers(
+    lat: lattice.GclLattice | classical.ClassicalLattice, head: str, mid: str, tail: str, sep: str
+):
     """Every cover pair as head + lower + mid + upper + tail, sep-joined
     and ascending, in chunks of _COVER_BATCH lower nodes: each lower node's
-    pairs are one join over the uppers' id strings, built once."""
-    n = 1 << lat.partition.n_f if isinstance(lat, GclLattice) else len(lat.concepts)
+    pairs are one join over the uppers' id strings, built once, read from
+    the per-lower covers of either kind of lattice (hasse_edges.uppers())."""
+    n = 1 << lat.partition.n_f if lat.kind == "gcl" else len(lat.concepts)
     ids = tuple(map(str, range(n)))
     get, glue = ids.__getitem__, tail + sep
     lead, batch = "", []
-    for lo, his in _uppers(lat.hasse_edges):
+    for lo, his in enumerate(lat.hasse_edges.uppers()):
         if his:
             first = head + ids[lo] + mid
             batch.append(first + (glue + first).join(map(get, his)) + tail)
@@ -302,14 +290,14 @@ def _covers(lat: GclLattice | classical.ClassicalLattice, head: str, mid: str, t
         yield lead + sep.join(batch)
 
 
-def _text(lat: GclLattice | classical.ClassicalLattice):
+def _text(lat: lattice.GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects, attributes = ctx.objects, ctx.attributes
     head = (
-        f"{_kind(lat)} lattice: {ctx.n_objects} objects, "
+        f"{lat.kind} lattice: {ctx.n_objects} objects, "
         f"{ctx.n_attributes} attributes, "
     )
-    if isinstance(lat, GclLattice):
+    if lat.kind == "gcl":
         part = lat.partition
         lines = [head + f"{part.n_f} blocks, {1 << part.n_f} nodes"]
         for k, (extent, row) in enumerate(zip(part.extents, part.rows)):
@@ -318,7 +306,7 @@ def _text(lat: GclLattice | classical.ClassicalLattice):
                 f"block D{k + 1}: {_braced(_picked(objects, extent))} with row {row}"
             )
         count = 1 << part.n_f
-        ids = _id_runs(ctx.n_attributes, ", ", nodes=count)
+        ids = exprs._id_runs(ctx.n_attributes, ", ", nodes=count)
         empty, join = lat.zero_rho.table, ", ".join
         yield (
             "\n".join(lines) + "\nzero_rho: minterms [",
@@ -327,7 +315,8 @@ def _text(lat: GclLattice | classical.ClassicalLattice):
             ids(lat.one_eta.table),
             "]\n",
         )
-        grsp, gfcp = _node_bounds(lat, str, count, split=_split(part))
+        split = _split(part)
+        grsp, gfcp = (_node_bound(lat, w, str, count, split=split) for w in ("grsp", "gfcp"))
         for ks, (extent, rows) in enumerate(part.walk()):
             yield (
                 f"node [{ks}] {{{join(compress(objects, _selectors(extent)))}}}\n  grsp: ",
@@ -338,10 +327,10 @@ def _text(lat: GclLattice | classical.ClassicalLattice):
             )
     else:
         yield head + f"{len(lat.concepts)} concepts\n"
-        for i, c in enumerate(lat.concepts):
-            picks = _selectors(c.intent.bits)
+        for i, (extent, intent) in enumerate(lat.concepts.pairs):
+            picks = _selectors(intent)
             yield (
-                f"concept [{i}] {_braced(_picked(objects, c.extent.bits))} "
+                f"concept [{i}] {_braced(_picked(objects, extent))} "
                 f"with intent {_braced(compress(attributes, picks))}\n"
                 f"  property: {_property(lat, attributes, picks)}\n"
             )
@@ -353,13 +342,13 @@ def _text(lat: GclLattice | classical.ClassicalLattice):
     yield "\n"
 
 
-def _dot(lat: GclLattice | classical.ClassicalLattice):
+def _dot(lat: lattice.GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects = tuple(map(_dot_escape, ctx.objects))
-    yield f"digraph {_kind(lat)} {{\n  rankdir=BT;\n"
-    if isinstance(lat, GclLattice):
+    yield f"digraph {lat.kind} {{\n  rankdir=BT;\n"
+    if lat.kind == "gcl":
         part = lat.partition
-        grsp = _node_bounds(lat, _dot_escape, 1 << part.n_f, split=_split(part))[0]
+        grsp = _node_bound(lat, "grsp", _dot_escape, 1 << part.n_f, split=_split(part))
         empty, join = lat.zero_rho.table, ", ".join
         for ks, (extent, rows) in enumerate(part.walk()):
             yield (
@@ -369,9 +358,9 @@ def _dot(lat: GclLattice | classical.ClassicalLattice):
             )
     else:
         attributes = tuple(map(_dot_escape, ctx.attributes))
-        for i, c in enumerate(lat.concepts):
-            names = _braced(_picked(objects, c.extent.bits))
-            desc = _property(lat, attributes, _selectors(c.intent.bits))
+        for i, (extent, intent) in enumerate(lat.concepts.pairs):
+            names = _braced(_picked(objects, extent))
+            desc = _property(lat, attributes, _selectors(intent))
             yield f'  n{i} [label="{names} | {desc}"];\n'
     yield from _covers(lat, "  n", " -> n", ";\n", "")
     yield "}\n"
@@ -395,18 +384,20 @@ def _json_names(names, picks: bytes, frame=_JSON_FRAMES[3]) -> str:
     return f"{lead}{text}{close}" if text else "[]"
 
 
-def _json(lat: GclLattice | classical.ClassicalLattice):
+def _json(lat: lattice.GclLattice | classical.ClassicalLattice):
     ctx = lat.context
     objects = tuple(f'"{_json_escape(name)}"' for name in ctx.objects)
     attributes = tuple(f'"{_json_escape(name)}"' for name in ctx.attributes)
-    if isinstance(lat, GclLattice):
+    if lat.kind == "gcl":
         part, count = lat.partition, 1 << lat.partition.n_f
         split = _split(part)
         # one lister per id list, so each keeps the sides of its own tables
         gfcp_ids, grsp_ids = (
-            _id_runs(ctx.n_attributes, *_JSON_FRAMES[3], "[]", count, split) for _ in "gr"
+            exprs._id_runs(ctx.n_attributes, *_JSON_FRAMES[3], "[]", count, split) for _ in "gr"
         )
-        grsp, gfcp = _node_bounds(lat, _json_escape, count, split=split)
+        grsp, gfcp = (
+            _node_bound(lat, w, _json_escape, count, split=split) for w in ("grsp", "gfcp")
+        )
         empty = lat.zero_rho.table
 
         def nodes():
@@ -434,7 +425,7 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
             f'\n      "row": {_json_names(attributes, _selectors(row))}\n    }}'
             for extent, row in zip(part.extents, part.rows)
         )
-        constant = _id_runs(ctx.n_attributes, *_JSON_FRAMES[2], "[]", count)
+        constant = exprs._id_runs(ctx.n_attributes, *_JSON_FRAMES[2], "[]", count)
         fields = {
             "blocks": _json_names(blocks, repeat(1), _JSON_FRAMES[1]),
             "constants": (
@@ -453,11 +444,10 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
 
         def nodes():
             lead = "[\n    "
-            for c in lat.concepts:
-                extent = _json_names(objects, _selectors(c.extent.bits))
-                picks = _selectors(c.intent.bits)
+            for extent, intent in lat.concepts.pairs:
+                picks = _selectors(intent)
                 yield (
-                    f'{lead}{{\n      "extent": {extent},'
+                    f'{lead}{{\n      "extent": {_json_names(objects, _selectors(extent))},'
                     f'\n      "intent": {_json_names(attributes, picks)},'
                     f'\n      "property": "{_property(lat, unquoted, picks)}"\n    }}'
                 )
@@ -465,7 +455,7 @@ def _json(lat: GclLattice | classical.ClassicalLattice):
             yield "\n  ]" if lat.concepts else "[]"
 
         fields = {"nodes": nodes()}
-    fields["kind"] = f'"{_json_escape(_kind(lat))}"'
+    fields["kind"] = f'"{_json_escape(lat.kind)}"'
     fields["objects"] = _json_names(objects, repeat(1), _JSON_FRAMES[1])
     fields["attributes"] = _json_names(attributes, repeat(1), _JSON_FRAMES[1])
     fields["edges"] = (
@@ -511,7 +501,7 @@ def _write(write, chunks) -> None:
         write(chunk)
 
 
-def export_lattice(lat: GclLattice | classical.ClassicalLattice, fmt: str, out) -> None:
+def export_lattice(lat: lattice.GclLattice | classical.ClassicalLattice, fmt: str, out) -> None:
     """Write a lattice to the text stream out as json, dot or text.
 
     The output is deterministic and written node by node as it is
@@ -557,10 +547,10 @@ def _load(args) -> FormalContext:
     return parse_context(text, fmt)
 
 
-def _load_gcl(args) -> tuple[FormalContext, GclLattice]:
+def _load_gcl(args) -> tuple[FormalContext, lattice.GclLattice]:
     """The context and its general lattice, within the --max-m cap."""
     ctx = _load(args)
-    return ctx, build_gcl(ctx, args.max_m)
+    return ctx, lattice.build_gcl(ctx, args.max_m)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -688,9 +678,9 @@ def _cmd_inspect(args) -> int:
     ctx, lat = _load_gcl(args)
     lines = []
     if args.query is not None:
-        expr = parse_expr(args.query, ctx.attributes)
-        xs = eval_contextual(ctx, expr)
-        lines.append(f"query: {expr_to_str(expr, ctx.attributes)}\n")
+        expr = exprs.parse_expr(args.query, ctx.attributes)
+        xs = exprs.eval_contextual(ctx, expr)
+        lines.append(f"query: {exprs.expr_to_str(expr, ctx.attributes)}\n")
     else:
         names = [t.strip() for t in args.objects.split(",") if t.strip()]
         try:
@@ -712,8 +702,8 @@ def _cmd_inspect(args) -> int:
     lines.append("blocks: " + (", ".join(in_blocks) if in_blocks else "(none)") + "\n")
     rows, table = node.gfcp.table, node.grsp.table
     # one node: narrow term and id tables, each bound written in runs
-    grsp, gfcp = _node_bounds(lat, str, 1, _INSPECT_BLOCK_LIMIT)
-    ids = _id_runs(ctx.n_attributes, ", ", nodes=1)
+    grsp, gfcp = (_node_bound(lat, w, str, 1, _INSPECT_BLOCK_LIMIT) for w in ("grsp", "gfcp"))
+    ids = exprs._id_runs(ctx.n_attributes, ", ", nodes=1)
     bounds = [
         ("grsp: ", grsp(ks, table), "  (minterms [", ids(table), "])\n"),
         ("gfcp: ", gfcp(ks, rows), "  (minterms [", ids(rows), "])\n"),

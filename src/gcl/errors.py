@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its default attribute cap."""
+
+# the most attributes a canonical form (a truth table of 2^m bits) is
+# built for, unless a caller passes another cap; `gcl --max-m` defaults
+# to it, so it lives here, where reading it runs no other module
+DEFAULT_CANONICAL_CAP = 20
 
 
 class GclError(Exception):

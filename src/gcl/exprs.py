@@ -22,12 +22,11 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add
 
-from .bitset import BitSet
+from .bitset import BitSet, _selectors
 from .context import FormalContext
-from .errors import CapExceeded, ParseError
+from .errors import DEFAULT_CANONICAL_CAP, CapExceeded, ParseError
 from .value import Value
 
-DEFAULT_CANONICAL_CAP = 20
 
 # a plain bound's terms come from two tables, a low one over the first w
 # attributes and a high one over the rest, and w follows how many nodes a
@@ -38,9 +37,6 @@ DEFAULT_CANONICAL_CAP = 20
 # holds more than 2^_TERM_SPLIT strings.  A one-node render takes w =
 # ceil(m/2): tables of 2^ceil(m/2) and 2^floor(m/2) strings.
 _TERM_SPLIT = DEFAULT_CANONICAL_CAP // 2
-
-# binary digits to the bytes itertools.compress selects by
-_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +145,6 @@ def _fold(expr: AttrExpr, m_count: int, leaf, full: int) -> int:
 
 # ---------------------------------------------------------------------------
 # canonical forms
-
-def _selectors(table: int) -> bytes:
-    """Byte t is 1 where bit t of table is set, 0 elsewhere, up to its top bit."""
-    return bin(table).encode()[:1:-1].translate(_SELECT)
-
 
 class CanonicalForm(Value):
     """The minterm set of a composite attribute over m_count attributes.

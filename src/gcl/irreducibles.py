@@ -47,10 +47,10 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
 
-from .bitset import BitSet
+from .bitset import BitSet, _selectors
 from .context import FormalContext, _want_objects, block_set_of, blocks
 from .errors import CapExceeded
-from .exprs import BOTTOM, TOP, AttrExpr, _selectors, _var_table, conj, disj, literal
+from .exprs import BOTTOM, TOP, AttrExpr, _var_table, conj, disj, literal
 from .value import Value
 
 DEFAULT_IRREDUCIBLES_CAP = 10
@@ -320,7 +320,7 @@ def _members(ctx: FormalContext, mode: str) -> _Members:
 
 def _keeps(table: _Members, ks: int) -> bytes:
     """Byte i is 1 iff the bound of the block set ks keeps member i, else 0,
-    up to the last member kept (see exprs._selectors), so a caller that
+    up to the last member kept (see bitset._selectors), so a caller that
     compresses the members by it stops there.
 
     A conjunction is kept iff its block set lies inside ks and none of its

@@ -36,15 +36,9 @@ from collections.abc import Collection, Sequence
 
 from .bitset import BitSet
 from .context import BlockPartition, FormalContext, block_set_of, blocks
-from .errors import CapExceeded
-from .exprs import (
-    DEFAULT_CANONICAL_CAP,
-    AttrExpr,
-    CanonicalForm,
-    _guard_cap,
-    eval_contextual,
-)
-from .value import Value
+from .errors import DEFAULT_CANONICAL_CAP, CapExceeded
+from .exprs import AttrExpr, CanonicalForm, _guard_cap, eval_contextual
+from .value import Value, View
 
 DEFAULT_NODE_CAP = 20
 
@@ -80,9 +74,8 @@ class GeneralConcept(Value):
         return CanonicalForm(m, others ^ ((1 << (1 << m)) - 1))
 
 
-class _View(Collection):
-    """A read-only collection over the cube of n_F blocks, computed on
-    demand; equal by content to a tuple.
+class _View(View):
+    """A view over the cube of n_F blocks (see value.View).
 
     Subclasses set ``_nf`` and ``_n``, the item count, and give ``_walk()``.
     Iteration walks the whole cube, so it is refused past the node cap,
@@ -97,18 +90,6 @@ class _View(Collection):
     def __iter__(self):
         _guard_nodes(self._nf)
         return self._walk()
-
-    def __contains__(self, item) -> bool:
-        return any(x == item for x in self)
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _View)):
-            return NotImplemented
-        pairs = zip(self, other)  # refused here past the node cap
-        return len(self) == len(other) and all(a == b for a, b in pairs)
-
-    def __hash__(self):
-        return hash(tuple(self))
 
 
 class _Nodes(_View, Sequence):
@@ -163,6 +144,9 @@ class _Edges(_View):
 class GclLattice(Value):
     """A context and its block partition; the views over the cube of block
     sets and the two minterm tables are derived when first read."""
+
+    # not a field: a class attribute, read as ClassicalLattice.kind is
+    kind = "gcl"
 
     context: FormalContext
     partition: BlockPartition

@@ -1,4 +1,4 @@
-"""The immutable value base shared by every record type of the package.
+"""The immutable value base of every record type of the package, and of its views.
 
 A subclass lists its fields as class annotations, in order, and gives a
 field a default by assigning it in the class body.  Instances are built
@@ -13,6 +13,7 @@ so nothing here is generated at import time: the methods are shared by
 all subclasses, and only a field getter is made per class.
 """
 
+from collections.abc import Collection
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -74,3 +75,25 @@ class Value:
     def __repr__(self):
         body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({body})"
+
+
+class View(Collection):
+    """A read-only collection that stands for a tuple built from ints as it
+    is read (a lattice's nodes, concepts or cover pairs): equal by content
+    to that tuple or another view, and hashed like the tuple.  Membership,
+    equality and hashing iterate, so a view that refuses to iterate
+    refuses them too."""
+
+    __slots__ = ()
+
+    def __contains__(self, item) -> bool:
+        return any(x == item for x in self)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, View)):
+            return NotImplemented
+        pairs = zip(self, other)  # a refused iteration raises here
+        return len(self) == len(other) and all(a == b for a, b in pairs)
+
+    def __hash__(self):
+        return hash(tuple(self))

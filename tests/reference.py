@@ -1,5 +1,5 @@
-"""Bound texts and kept members worked out independently of the
-exporters' member tables.
+"""Bound texts, kept members and classical lattices worked out
+independently of the exporters' member tables and of the lattices' views.
 
 A reduced bound comes from the oracle's brute-force walk
 (``_reference_intent``), rendered by ``expr_to_str`` and checked by
@@ -7,9 +7,13 @@ A reduced bound comes from the oracle's brute-force walk
 rendering, ``canonical_to_str``, both lengths taken before any escaping.
 The members a block set keeps are tested one member at a time against
 block sets folded from the context's columns (``reference_keeps``).
+A classical lattice is built eagerly, as it was stored before its
+concepts and covers became views over ints (``eager_classical``).
 """
 
-from gcl import BitSet, canonical_to_str, expr_to_str, to_canonical
+from operator import and_, or_
+
+from gcl import BitSet, FclConcept, RslConcept, canonical_to_str, expr_to_str, to_canonical
 from gcl.context import block_set_of
 from gcl.irreducibles import _members
 from gcl.oracle import _reference_intent
@@ -60,3 +64,28 @@ def reference_keeps(mode: str, members, ks: int) -> bytes:
     if mode == "conjunction":
         return bytes(not b & ~ks and all(e & ~ks for e in loo) for b, loo in members)
     return bytes(not ks & ~b and all(ks & ~e for e in loo) for b, loo in members)
+
+
+def eager_classical(kind: str, ctx, pairs) -> tuple[tuple, tuple]:
+    """(concepts, covers) of the classical lattice of the (extent, intent)
+    int pairs: a tuple of records, one per pair and two BitSets each,
+    ascending by (object count, extent bits), and the tuple of sorted
+    cover pairs (lower, upper) from Lindig's neighbour test."""
+    pairs = sorted(pairs, key=lambda p: (p[0].bit_count(), p[0]))
+    index = {x: i for i, (x, _) in enumerate(pairs)}
+    op = and_ if kind == "fcl" else or_
+    edges = []
+    for i, (x, ix) in enumerate(pairs):
+        hits = {}
+        for col in ctx.cols:
+            y = op(x, col)
+            if y != x:
+                hits[y] = hits.get(y, 0) + 1
+        for y, count in hits.items():
+            k = index.get(y)
+            if k is not None and count == (pairs[k][1] ^ ix).bit_count():
+                edges.append((k, i) if kind == "fcl" else (i, k))
+    record = FclConcept if kind == "fcl" else RslConcept
+    n, m = ctx.n_objects, ctx.n_attributes
+    concepts = tuple(record(BitSet(x, n), BitSet(y, m)) for x, y in pairs)
+    return concepts, tuple(sorted(edges))

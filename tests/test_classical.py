@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import eager_classical
 from strategies import contexts
 from gcl import (
     BitSet,
@@ -96,6 +97,18 @@ def test_recover_matches_direct_build(t1):
         got = recover_classical(lat, kind)
         assert got.concepts == direct.concepts
         assert got.hasse_edges == direct.hasse_edges
+
+
+def test_rsl_covers_ascend_where_the_columns_reach_them_out_of_order():
+    # from the empty set column a reaches {g1, g2} (concept 2) before
+    # column b reaches {g3} (concept 1): Lindig's test finds the bottom's
+    # covers in column order, and its list of uppers must still ascend
+    ctx = FormalContext.from_table(("g1", "g2", "g3"), ("a", "b"), ("X.", "X.", ".X"))
+    lat = build_rsl(ctx)
+    assert pairs(lat) == [([], []), ([2], [1]), ([0, 1], [0]), ([0, 1, 2], [0, 1])]
+    assert lat.hasse_edges.uppers() == [[1, 2], [3], [3], []]
+    assert list(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert recover_classical(build_gcl(ctx), "rsl").hasse_edges.uppers() == [[1, 2], [3], [3], []]
 
 
 def test_edges_are_covers(t1):
@@ -258,3 +271,51 @@ def test_int_path_matches_the_operators_and_the_other_routes(ctx):
         recovered = recover_classical(lat, kind)
         assert recovered.concepts == direct.concepts
         assert recovered.hasse_edges == direct.hasse_edges
+
+
+def _eager(ctx, kind):
+    """The eager reference lattice: swept extents, intents from the
+    derivation operators."""
+    derive = intent_of if kind == "fcl" else box_of
+    found = [(x, derive(ctx, BitSet(x, ctx.n_objects)).bits) for x in swept_extents(ctx, kind)]
+    return eager_classical(kind, ctx, found)
+
+
+@given(
+    st.one_of(
+        contexts(max_objects=8, max_attributes=6),
+        # duplicate rows: many objects over few distinct rows
+        contexts(min_objects=6, max_objects=12, max_attributes=4, max_rows=3),
+    )
+)
+@example(FormalContext((), ("a", "b"), ()))
+@example(FormalContext(("g1", "g2"), (), (0, 0)))
+@example(FormalContext((), (), ()))
+@example(FormalContext(("g1", "g2", "g3", "g4"), ("a", "b"), (1, 2, 1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_views_equal_the_eager_records_and_sorted_pairs(ctx):
+    # the concepts and covers of every route read like the tuples the
+    # lattice once stored: length, truth, indexing from either end,
+    # repeated iteration, equality both ways and the hash
+    lat = build_gcl(ctx)
+    for kind, build in (("fcl", build_fcl), ("rsl", build_rsl)):
+        concepts, edges = _eager(ctx, kind)
+        for got in (build(ctx), recover_classical(lat, kind)):
+            for view, want in ((got.concepts, concepts), (got.hasse_edges, edges)):
+                assert len(view) == len(want) and bool(view) == bool(want)
+                assert list(view) == list(want) == list(view)
+                assert view == want and want == view
+                assert not view != want and not want != view
+                assert view != want + (None,) and (want[:-1] != view) == bool(want)
+                assert view != list(want) and list(want) != view
+                assert hash(view) == hash(want)
+            n = len(concepts)
+            assert [got.concepts[i] for i in range(-n, n)] == list(concepts) * 2
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    got.concepts[i]
+            assert (got.inf, got.sup) == (concepts[0], concepts[-1])
+            flat = [(lo, hi) for lo, his in enumerate(got.hasse_edges.uppers()) for hi in his]
+            assert flat == list(edges)
+            eager = ClassicalLattice(kind, ctx, concepts, edges)
+            assert got == eager and eager == got and hash(got) == hash(eager)

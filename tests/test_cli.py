@@ -252,7 +252,7 @@ def test_compare_disagreement_exits_4(capsys, t1_path, monkeypatch):
 
     def drop_one(lat, kind):
         got = recover_classical(lat, kind)
-        return type(got)(got.kind, got.context, got.concepts[1:], got.hasse_edges)
+        return type(got)(got.kind, got.context, tuple(got.concepts)[1:], got.hasse_edges)
 
     monkeypatch.setattr("gcl.classical.recover_classical", drop_one)
     code, out, _ = run(capsys, "compare", t1_path)
@@ -736,8 +736,8 @@ def test_oversized_export_is_refused_before_rendering(capsys, tmp_path, monkeypa
     # everything a node's text is computed from, on either rendering path
     monkeypatch.setattr("gcl.lattice.GeneralConcept", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
-    monkeypatch.setattr("gcl.cli._term_text", never)
-    monkeypatch.setattr("gcl.cli._id_runs", never)
+    monkeypatch.setattr("gcl.exprs._term_text", never)
+    monkeypatch.setattr("gcl.exprs._id_runs", never)
     monkeypatch.setattr("gcl.cli._picked", never)
     monkeypatch.setattr("gcl.context.BlockPartition.union", never)
     # a refused export neither truncates nor creates its --out file
@@ -765,7 +765,7 @@ def test_wide_inspect_is_refused_before_rendering(capsys, tmp_path, monkeypatch)
     def never(*args):
         raise AssertionError("a node was looked up or rendered")
 
-    monkeypatch.setattr("gcl.cli.GclLattice.node_of", never)
+    monkeypatch.setattr("gcl.lattice.GclLattice.node_of", never)
     monkeypatch.setattr("gcl.cli._bound_pretty", never)
     for target in (["--objects", "g1,g3"], ["--query", "m0 & !m1"]):
         code, out, err = run(capsys, "inspect", str(p), *target)

@@ -14,7 +14,20 @@ from hypothesis import strategies as st
 
 from reference import reference_bound
 from strategies import HOSTILE_NAMES, hostile_contexts
-from gcl import BitSet, FormalContext, build_fcl, build_gcl, build_rsl, cli, context, exprs, irreducibles, lattice
+from gcl import (
+    BitSet,
+    FclConcept,
+    FormalContext,
+    RslConcept,
+    build_fcl,
+    build_gcl,
+    build_rsl,
+    cli,
+    context,
+    exprs,
+    irreducibles,
+    lattice,
+)
 from gcl.context import BlockPartition, parse_context, random_context
 from gcl.cli import _PRETTY_BLOCK_LIMIT, _fancy, _json_escape, export_lattice, main
 
@@ -183,16 +196,19 @@ def test_the_per_lower_covers_flatten_to_the_cover_pairs(n_f):
     assert len(uppers) == 1 << n_f
     # the covers differ in one block, ascending by lower then upper
     want = sorted((ks, ks | 1 << k) for ks in range(1 << n_f) for k in range(n_f) if not ks >> k & 1)
-    assert _flat(enumerate(uppers)) == want == list(edges) == _flat(cli._uppers(edges))
+    assert _flat(enumerate(uppers)) == want == list(edges)
 
 
 @pytest.mark.parametrize("build", [build_fcl, build_rsl])
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_classical_covers_grouped_by_lower_give_back_the_pairs(build, seed):
+    # one ascending list of upper covers per concept, by concept, as the
+    # exporters read them; flattened, the sorted cover pairs
     lat = build(random_context(seed, 12, 6, 0.5))
-    grouped = list(cli._uppers(lat.hasse_edges))
-    assert [lo for lo, _ in grouped] == sorted({lo for lo, _ in lat.hasse_edges})
-    assert _flat(grouped) == list(lat.hasse_edges)
+    uppers = lat.hasse_edges.uppers()
+    assert len(uppers) == len(lat.concepts)
+    assert all(his == sorted(set(his)) for his in uppers)
+    assert _flat(enumerate(uppers)) == list(lat.hasse_edges) == sorted(lat.hasse_edges)
 
 
 @pytest.mark.parametrize("kind", ["gcl", "fcl", "rsl"])
@@ -418,6 +434,45 @@ def test_classical_export_streams_one_concept_at_a_time():
     assert peak < _CLASSICAL_EXPORT_PEAK, f"peak {peak} B for {sink.size} B written"
 
 
+# about 0.7 times the 1.60 MB that build_fcl plus a json export peaked at
+# while the lattice held one record and two BitSets per concept and one
+# tuple per cover pair; holding the int pairs and per-lower cover lists
+# alone, they peak at 0.79 MB
+_FCL_BUILD_AND_EXPORT_PEAK = 1_100_000
+
+
+def test_fcl_build_and_json_export_hold_ints_not_records():
+    # 200 objects over 12 attributes: 1,920 concepts and 9,113 covers
+    ctx = random_context(1, 200, 12, 0.5)
+    build_fcl(ctx)  # the context's cached columns are not counted
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        lat = build_fcl(ctx)
+        export_lattice(lat, "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(lat.concepts), len(lat.hasse_edges)) == (1920, 9113)
+    assert peak < _FCL_BUILD_AND_EXPORT_PEAK, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("kind", ["fcl", "rsl"])
+def test_a_classical_build_and_export_make_no_record(monkeypatch, kind):
+    # the lattice keeps (extent, intent) ints and the exporters read them:
+    # neither builds a concept record or a BitSet, in any format
+    ctx = random_context(3, 12, 6, 0.5)
+    want = {fmt: _exported(_BUILD[kind](ctx), fmt) for fmt in SUFFIX}
+
+    def never(*args):
+        raise AssertionError("a record was built")
+
+    for cls in (FclConcept, RslConcept, BitSet):
+        monkeypatch.setattr(cls, "__init__", never)
+    for fmt in SUFFIX:
+        assert _exported(_BUILD[kind](ctx), fmt) == want[fmt]
+
+
 # ---------------------------------------------------------------------------
 # the reduced path's structure: per node, a selection and a join
 #
@@ -573,11 +628,14 @@ def test_split_memo_holds_at_most_2_to_the_ceil_half_blocks_per_side(monkeypatch
             memos.append(self)
 
     monkeypatch.setattr(exprs, "_Halves", Kept)
+    made = []
     for fmt in ("text", "json", "dot"):
+        before = len(memos)
         export_lattice(lat, fmt, _CountingSink())
-    # two sides each of the bounds of each format (dot reads grsp only)
-    # and of json's id lists
-    assert len(memos) == 2 * (2 + 4 + 2)
+        made.append(len(memos) - before)
+    # two sides each of the bounds a format prints and of json's id lists:
+    # text and json print both bounds, dot grsp alone and lists no gfcp
+    assert made == [2 * 2, 2 * (2 + 2), 2 * 1]
     assert max(map(len, memos)) == 1 << (n_f + 1) // 2
 
 

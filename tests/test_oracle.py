@@ -264,7 +264,7 @@ def _without_column_a(real):
 def _recovered_without_the_bottom(real):
     def recover(lat, kind):
         got = real(lat, kind)
-        return ClassicalLattice(got.kind, got.context, got.concepts[1:], got.hasse_edges)
+        return ClassicalLattice(got.kind, got.context, tuple(got.concepts)[1:], got.hasse_edges)
 
     return recover
 
@@ -272,7 +272,7 @@ def _recovered_without_the_bottom(real):
 def _recovered_without_a_cover(real):
     def recover(lat, kind):
         got = real(lat, kind)
-        return ClassicalLattice(got.kind, got.context, got.concepts, got.hasse_edges[1:])
+        return ClassicalLattice(got.kind, got.context, got.concepts, tuple(got.hasse_edges)[1:])
 
     return recover
 

@@ -371,23 +371,35 @@ def test_commands_run_only_the_modules_they_read(thirteen_blocks_path):
     # a plain export (9 blocks, past the pretty limit) and an inspect past
     # the inspect limit read no reduced bound, so oracle, irreducibles and
     # classical never run; a classical build and compare run classical
-    # alone of the three, and verify runs all three
+    # alone of the three, and verify runs all three.  Importing gcl.cli
+    # runs neither exprs nor lattice, and a classical build, which reads
+    # only the context's ints, runs neither of them either
     c13 = thirteen_blocks_path
     plain = ROOT / "tests" / "golden" / "export_plain.csv"
-    assert _probe(
+    run = (
         "import gcl.cli\n"
         "def run(*argv):\n"
         "    assert argv == () or gcl.cli.main(list(argv)) == 0\n"
-        "    three = ('classical', 'irreducibles', 'oracle')\n"
-        "    print([h for h in ran() if h in three], file=sys.stderr)\n"
-        "run()\n"
+        "    print(ran(), file=sys.stderr)\n"
+    )
+    base = ["bitset", "context", "errors"]
+    plain_gcl = base + ["exprs", "lattice"]
+    with_classical = ["bitset", "classical", "context", "errors", "exprs", "lattice"]
+    every = ["bitset", "classical", "context", "errors", "exprs", "irreducibles", "lattice", "oracle"]
+    assert _probe(
+        run + "run()\n"
         "for fmt in ('text', 'json', 'dot'):\n"
         f"    run('build', {str(plain)!r}, '--format', fmt)\n"
         f"run('inspect', {str(c13)!r}, '--objects', 'g1')\n"
         f"run('build', {str(plain)!r}, '--lattice', 'fcl')\n"
         f"run('compare', {str(c13)!r})\n"
         f"run('verify', {str(c13)!r})\n"
-    ) == ["[]"] * 5 + ["['classical']"] * 2 + ["['classical', 'irreducibles', 'oracle']"]
+    ) == list(map(str, [base] + [plain_gcl] * 4 + [with_classical] * 2 + [every]))
+    assert _probe(
+        run + "for kind in ('fcl', 'rsl'):\n"
+        "    for fmt in ('text', 'json', 'dot'):\n"
+        f"        run('build', {str(plain)!r}, '--lattice', kind, '--format', fmt)\n"
+    ) == [str(["bitset", "classical", "context", "errors"])] * 6
 
 
 def test_cli_import_without_site_runs_no_import_helper():
